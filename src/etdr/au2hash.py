@@ -60,9 +60,15 @@ def poly_hash(key: int, value: int, msg_bits: int, degree: int) -> int:
 class VectorHasher:
     """All-keys digest vector in one streaming pass over the message.
 
-    Keeps one accumulator and one running key power per key, so the state
-    is O(l) per key regardless of message length. update() consumes blocks
-    front to back; digests() finalizes.
+    update() consumes blocks front to back; digests() finalizes. The state
+    is O(l) per key regardless of message length.
+
+    Up to the field's log-table degree (16), each key is held as log k and
+    update(b_i) XORs exp[log b_i + (i * log k mod (2^l - 1))] into the
+    accumulator of every nonzero key: no field multiply, and a zero block
+    costs nothing. A zero key's digest is the first block. Above degree 16
+    each key keeps a running power k^i, and update() makes two
+    shift-and-add GF2.mul calls per key.
     """
 
     def __init__(self, degree: int, keys: list[int]):
@@ -72,23 +78,46 @@ class VectorHasher:
             if k < 0 or k >= self.field.order:
                 raise ParameterError("key outside the field")
         self.keys = list(keys)
-        self._acc = [0] * len(keys)
-        self._kpow = [1] * len(keys)
+        self._tables = self.field.log_tables()
+        if self._tables is None:
+            self._acc = [0] * len(keys)
+            self._kpow = [1] * len(keys)
+        else:
+            log = self._tables[1]
+            self._logk = [log[k] for k in keys if k]
+            self._acc = [0] * len(self._logk)
+            self._first = 0
+            self._index = 0
         self._done = False
 
     def update(self, block: int) -> None:
         if self._done:
             raise ParameterError("hasher already finalized")
-        mul = self.field.mul
-        acc, kpow = self._acc, self._kpow
-        for j, k in enumerate(self.keys):
-            if block:
-                acc[j] ^= mul(block, kpow[j])
-            kpow[j] = mul(kpow[j], k)
+        if self._tables is None:
+            mul = self.field.mul
+            acc, kpow = self._acc, self._kpow
+            for j, k in enumerate(self.keys):
+                if block:
+                    acc[j] ^= mul(block, kpow[j])
+                kpow[j] = mul(kpow[j], k)
+            return
+        i = self._index
+        self._index = i + 1
+        if not block:
+            return
+        if not i:
+            self._first = block
+        exp, log = self._tables
+        n = self.field.order - 1
+        lb, i = log[block], i % n
+        self._acc = [a ^ exp[lb + i * lk % n] for a, lk in zip(self._acc, self._logk)]
 
     def digests(self) -> list[int]:
         self._done = True
-        return list(self._acc)
+        if self._tables is None:
+            return list(self._acc)
+        nonzero = iter(self._acc)
+        return [next(nonzero) if k else self._first for k in self.keys]
 
 
 def hash_vector(keys: list[int], value: int, msg_bits: int, degree: int) -> list[int]:

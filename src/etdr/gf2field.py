@@ -21,6 +21,7 @@ rule, so all processes agree without coordination.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from itertools import combinations
 
@@ -79,7 +80,10 @@ REDUCTION_POLY: dict[int, int] = {
 }
 # fmt: on
 
-_MUL_TABLE_MAX_DEGREE = 8  # dense tables up to 2^8 x 2^8 entries
+# Degrees up to this multiply through log/antilog tables of 2^degree and
+# 2(2^degree - 1) Python ints (0.33 MB at degree 12, 5.5 MB at 16, doubling
+# per degree); above it, multiplies run shift-and-add.
+_MUL_TABLE_MAX_DEGREE = 16
 
 
 def _poly_mod(a: int, p: int) -> int:
@@ -150,13 +154,25 @@ def is_irreducible(poly: int) -> bool:
     return True
 
 
+_SEARCH_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=None)
 def reduction_poly(degree: int) -> int:
-    """The pinned reduction polynomial for GF(2^degree) (full mask)."""
+    """The pinned reduction polynomial for GF(2^degree) (full mask).
+
+    Thread-safe: threads that miss the cache together wait for one search.
+    """
     if degree < 1:
         raise ParameterError(f"degree must be >= 1, got {degree}")
     if degree in REDUCTION_POLY:
         return REDUCTION_POLY[degree]
+    with _SEARCH_LOCK:
+        return _search_reduction_poly(degree)
+
+
+@lru_cache(maxsize=None)
+def _search_reduction_poly(degree: int) -> int:
     # same rule as the frozen table: fewest terms, then smallest mask
     for weight in range(3, degree + 2, 2):
         best = None
@@ -185,7 +201,6 @@ def gf_mul(a: int, b: int, degree: int, poly: int | None = None) -> int:
     mask = top - 1
     if a < 0 or b < 0 or a > mask or b > mask:
         raise ParameterError("operand outside the field")
-    red = poly & mask  # reduction of x^degree
     r = 0
     while b:
         if b & 1:
@@ -197,13 +212,32 @@ def gf_mul(a: int, b: int, degree: int, poly: int | None = None) -> int:
     return r
 
 
+def _log_tables(degree: int, poly: int) -> tuple[list[int], list[int]]:
+    n = (1 << degree) - 1  # order of the multiplicative group
+    # the first g whose powers reach every nonzero element; a small g keeps
+    # each gf_mul step short (degree 1 stops at g = 1)
+    for g in range(1, n + 1):
+        exp = [1]
+        a = g
+        while a != 1:
+            exp.append(a)
+            a = gf_mul(a, g, degree, poly)
+        if len(exp) == n:
+            break
+    log = [0] * (n + 1)
+    for i, a in enumerate(exp):
+        log[a] = i
+    return exp + exp, log
+
+
 class GF2:
     """Multiplication context for one degree.
 
-    Degrees up to 8 get a dense product table (built lazily, shared per
-    process); larger degrees run shift-and-add. fixed_mul(k) returns a
-    fast multiply-by-k closure backed by byte-indexed tables, which is
-    what the hashing hot paths use.
+    Degrees up to _MUL_TABLE_MAX_DEGREE multiply through log/antilog tables
+    (built lazily, shared per process): a*b = exp[log a + log b], and
+    fixed_mul(k) adds log k to log a. Larger degrees multiply shift-and-add
+    in gf_mul, and fixed_mul(k) returns a multiply-by-k closure over
+    byte-indexed tables built for k, which is what the MAC uses.
     """
 
     _instances: dict[int, "GF2"] = {}
@@ -212,7 +246,7 @@ class GF2:
         self.degree = degree
         self.poly = reduction_poly(degree)
         self.order = 1 << degree
-        self._table: list[list[int]] | None = None
+        self._logs: tuple[list[int], list[int]] | None = None
 
     @classmethod
     def get(cls, degree: int) -> "GF2":
@@ -221,24 +255,36 @@ class GF2:
             inst = cls._instances[degree] = cls(degree)
         return inst
 
-    def _dense_table(self) -> list[list[int]]:
-        tab = self._table
-        if tab is None:
-            q = self.order
-            tab = [[gf_mul(a, b, self.degree, self.poly) for b in range(q)] for a in range(q)]
-            self._table = tab
-        return tab
+    def log_tables(self) -> tuple[list[int], list[int]] | None:
+        """(exp, log) for a primitive element g, or None above the table degree.
+
+        exp[i] = g^i over 2(order-1) entries, so exp[log a + log b] needs no
+        reduction mod order-1; log[a] = i with g^i = a for a != 0 (log[0] is
+        a placeholder, and callers treat zero apart).
+        """
+        if self._logs is None and self.degree <= _MUL_TABLE_MAX_DEGREE:
+            self._logs = _log_tables(self.degree, self.poly)
+        return self._logs
 
     def mul(self, a: int, b: int) -> int:
-        if self.degree <= _MUL_TABLE_MAX_DEGREE:
-            return self._dense_table()[a][b]
-        return gf_mul(a, b, self.degree, self.poly)
+        tables = self.log_tables()
+        if tables is None:
+            return gf_mul(a, b, self.degree, self.poly)
+        if not (a and b):
+            return 0
+        exp, log = tables
+        return exp[log[a] + log[b]]
 
     def fixed_mul(self, k: int):
-        """A closure computing k*a for arbitrary a, O(degree/8) lookups per call."""
-        if self.degree <= _MUL_TABLE_MAX_DEGREE:
-            row = self._dense_table()[k]
-            return row.__getitem__
+        """A closure computing k*a for arbitrary a: two lookups per call up to
+        the table degree, O(degree/8) lookups above it."""
+        tables = self.log_tables()
+        if tables is not None:
+            exp, log = tables
+            if not k:
+                return lambda a: 0
+            lk = log[k]
+            return lambda a: exp[log[a] + lk] if a else 0
         # powers[j] = k * x^j; then k*a = XOR over set bits of a
         top, mask, poly = 1 << self.degree, (1 << self.degree) - 1, self.poly
         powers = []

@@ -11,6 +11,40 @@ CHI2_999 = {5: 20.515005652432873, 15: 37.69729821835383, 255: 330.5197436340058
 WILSON_Z99 = 2.5758293035489004
 
 
+def _to_coeffs(v):
+    return [(v >> i) & 1 for i in range(v.bit_length())]
+
+
+def _from_coeffs(cs):
+    return sum(c << i for i, c in enumerate(cs))
+
+
+def oracle_mul(a, b, poly):
+    """Schoolbook polynomial product then long division remainder, all on lists."""
+    ca, cb, cp = _to_coeffs(a), _to_coeffs(b), _to_coeffs(poly)
+    prod = [0] * (len(ca) + len(cb))
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            prod[i + j] ^= x & y
+    dp = len(cp) - 1
+    for i in range(len(prod) - 1, dp - 1, -1):
+        if prod[i]:
+            for j in range(dp + 1):
+                prod[i - dp + j] ^= cp[j]
+    return _from_coeffs(prod[:dp])
+
+
+def oracle_mod(a, p):
+    cp = _to_coeffs(p)
+    ca = _to_coeffs(a)
+    dp = len(cp) - 1
+    for i in range(len(ca) - 1, dp - 1, -1):
+        if ca[i]:
+            for j in range(dp + 1):
+                ca[i - dp + j] ^= cp[j]
+    return _from_coeffs(ca[:dp])
+
+
 def forgery_game_optimum(tagger, key_space, msg_bits):
     """Optimal substitution forgery probability, fully generic.
 

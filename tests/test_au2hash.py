@@ -8,7 +8,8 @@ import pytest
 from etdr.au2hash import block_count, chunk_blocks, collision_bound, hash_vector, poly_hash
 from etdr.bits import bits_from_str
 from etdr.errors import ParameterError
-from etdr.gf2field import GF2
+from etdr.gf2field import GF2, reduction_poly
+from oracles import oracle_mul
 
 
 def oracle_hash(key, value, msg_bits, degree):
@@ -109,15 +110,29 @@ def test_collision_bound_exhaustive_small(degree, max_r):
             assert hits <= allowed, (degree, r, bin(d))
 
 
+def horner_oracle(key, value, msg_bits, degree):
+    """Horner on the reversed blocks, multiplying with the list-based oracle."""
+    poly = reduction_poly(degree)
+    blocks = [(value >> (i * degree)) & ((1 << degree) - 1) for i in range(-(-msg_bits // degree))]
+    acc = 0
+    for block in reversed(blocks):
+        acc = oracle_mul(acc, key, poly) ^ block
+    return acc
+
+
 def test_vector_hasher_matches_scalar_path():
-    rng = random.Random(99)
-    for degree in (2, 8):
-        keys = [rng.getrandbits(degree) for _ in range(10)]
-        for _ in range(40):
-            bits = rng.randrange(1, 6 * degree)
-            v = rng.getrandbits(bits)
+    for degree in range(1, 21):  # log tables up to 16, shift-and-add above
+        rng = random.Random(99 + degree)
+        q = 1 << degree
+        keys = [0, 1, q - 1] + [rng.randrange(q) for _ in range(5)]
+        cases = [(0, 3 * degree), ((1 << (3 * degree + 1)) - 1, 3 * degree + 1)]  # all 0, all 1
+        for _ in range(6):
+            bits = rng.randrange(1, 5 * degree + 2)
+            cases.append((rng.getrandbits(bits), bits))
+        for v, bits in cases:
             vec = hash_vector(keys, v, bits, degree)
-            assert vec == [poly_hash(k, v, bits, degree) for k in keys]
+            assert vec == [poly_hash(k, v, bits, degree) for k in keys], (degree, bits)
+            assert vec == [horner_oracle(k, v, bits, degree) for k in keys], (degree, bits)
 
 
 def test_vector_hasher_finalize_is_terminal():

@@ -1,36 +1,16 @@
 """Field layer tests, checked against a coefficient-list schoolbook oracle."""
 
 import random
+import sys
+import threading
+from functools import lru_cache
 
 import pytest
 
+from etdr import gf2field
 from etdr.errors import ParameterError
 from etdr.gf2field import GF2, REDUCTION_POLY, gf_add, gf_mul, is_irreducible, reduction_poly
-
-
-# ---------------------------------------------------------------- oracle
-
-def _to_coeffs(v):
-    return [(v >> i) & 1 for i in range(v.bit_length())]
-
-
-def _from_coeffs(cs):
-    return sum(c << i for i, c in enumerate(cs))
-
-
-def oracle_mul(a, b, poly):
-    """Schoolbook polynomial product then long division remainder, all on lists."""
-    ca, cb, cp = _to_coeffs(a), _to_coeffs(b), _to_coeffs(poly)
-    prod = [0] * (len(ca) + len(cb))
-    for i, x in enumerate(ca):
-        for j, y in enumerate(cb):
-            prod[i + j] ^= x & y
-    dp = len(cp) - 1
-    for i in range(len(prod) - 1, dp - 1, -1):
-        if prod[i]:
-            for j in range(dp + 1):
-                prod[i - dp + j] ^= cp[j]
-    return _from_coeffs(prod[:dp])
+from oracles import oracle_mod, oracle_mul
 
 
 # ---------------------------------------------------------------- basics
@@ -92,17 +72,6 @@ def test_is_irreducible_agrees_with_trial_division_upto_degree_10():
         assert is_irreducible(p) == (not divisible), hex(p)
 
 
-def oracle_mod(a, p):
-    cp = _to_coeffs(p)
-    ca = _to_coeffs(a)
-    dp = len(cp) - 1
-    for i in range(len(ca) - 1, dp - 1, -1):
-        if ca[i]:
-            for j in range(dp + 1):
-                ca[i - dp + j] ^= cp[j]
-    return _from_coeffs(ca[:dp])
-
-
 def test_reduction_poly_search_beyond_table_matches_rule():
     # degree 130 is past the frozen table; the search must return an
     # irreducible with the table's shape rule (odd weight, leading+constant)
@@ -113,6 +82,39 @@ def test_reduction_poly_search_beyond_table_matches_rule():
     assert reduction_poly(130) == p  # cached and deterministic
 
 
+def test_reduction_poly_search_runs_once_under_concurrent_calls(monkeypatch):
+    searched = []
+    search = gf2field._search_reduction_poly.__wrapped__
+
+    def counting_search(degree):
+        searched.append(degree)
+        return search(degree)
+
+    monkeypatch.setattr(gf2field, "_search_reduction_poly", lru_cache(maxsize=None)(counting_search))
+    reduction_poly.cache_clear()
+    start = threading.Barrier(4)
+    results = []
+
+    def call():
+        start.wait()
+        results.append(reduction_poly(150))  # about 60 ms of search
+
+    threads = [threading.Thread(target=call) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4 and len(set(results)) == 1
+    assert searched == [150]
+    assert is_irreducible(results[0]) and results[0].bit_length() == 151
+
+
 def test_reduction_poly_rejects_bad_degree():
     with pytest.raises(ParameterError):
         reduction_poly(0)
@@ -120,13 +122,24 @@ def test_reduction_poly_rejects_bad_degree():
 
 # ---------------------------------------------------------------- algebra
 
-def test_oracle_agreement_exhaustive_degree_le_4():
-    for d in (1, 2, 3, 4):
+def test_oracle_agreement_exhaustive_degree_le_8():
+    for d in range(1, 9):
         poly = reduction_poly(d)
         f = GF2.get(d)
         for a in range(1 << d):
             for b in range(1 << d):
                 assert f.mul(a, b) == oracle_mul(a, b, poly)
+
+
+@pytest.mark.parametrize("degree", range(9, 17))
+def test_oracle_agreement_random_log_table_degrees(degree):
+    rng = random.Random(degree)
+    poly = reduction_poly(degree)
+    f = GF2.get(degree)
+    for _ in range(2_000):
+        a = rng.getrandbits(degree)
+        b = rng.getrandbits(degree)
+        assert f.mul(a, b) == oracle_mul(a, b, poly)
 
 
 def test_oracle_agreement_random_degree_64():
@@ -171,12 +184,24 @@ def test_nonzero_elements_form_a_group(degree):
         assert f.pow(a, (1 << degree) - 1) == 1
 
 
-@pytest.mark.parametrize("degree", [3, 8, 64, 92])
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_log_tables_cover_the_multiplicative_group(degree):
+    exp, log = GF2.get(degree).log_tables()
+    n = (1 << degree) - 1
+    assert len(exp) == 2 * n and exp[n:] == exp[:n]
+    assert sorted(exp[:n]) == list(range(1, n + 1))
+    assert all(exp[log[a]] == a for a in range(1, n + 1))
+
+
+def test_no_log_tables_above_degree_16():
+    assert GF2.get(17).log_tables() is None
+
+
+@pytest.mark.parametrize("degree", [3, 8, 12, 16, 17, 64, 92])
 def test_fixed_mul_matches_general_mul(degree):
     rng = random.Random(degree)
     f = GF2.get(degree)
-    for _ in range(20):
-        k = rng.getrandbits(degree)
+    for k in [0] + [rng.getrandbits(degree) for _ in range(20)]:
         mul_k = f.fixed_mul(k)
         for _ in range(200):
             a = rng.getrandbits(degree)
