@@ -12,7 +12,6 @@ from .errors import (
     EtdrError,
     FrameError,
     KeyMaterialError,
-    MacFailure,
     ParameterError,
     ProtocolStateError,
     StoreIntegrityError,
@@ -24,7 +23,6 @@ __all__ = [
     "EtdrError",
     "FrameError",
     "KeyMaterialError",
-    "MacFailure",
     "ParameterError",
     "ProtocolStateError",
     "StoreIntegrityError",

@@ -40,6 +40,7 @@ from .bits import Message
 from .bounds import attack_success_bound, cover_prob, match_tail
 from .errors import ParameterError
 from .etproto import core
+from .etproto.keys import deal_subkeys
 from .params import Params
 
 WILSON_Z99 = 2.5758293035489004
@@ -62,27 +63,10 @@ class World:
 
 
 def draw_world(params: Params, rng: random.Random) -> World:
-    """Deal a world with the key-file distribution: overlap uniform,
-    subkeys iid uniform, shared exactly on the overlap."""
-    n, l, big_n = params.shared_count, params.subkey_bits, params.subkey_count
-    pool = list(range(big_n))
-    for i in range(n):
-        j = rng.randrange(i, big_n)
-        pool[i], pool[j] = pool[j], pool[i]
-    overlap = tuple(sorted(pool[:n]))
-    overlap_set = set(overlap)
-    honest = []
-    cheater = []
-    for j in range(big_n):
-        k = rng.getrandbits(l)
-        if j in overlap_set:
-            honest.append(k)
-            cheater.append(k)
-        else:
-            honest.append(k)
-            cheater.append(rng.getrandbits(l))
+    """Deal a world with the dealer's own draws, then the honest data."""
+    overlap, honest, cheater = deal_subkeys(params, rng)
     message = Message(rng.getrandbits(params.data_bits), params.data_bits)
-    return World(overlap, tuple(honest), tuple(cheater), message)
+    return World(overlap, honest, cheater, message)
 
 
 @dataclass(frozen=True)
@@ -262,7 +246,7 @@ class Strategy:
     """Picks a claim (and optionally a submission) from the cheater's view.
 
     The default submission is the digest vector of the claim, the collapse
-    every sensible strategy uses; sanity strategies override it.
+    every sensible strategy uses; the sanity strategy overrides it.
     """
 
     name = "abstract"
@@ -346,12 +330,7 @@ class CopyHonestVector(Strategy):
     the dispute almost every time, confirming the collapse matters."""
 
     name = "copy-honest-vector"
-
-    def choose(self, view, rng):
-        while True:
-            w = rng.getrandbits(view.params.data_bits)
-            if w != view.honest_message.value:
-                return w
+    choose = RandomClaim.choose
 
     def play(self, view, rng):
         claim = Message(self.choose(view, rng), view.params.data_bits)
@@ -361,18 +340,6 @@ class CopyHonestVector(Strategy):
         return vector, claim
 
 
-class HonestDifferentData(Strategy):
-    """Sanity check: behave honestly with genuinely different data."""
-
-    name = "honest-different-data"
-
-    def choose(self, view, rng):
-        while True:
-            w = rng.getrandbits(view.params.data_bits)
-            if w != view.honest_message.value:
-                return w
-
-
 ALL_STRATEGIES: tuple[Strategy, ...] = (
     RandomClaim(),
     SingleBitFlip(),
@@ -380,7 +347,6 @@ ALL_STRATEGIES: tuple[Strategy, ...] = (
     ExactBest(),
     OverlapGuess(),
     CopyHonestVector(),
-    HonestDifferentData(),
 )
 
 

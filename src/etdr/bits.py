@@ -54,10 +54,5 @@ class Message:
     def from_bytes(cls, data: bytes) -> "Message":
         return cls(bytes_to_bits(data), 8 * len(data))
 
-    @classmethod
-    def from_str(cls, s: str) -> "Message":
-        value, n = bits_from_str(s)
-        return cls(value, n)
-
     def to_bytes(self) -> bytes:
         return bits_to_bytes(self.value, self.bit_len)

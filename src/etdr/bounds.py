@@ -11,9 +11,9 @@ aim at. Its success probability at threshold t factors into
                     probability at most q (the hash collision bound)
 
 and attack_success_bound maximises the product over t. Everything in
-this module is exact rational arithmetic except kl_tail_bound, which
-evaluates an explicit relative-entropy upper bound in controlled-precision
-floating point (exact at t = N where it degenerates to q**n).
+this module is exact rational arithmetic. verify_security also checks
+the closed-form chain that covers larger data sizes, every tail above
+3n/2 under (n/2 + 1) * 2**(-n/2), by comparing squares of rationals.
 
 No protocol state or I/O here; the module is a standalone calculator so
 the protocol implementation can be checked against it independently.
@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-
-import mpmath
 
 from .au2hash import collision_bound
 from .errors import ParameterError
@@ -85,11 +83,8 @@ def attack_rows(
     return rows
 
 
-def attack_success_bound(
-    subkey_count: int, shared_count: int, q
-) -> tuple[Fraction, int]:
-    """Max over thresholds of cover * tail, with the first argmax threshold."""
-    rows = attack_rows(subkey_count, shared_count, q)
+def _first_max(rows) -> tuple[Fraction, int]:
+    """(largest product, its first threshold) over attack_rows output."""
     best_t, best = rows[0][0], rows[0][3]
     for t, _, _, product in rows[1:]:
         if product > best:
@@ -97,51 +92,11 @@ def attack_success_bound(
     return best, best_t
 
 
-def rel_entropy_bits(p, q, prec: int = 2048) -> mpmath.mpf:
-    """Binary relative entropy D(p || q) in bits; p in [0, 1], q in (0, 1)."""
-    p, q = Fraction(p), Fraction(q)
-    if not 0 <= p <= 1:
-        raise ParameterError("p must lie in [0, 1]")
-    if not 0 < q < 1:
-        raise ParameterError("q must lie in (0, 1)")
-    with mpmath.workprec(prec):
-        qf = mpmath.mpf(q.numerator) / q.denominator
-        if p == 0:
-            return -mpmath.log(1 - qf, 2)
-        if p == 1:
-            return -mpmath.log(qf, 2)
-        pf = mpmath.mpf(p.numerator) / p.denominator
-        return pf * mpmath.log(pf / qf, 2) + (1 - pf) * mpmath.log(
-            (1 - pf) / (1 - qf), 2
-        )
-
-
-def kl_tail_bound(
-    t: int, subkey_count: int, shared_count: int, q, prec: int = 2048
-):
-    """(N - t + 1) * 2**(-n * D(t/n - 1 || q)), with D the binary relative
-    entropy in bits. Requires N == 2n and n < t <= N. Exact Fraction q**n
-    at t == N; an mpmath float elsewhere (q must then be in (0, 1))."""
-    n = shared_count
-    if subkey_count != 2 * n:
-        raise ParameterError("relative-entropy bound needs subkey_count == 2n")
-    _check_counts(t, subkey_count, shared_count)
-    if t <= n:
-        raise ParameterError("relative-entropy bound needs t > shared_count")
-    q = _check_prob(q)
-    if t == 2 * n:
-        return q**n
-    if not 0 < q < 1:
-        raise ParameterError("relative-entropy bound needs 0 < q < 1 for t < N")
-    with mpmath.workprec(prec):
-        div = rel_entropy_bits(Fraction(t - n, n), q, prec)
-        return (2 * n - t + 1) * mpmath.power(2, -n * div)
-
-
-def fraction_to_mpf(x: Fraction, prec: int = 2048) -> mpmath.mpf:
-    """Round an exact rational to an mpf at the given working precision."""
-    with mpmath.workprec(prec):
-        return mpmath.mpf(x.numerator) / x.denominator
+def attack_success_bound(
+    subkey_count: int, shared_count: int, q
+) -> tuple[Fraction, int]:
+    """Max over thresholds of cover * tail, with the first argmax threshold."""
+    return _first_max(attack_rows(subkey_count, shared_count, q))
 
 
 def le_scaled_half_power(value: Fraction, coeff: Fraction, n: int) -> bool:
@@ -178,10 +133,7 @@ def verify_security(data_bits: int, epsilon) -> BoundReport:
     big_n = params.subkey_count
     q = collision_bound(data_bits, params.subkey_bits)
     rows = attack_rows(big_n, n, q)
-    best_t, best = rows[0][0], rows[0][3]
-    for t, _, _, product in rows[1:]:
-        if product > best:
-            best, best_t = product, t
+    best, best_t = _first_max(rows)
     target = params.epsilon / 16
 
     cover_ok = all(

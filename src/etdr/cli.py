@@ -31,7 +31,6 @@ from .errors import (
     EtdrError,
     FrameError,
     KeyMaterialError,
-    MacFailure,
     ParameterError,
     ProtocolStateError,
     StoreIntegrityError,
@@ -58,8 +57,6 @@ def _exit_code(exc: Exception) -> int:
         return EXIT_PARAMS
     if isinstance(exc, (KeyMaterialError, OSError)):
         return EXIT_KEYS
-    if isinstance(exc, MacFailure):
-        return EXIT_MAC
     if isinstance(exc, ProtocolStateError):
         return EXIT_STATE
     if isinstance(exc, FrameError):

@@ -10,15 +10,11 @@ class ParameterError(EtdrError):
 
 
 class KeyMaterialError(EtdrError):
-    """Key material misuse: pad exhaustion, single-use violation, bad length."""
+    """Key material misuse: single-use violation, bad length, bad key file."""
 
 
 class FrameError(EtdrError):
     """Wire bytes that do not parse as a valid frame."""
-
-
-class MacFailure(EtdrError):
-    """Authentication tag did not verify."""
 
 
 class ProtocolStateError(EtdrError):

@@ -9,6 +9,8 @@ The dealer draws, in a fixed order so seeded runs are reproducible:
     5. Alice's one-time pad (2nl bits), then Bob's
     6. Alice's authentication material, then Bob's
 
+Steps 2-4 are deal_subkeys, which the adversarial game harness also uses.
+
 Authentication material per party, in draw and storage order: a phase hash
 key of 2(n+l) bits and two round pads of n+l bits for the comparison phase,
 then the same three for the dispute phase. Parties never see each other's
@@ -31,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ..bits import bits_to_bytes, bytes_to_bits
-from ..errors import KeyMaterialError
+from ..errors import KeyMaterialError, ParameterError
 from ..params import Params
 
 MAGIC = b"ETDR"
@@ -136,14 +138,13 @@ def _draw_mac(rng, tag_bits: int) -> MacMaterial:
     )
 
 
-def generate_keys(params: Params, seed: int | None = None) -> TtpSecret:
-    """Draw a full key set; a fixed seed reproduces the set bit for bit."""
-    rng = random.Random(seed) if seed is not None else secrets.SystemRandom()
+def deal_subkeys(
+    params: Params, rng
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Draw (overlap, first party's subkeys, second party's subkeys): a
+    uniform n-subset of [0, N), N uniform subkeys, then copies of them on
+    the overlap and fresh draws elsewhere."""
     n, l, big_n = params.shared_count, params.subkey_bits, params.subkey_count
-
-    session_id = rng.getrandbits(8 * SESSION_ID_BYTES).to_bytes(
-        SESSION_ID_BYTES, "little"
-    )
 
     # partial Fisher-Yates: uniform n-subset of [0, N)
     pool = list(range(big_n))
@@ -153,11 +154,30 @@ def generate_keys(params: Params, seed: int | None = None) -> TtpSecret:
     overlap = tuple(sorted(pool[:n]))
     overlap_set = set(overlap)
 
-    alice_subkeys = tuple(rng.getrandbits(l) for _ in range(big_n))
-    bob_subkeys = tuple(
-        alice_subkeys[j] if j in overlap_set else rng.getrandbits(l)
-        for j in range(big_n)
+    first = [rng.getrandbits(l) for _ in range(big_n)]
+    second = [k if j in overlap_set else rng.getrandbits(l) for j, k in enumerate(first)]
+    return overlap, tuple(first), tuple(second)
+
+
+def generate_keys(params: Params, seed: int | None = None) -> TtpSecret:
+    """Draw a full key set; a fixed seed reproduces the set bit for bit.
+    Parameters whose frames would not fit on the wire are refused before
+    any key is drawn."""
+    from ..transport.frames import MAX_PAYLOAD_BYTES  # transport imports this module
+
+    # the widest payloads: a dispute claim and an encrypted digest vector
+    payload_bytes = (max(params.data_bits, params.digest_vector_bits) + 7) // 8
+    if payload_bytes > MAX_PAYLOAD_BYTES:
+        raise ParameterError(
+            f"a {payload_bytes}-byte frame payload exceeds the wire limit "
+            f"of {MAX_PAYLOAD_BYTES} bytes"
+        )
+    rng = random.Random(seed) if seed is not None else secrets.SystemRandom()
+
+    session_id = rng.getrandbits(8 * SESSION_ID_BYTES).to_bytes(
+        SESSION_ID_BYTES, "little"
     )
+    overlap, alice_subkeys, bob_subkeys = deal_subkeys(params, rng)
     alice_otp = rng.getrandbits(params.digest_vector_bits)
     bob_otp = rng.getrandbits(params.digest_vector_bits)
     alice_mac = _draw_mac(rng, params.tag_bits)

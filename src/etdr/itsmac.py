@@ -1,9 +1,4 @@
-"""One-time pads and information-theoretic one-time message authentication.
-
-OtpPad is a strict single-use ledger: bits are taken front to back, the
-consumed offset only grows, and running past the end raises. Encryption is
-XOR against the taken slice, so decryption is the same operation on the
-peer's mirror copy.
+"""Information-theoretic one-time message authentication.
 
 Tags are tag_bits long. A MacKey couples a hash key kh, an element of the
 double-width field GF(2^(2*tag_bits)), with a fresh tag_bits-bit pad:
@@ -33,38 +28,6 @@ from .errors import KeyMaterialError, ParameterError
 from .au2hash import poly_hash
 from .bits import bytes_to_bits
 from .gf2field import GF2
-
-
-class OtpPad:
-    """Single-use pad over a fixed pool of bits."""
-
-    def __init__(self, bits: int, bit_len: int):
-        if bit_len < 0 or bits < 0 or bits.bit_length() > bit_len:
-            raise ParameterError("pad value wider than its declared length")
-        self._bits = bits
-        self.bit_len = bit_len
-        self.consumed = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.bit_len - self.consumed
-
-    def take(self, nbits: int) -> int:
-        if nbits < 0:
-            raise ParameterError("cannot take a negative number of bits")
-        if nbits > self.remaining:
-            raise KeyMaterialError(
-                f"pad exhausted: asked for {nbits} bits, {self.remaining} left"
-            )
-        out = (self._bits >> self.consumed) & ((1 << nbits) - 1)
-        self.consumed += nbits
-        return out
-
-    def xor_with(self, value: int, nbits: int) -> int:
-        """Encrypt or decrypt nbits of value against the next pad slice."""
-        if value < 0 or value.bit_length() > nbits:
-            raise ParameterError("value wider than the requested slice")
-        return value ^ self.take(nbits)
 
 
 class MacKey:

@@ -65,7 +65,7 @@ def _sign(frame: Frame, hash_key: int, pad: int, params: Params, role: int) -> F
     placeholder = bytes(_tag_bytes(params))
     signed_shape = Frame(frame.msg_type, frame.session_id, frame.payload, placeholder)
     key = MacKey(hash_key, pad, params.tag_bits)
-    tag_int = mac_tag(key, frame.payload, context=signed_shape.header() + bytes([role]))
+    tag_int = mac_tag(key, signed_shape.mac_input(role))
     return Frame(
         frame.msg_type,
         frame.session_id,
@@ -82,7 +82,7 @@ def _verify(frame: Frame, hash_key: int, pad: int, params: Params, role: int) ->
     except ParameterError:
         return False
     key = MacKey(hash_key, pad, params.tag_bits)
-    return mac_verify(key, frame.payload, tag_int, context=frame.header() + bytes([role]))
+    return mac_verify(key, frame.mac_input(role), tag_int)
 
 
 class _Runner:

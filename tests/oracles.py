@@ -2,11 +2,15 @@
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
+
+from etdr.bounds import _check_counts, _check_prob
+from etdr.errors import ParameterError
 
 # chi-square 0.999 quantiles by degrees of freedom (frozen; generous so the
 # seeded statistical tests fail only on real defects)
-CHI2_999 = {5: 20.515005652432873, 15: 37.69729821835383, 255: 330.51974363400586}
+CHI2_999 = {5: 20.515005652432873, 15: 37.69729821835383}
 
 WILSON_Z99 = 2.5758293035489004
 
@@ -137,3 +141,57 @@ def wilson_interval(successes, trials, z=WILSON_Z99):
     center = (phat + z2 / (2 * trials)) / denom
     half = z * ((phat * (1 - phat) / trials + z2 / (4 * trials * trials)) ** 0.5) / denom
     return max(0.0, center - half), min(1.0, center + half)
+
+
+# ------------------------------------------- relative-entropy tail bound
+#
+# The closed-form chain that verify_security checks exactly rests on this
+# bound; the tests check in 2048-bit floating point that it dominates the
+# exact tails.
+
+
+def rel_entropy_bits(p, q, prec: int = 2048) -> mpmath.mpf:
+    """Binary relative entropy D(p || q) in bits; p in [0, 1], q in (0, 1)."""
+    p, q = Fraction(p), Fraction(q)
+    if not 0 <= p <= 1:
+        raise ParameterError("p must lie in [0, 1]")
+    if not 0 < q < 1:
+        raise ParameterError("q must lie in (0, 1)")
+    with mpmath.workprec(prec):
+        qf = mpmath.mpf(q.numerator) / q.denominator
+        if p == 0:
+            return -mpmath.log(1 - qf, 2)
+        if p == 1:
+            return -mpmath.log(qf, 2)
+        pf = mpmath.mpf(p.numerator) / p.denominator
+        return pf * mpmath.log(pf / qf, 2) + (1 - pf) * mpmath.log(
+            (1 - pf) / (1 - qf), 2
+        )
+
+
+def kl_tail_bound(
+    t: int, subkey_count: int, shared_count: int, q, prec: int = 2048
+):
+    """(N - t + 1) * 2**(-n * D(t/n - 1 || q)), with D the binary relative
+    entropy in bits. Requires N == 2n and n < t <= N. Exact Fraction q**n
+    at t == N; an mpmath float elsewhere (q must then be in (0, 1))."""
+    n = shared_count
+    if subkey_count != 2 * n:
+        raise ParameterError("relative-entropy bound needs subkey_count == 2n")
+    _check_counts(t, subkey_count, shared_count)
+    if t <= n:
+        raise ParameterError("relative-entropy bound needs t > shared_count")
+    q = _check_prob(q)
+    if t == 2 * n:
+        return q**n
+    if not 0 < q < 1:
+        raise ParameterError("relative-entropy bound needs 0 < q < 1 for t < N")
+    with mpmath.workprec(prec):
+        div = rel_entropy_bits(Fraction(t - n, n), q, prec)
+        return (2 * n - t + 1) * mpmath.power(2, -n * div)
+
+
+def fraction_to_mpf(x: Fraction, prec: int = 2048) -> mpmath.mpf:
+    """Round an exact rational to an mpf at the given working precision."""
+    with mpmath.workprec(prec):
+        return mpmath.mpf(x.numerator) / x.denominator

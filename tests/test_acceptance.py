@@ -28,7 +28,13 @@ from etdr.transport.channel import FaultPlan, run_session
 from etdr.etproto.core import Verdict
 from etdr.etproto.keys import generate_keys
 
-from oracles import binomial_tail_oracle, forgery_game_optimum
+from oracles import (
+    binomial_tail_oracle,
+    forgery_game_optimum,
+    fraction_to_mpf,
+    kl_tail_bound,
+    rel_entropy_bits,
+)
 
 CORNER_SMALL = (256, Fraction(1, 16))
 CORNER_LARGE = (2**50, Fraction(1, 10**12))
@@ -149,20 +155,20 @@ def test_c5_cheat_bound_machinery_grid():
             if q > 0:
                 for t in range(n + 1, big_n + 1):
                     tail = bounds.match_tail(t, big_n, n, q)
-                    kl = bounds.kl_tail_bound(t, big_n, n, q)
+                    kl = kl_tail_bound(t, big_n, n, q)
                     if t == big_n:
                         assert tail == kl == q**n
                     else:
-                        assert bounds.fraction_to_mpf(tail) <= kl * cushion
+                        assert fraction_to_mpf(tail) <= kl * cushion
             else:
-                assert bounds.kl_tail_bound(big_n, big_n, n, q) == 0
+                assert kl_tail_bound(big_n, big_n, n, q) == 0
 
         # the entropy floor that anchors the closed-form chain
         for q in qs[1:]:
             for t in range(n, big_n + 1):
                 p = Fraction(t - n, n)
                 if p >= Fraction(1, 2):
-                    assert bounds.rel_entropy_bits(p, q) >= mpmath.mpf(1) / 2
+                    assert rel_entropy_bits(p, q) >= mpmath.mpf(1) / 2
 
     assert bounds.verify_security(*CORNER_SMALL).ok
     assert bounds.verify_security(*CORNER_LARGE).ok

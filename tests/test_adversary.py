@@ -13,7 +13,8 @@ from etdr.au2hash import poly_hash
 from etdr.bits import Message
 from etdr.errors import ParameterError
 from etdr.etproto import core
-from etdr.params import experimental_params
+from etdr.etproto.keys import deal_subkeys
+from etdr.params import derive_params, experimental_params
 
 from oracles import CHI2_999, WILSON_Z99, wilson_interval as oracle_wilson
 
@@ -189,6 +190,13 @@ def test_draw_world_shares_exactly_on_overlap():
             if j in overlap:
                 assert world.honest_subkeys[j] == world.cheater_subkeys[j]
         assert world.honest_message.bit_len == TINY.data_bits
+
+
+def test_draw_world_deals_through_the_key_dealer():
+    params = derive_params(256, Fraction(1, 16))
+    world = adv.draw_world(params, random.Random(6))
+    dealt = deal_subkeys(params, random.Random(6))
+    assert (world.shared_indices, world.honest_subkeys, world.cheater_subkeys) == dealt
 
 
 def test_draw_world_overlap_uniform():

@@ -2,8 +2,8 @@
 
 cover_prob is recounted by enumerating subsets, match_tail by an
 integer-only Pascal-triangle tail, and the attack optimum by combining
-the two. The relative-entropy bound is checked for dominance on the
-same grid the acceptance suite uses.
+the two. The relative-entropy bound, a test oracle, is checked for
+dominance on the same grid the acceptance suite uses.
 """
 
 import itertools
@@ -16,7 +16,12 @@ import pytest
 from etdr import bounds
 from etdr.errors import ParameterError
 
-from oracles import binomial_tail_oracle
+from oracles import (
+    binomial_tail_oracle,
+    fraction_to_mpf,
+    kl_tail_bound,
+    rel_entropy_bits,
+)
 
 
 # ---------------------------------------------------------------- cover
@@ -162,20 +167,20 @@ def test_attack_rows_consistency():
 
 
 def test_rel_entropy_edges_and_values():
-    assert float(bounds.rel_entropy_bits(1, Fraction(1, 8))) == pytest.approx(3.0)
-    assert float(bounds.rel_entropy_bits(0, Fraction(1, 2))) == pytest.approx(1.0)
+    assert float(rel_entropy_bits(1, Fraction(1, 8))) == pytest.approx(3.0)
+    assert float(rel_entropy_bits(0, Fraction(1, 2))) == pytest.approx(1.0)
     # D(1/2 || 1/8) = 1 + (1/2) log2(4/7)
     want = 1 + 0.5 * mpmath.log(Fraction(4, 7), 2)
-    assert float(bounds.rel_entropy_bits(Fraction(1, 2), Fraction(1, 8))) == pytest.approx(float(want))
+    assert float(rel_entropy_bits(Fraction(1, 2), Fraction(1, 8))) == pytest.approx(float(want))
 
 
 def test_rel_entropy_domain():
     with pytest.raises(ParameterError):
-        bounds.rel_entropy_bits(Fraction(3, 2), Fraction(1, 8))
+        rel_entropy_bits(Fraction(3, 2), Fraction(1, 8))
     with pytest.raises(ParameterError):
-        bounds.rel_entropy_bits(Fraction(1, 2), Fraction(0))
+        rel_entropy_bits(Fraction(1, 2), Fraction(0))
     with pytest.raises(ParameterError):
-        bounds.rel_entropy_bits(Fraction(1, 2), Fraction(1))
+        rel_entropy_bits(Fraction(1, 2), Fraction(1))
 
 
 def test_rel_entropy_floor_above_half_overlap():
@@ -184,12 +189,12 @@ def test_rel_entropy_floor_above_half_overlap():
     for q in (Fraction(1, 16), Fraction(31, 256), Fraction(1, 8)):
         for num in range(24, 49):
             p = Fraction(num, 48)
-            assert bounds.rel_entropy_bits(p, q) >= mpmath.mpf(1) / 2
+            assert rel_entropy_bits(p, q) >= mpmath.mpf(1) / 2
 
 
 def test_kl_exact_at_full_match():
     for n, q in [(3, Fraction(1, 8)), (24, Fraction(31, 256)), (5, Fraction(0))]:
-        got = bounds.kl_tail_bound(2 * n, 2 * n, n, q)
+        got = kl_tail_bound(2 * n, 2 * n, n, q)
         assert isinstance(got, Fraction)
         assert got == q**n
         assert got == bounds.match_tail(2 * n, 2 * n, n, q)
@@ -202,20 +207,20 @@ def test_kl_dominates_exact_tail():
         for q in (Fraction(1, 16), Fraction(31, 256), Fraction(1, 8)):
             for t in range(n + 1, big_n + 1):
                 tail = bounds.match_tail(t, big_n, n, q)
-                kl = bounds.kl_tail_bound(t, big_n, n, q)
+                kl = kl_tail_bound(t, big_n, n, q)
                 if t == big_n:
                     assert tail == kl
                 else:
-                    assert bounds.fraction_to_mpf(tail) <= kl * cushion
+                    assert fraction_to_mpf(tail) <= kl * cushion
 
 
 def test_kl_domain():
     with pytest.raises(ParameterError):
-        bounds.kl_tail_bound(4, 5, 2, Fraction(1, 8))  # N != 2n
+        kl_tail_bound(4, 5, 2, Fraction(1, 8))  # N != 2n
     with pytest.raises(ParameterError):
-        bounds.kl_tail_bound(3, 6, 3, Fraction(1, 8))  # t == n
+        kl_tail_bound(3, 6, 3, Fraction(1, 8))  # t == n
     with pytest.raises(ParameterError):
-        bounds.kl_tail_bound(4, 6, 3, Fraction(0))  # q == 0 with t < N
+        kl_tail_bound(4, 6, 3, Fraction(0))  # q == 0 with t < N
 
 
 # ---------------------------------------------------- exact comparison

@@ -4,6 +4,7 @@ multi-process socket flow."""
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from etdr.cli import main
+from etdr.cli import _freeze_exit, main
 from etdr.etproto.keys import load_party_keys, load_ttp_secret
 from etdr.transport.sockets import SocketTtpServer
 
@@ -35,16 +36,20 @@ def child_env():
     return env
 
 
-def console_script(name):
-    """The ``module:attr`` of the ``[project.scripts]`` entry ``name`` in
-    this checkout's pyproject.toml, as a (module, attr) pair."""
+def project_table():
+    """The ``[project]`` table of this checkout's pyproject.toml."""
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
         tomllib = pytest.importorskip("tomli")
     with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
-        entry = tomllib.load(fh)["project"]["scripts"][name]
-    module, _, attr = entry.partition(":")
+        return tomllib.load(fh)["project"]
+
+
+def console_script(name):
+    """The ``module:attr`` of the ``[project.scripts]`` entry ``name`` in
+    this checkout's pyproject.toml, as a (module, attr) pair."""
+    module, _, attr = project_table()["scripts"][name].partition(":")
     return module, attr
 
 
@@ -428,6 +433,42 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0, proc.stderr
     assert "2048" in proc.stdout, proc.stderr
+
+
+def test_runtime_needs_numpy_only():
+    """Every etdr module imports, and the security calculator runs, in an
+    interpreter where mpmath cannot be imported."""
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import etdr\n"
+        "for info in pkgutil.walk_packages(etdr.__path__, 'etdr.'):\n"
+        "    importlib.import_module(info.name)\n"
+        "    print(info.name)\n"
+        "from fractions import Fraction\n"
+        "from etdr.bounds import verify_security\n"
+        "print('ok', verify_security(256, Fraction(1, 16)).ok)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert {"etdr.bounds", "etdr.adversary", "etdr.cli",
+            "etdr.transport.sockets"} <= set(lines)
+    assert lines[-1] == "ok True"
+    names = [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0]
+             for dep in project_table()["dependencies"]]
+    assert names == ["numpy"]
+
+
+def test_mac_freeze_exits_4(capsys):
+    from etdr.transport.runners import ERR_MAC, FreezeInfo
+
+    info = FreezeInfo(ERR_MAC, "bad tag", local=True)
+    assert _freeze_exit("party", info) == 4
+    assert "frozen party: mac (detected locally): bad tag" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------- selftest

@@ -1,11 +1,12 @@
 """Key generation, the overlap distribution, and key-file round-trips."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from etdr.errors import KeyMaterialError
+from etdr.errors import KeyMaterialError, ParameterError
 from etdr.etproto import keys as K
 from etdr.params import derive_params, experimental_params
 
@@ -51,6 +52,24 @@ def test_overlap_uniform_over_subsets():
     expected = trials / 6
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < CHI2_999[5]
+
+
+def test_subkeys_are_dealt_right_after_the_session_id():
+    sec = K.generate_keys(PARAMS, seed=1234)
+    rng = random.Random(1234)
+    rng.getrandbits(8 * K.SESSION_ID_BYTES)
+    dealt = K.deal_subkeys(PARAMS, rng)
+    assert dealt == (sec.shared_indices, sec.alice.subkeys, sec.bob.subkeys)
+
+
+def test_keygen_refuses_frames_over_the_wire_limit():
+    # a dispute claim carries ceil(r/8) bytes; frames cap payloads at 2^24
+    sec = K.generate_keys(derive_params(2**27, Fraction(1, 16)), seed=1)
+    assert sec.params.data_bits == 2**27
+    with pytest.raises(ParameterError):
+        K.generate_keys(derive_params(2**27 + 8, Fraction(1, 16)), seed=1)
+    # the calculator's domain is unchanged
+    assert derive_params(2**50, Fraction(1, 10**12)).subkey_bits == 50
 
 
 def test_material_widths():

@@ -1,4 +1,4 @@
-"""Pad ledger and one-time MAC tests, including exhaustive forgery games."""
+"""One-time MAC tests, including exhaustive forgery games."""
 
 import random
 from fractions import Fraction
@@ -8,7 +8,6 @@ import pytest
 from etdr.errors import KeyMaterialError, ParameterError
 from etdr.itsmac import (
     MacKey,
-    OtpPad,
     construction_forgery_bound,
     forgery_bound,
     mac_tag,
@@ -16,52 +15,7 @@ from etdr.itsmac import (
     mac_verify,
     mac_verify_bits,
 )
-from oracles import CHI2_999, forgery_game_optimum, forgery_game_optimum_xor
-
-
-# ---------------------------------------------------------------- pads
-
-def test_pad_xor_is_an_involution():
-    rng = random.Random(1)
-    for _ in range(100):
-        bits = rng.randrange(1, 200)
-        pad_bits = rng.getrandbits(bits)
-        v = rng.getrandbits(bits)
-        ct = OtpPad(pad_bits, bits).xor_with(v, bits)
-        assert OtpPad(pad_bits, bits).xor_with(ct, bits) == v
-
-
-def test_pad_slices_are_disjoint_and_ordered():
-    pad = OtpPad(0b1101_0110, 8)
-    assert pad.take(3) == 0b110
-    assert pad.take(5) == 0b11010
-    assert pad.remaining == 0
-
-
-def test_pad_exhaustion_raises():
-    pad = OtpPad(0, 16)
-    pad.take(10)
-    with pytest.raises(KeyMaterialError):
-        pad.take(7)
-    assert pad.remaining == 6  # failed take consumes nothing
-
-
-def test_pad_rejects_oversized_value():
-    with pytest.raises(ParameterError):
-        OtpPad(0b111, 8).xor_with(0b1_0000_0000, 8)
-
-
-def test_ciphertext_bytes_uniform_chi_square():
-    # fixed plaintext byte under fresh random pads: 256-cell chi-square
-    rng = random.Random(0xC1)
-    counts = [0] * 256
-    n = 20_000
-    for _ in range(n):
-        ct = OtpPad(rng.getrandbits(8), 8).xor_with(0x5A, 8)
-        counts[ct] += 1
-    expected = n / 256
-    stat = sum((c - expected) ** 2 / expected for c in counts)
-    assert stat < CHI2_999[255]
+from oracles import forgery_game_optimum, forgery_game_optimum_xor
 
 
 # ---------------------------------------------------------------- mac keys
