@@ -67,8 +67,9 @@ class VectorHasher:
     update(b_i) XORs exp[log b_i + (i * log k mod (2^l - 1))] into the
     accumulator of every nonzero key: no field multiply, and a zero block
     costs nothing. A zero key's digest is the first block. Above degree 16
-    each key keeps a running power k^i, and update() makes two
-    shift-and-add GF2.mul calls per key.
+    each key keeps a running power k^i and its fixed_mul closure, and
+    update(b_i) builds b_i's window once, then makes two window multiplies
+    per key.
     """
 
     def __init__(self, degree: int, keys: list[int]):
@@ -82,6 +83,7 @@ class VectorHasher:
         if self._tables is None:
             self._acc = [0] * len(keys)
             self._kpow = [1] * len(keys)
+            self._mul_k = [self.field.fixed_mul(k) for k in keys]
         else:
             log = self._tables[1]
             self._logk = [log[k] for k in keys if k]
@@ -93,13 +95,14 @@ class VectorHasher:
     def update(self, block: int) -> None:
         if self._done:
             raise ParameterError("hasher already finalized")
+        if block < 0 or block >= self.field.order:
+            raise ParameterError("block outside the field")
         if self._tables is None:
-            mul = self.field.mul
             acc, kpow = self._acc, self._kpow
-            for j, k in enumerate(self.keys):
-                if block:
-                    acc[j] ^= mul(block, kpow[j])
-                kpow[j] = mul(kpow[j], k)
+            mul_b = self.field.fixed_mul(block)
+            for j, mul_k in enumerate(self._mul_k):
+                acc[j] ^= mul_b(kpow[j])
+                kpow[j] = mul_k(kpow[j])
             return
         i = self._index
         self._index = i + 1

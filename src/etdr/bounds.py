@@ -58,16 +58,21 @@ def cover_power_bound(t: int, subkey_count: int, shared_count: int) -> Fraction:
     return Fraction(t, subkey_count) ** shared_count
 
 
+def _tail_sums(trials: int, q: Fraction, lowest: int) -> list[Fraction]:
+    """P[Binomial(trials, q) >= u] for u = lowest..trials, as suffix sums of
+    the binomial terms, so every threshold costs one more term."""
+    tails, total = [], Fraction(0)
+    for u in range(trials, lowest - 1, -1):
+        total += comb(trials, u) * q**u * (1 - q) ** (trials - u)
+        tails.append(total)
+    return tails[::-1]
+
+
 def match_tail(t: int, subkey_count: int, shared_count: int, q) -> Fraction:
     """P[Binomial(N - n, q) >= t - n], exact."""
     _check_counts(t, subkey_count, shared_count)
     q = _check_prob(q)
-    trials = subkey_count - shared_count
-    need = t - shared_count
-    total = Fraction(0)
-    for u in range(need, trials + 1):
-        total += comb(trials, u) * q**u * (1 - q) ** (trials - u)
-    return total
+    return _tail_sums(subkey_count - shared_count, q, t - shared_count)[0]
 
 
 def attack_rows(
@@ -75,10 +80,10 @@ def attack_rows(
 ) -> list[tuple[int, Fraction, Fraction, Fraction]]:
     """Per-threshold rows (t, cover, tail, product) for t in [n, N]."""
     q = _check_prob(q)
+    tails = _tail_sums(subkey_count - shared_count, q, 0)
     rows = []
-    for t in range(shared_count, subkey_count + 1):
+    for t, tail in enumerate(tails, start=shared_count):
         cover = cover_prob(t, subkey_count, shared_count)
-        tail = match_tail(t, subkey_count, shared_count, q)
         rows.append((t, cover, tail, cover * tail))
     return rows
 

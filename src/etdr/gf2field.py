@@ -5,8 +5,8 @@ Conventions, shared by every caller in this package:
   * A field element is a Python int. Bit i of the int is the coefficient
     of x^i, so the polynomial basis is little-endian and an element of
     GF(2^d) satisfies 0 <= value < 2**d.
-  * Addition is XOR. Multiplication is carry-less (shift-and-add) followed
-    by reduction modulo a fixed irreducible polynomial for the degree.
+  * Addition is XOR. Multiplication is a carry-less product followed by
+    reduction modulo a fixed irreducible polynomial for the degree.
   * The reduction polynomial mask includes the leading x^d term, so
     mask.bit_length() == d + 1. REDUCTION_POLY pins one polynomial per
     degree; it is a wire-compatibility constant. Two endpoints that
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import ParameterError
 
@@ -82,7 +81,7 @@ REDUCTION_POLY: dict[int, int] = {
 
 # Degrees up to this multiply through log/antilog tables of 2^degree and
 # 2(2^degree - 1) Python ints (0.33 MB at degree 12, 5.5 MB at 16, doubling
-# per degree); above it, multiplies run shift-and-add.
+# per degree); above it, multiplies run through a 4-bit window.
 _MUL_TABLE_MAX_DEGREE = 16
 
 
@@ -101,17 +100,43 @@ def _poly_gcd(a: int, b: int) -> int:
     return a
 
 
-_SPREAD8 = [sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)]
+def _taps(poly: int, degree: int) -> list[int]:
+    """Exponents of the terms of `poly` below x^degree, lowest first."""
+    low, taps = poly ^ (1 << degree), []
+    while low:
+        taps.append((low & -low).bit_length() - 1)
+        low &= low - 1
+    return taps
 
 
-def _poly_square(a: int) -> int:
-    # carry-less square: bit i goes to bit 2i
-    r, sh = 0, 0
-    while a:
-        r |= _SPREAD8[a & 0xFF] << sh
-        a >>= 8
-        sh += 16
+def _reduce(r: int, degree: int, taps: list[int]) -> int:
+    """r mod (x^degree + sum of x^e for e in taps). Each pass folds the bits
+    at and above x^degree back onto the taps, all below degree; with the
+    pinned polynomials' few low taps a product needs two or three passes."""
+    mask = (1 << degree) - 1
+    while hi := r >> degree:
+        r &= mask
+        for e in taps:
+            r ^= hi << e
     return r
+
+
+def _mul_by(k: int, degree: int, taps: list[int]):
+    """A closure computing k*a: a carry-less product through a 4-bit window
+    of 16 unreduced multiples of k, two lookups per byte of a, top byte
+    first, then _reduce on the product of up to 2*degree - 1 bits."""
+    window = [0]
+    for bit in (k, k << 1, k << 2, k << 3):
+        window += [w ^ bit for w in window]
+    nbytes = (degree + 7) // 8
+
+    def mul_by_k(a: int) -> int:
+        r = 0
+        for byte in a.to_bytes(nbytes, "big"):
+            r = r << 8 ^ window[byte >> 4] << 4 ^ window[byte & 15]
+        return _reduce(r, degree, taps)
+
+    return mul_by_k
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -140,15 +165,21 @@ def is_irreducible(poly: int) -> bool:
         return True
     if not poly & 1:
         return False  # x divides it
+    taps = _taps(poly, d)
+
+    def square(t: int) -> int:
+        # carry-less square: read the binary digits in base 4, so bit i lands on bit 2i
+        return _reduce(int(format(t, "b"), 4), d, taps)
+
     t = 2  # the polynomial x
     for _ in range(d):
-        t = _poly_mod(_poly_square(t), poly)
+        t = square(t)
     if t != 2:
         return False
     for q in _prime_divisors(d):
         t = 2
         for _ in range(d // q):
-            t = _poly_mod(_poly_square(t), poly)
+            t = square(t)
         if _poly_gcd(t ^ 2, poly) != 1:
             return False
     return True
@@ -171,57 +202,49 @@ def reduction_poly(degree: int) -> int:
         return _search_reduction_poly(degree)
 
 
+def _masks(bits: int, below: int):
+    """Every int with `bits` set bits, all in [1, below), in increasing order."""
+    if not bits:
+        yield 0
+        return
+    for top in range(bits, below):
+        for rest in _masks(bits - 1, top):
+            yield rest | 1 << top
+
+
 @lru_cache(maxsize=None)
 def _search_reduction_poly(degree: int) -> int:
-    # same rule as the frozen table: fewest terms, then smallest mask
+    # same rule as the frozen table: fewest terms, then smallest mask; the
+    # masks of each weight come in increasing order, so the first hit wins
+    ends = (1 << degree) | 1
     for weight in range(3, degree + 2, 2):
-        best = None
-        for mids in combinations(range(1, degree), weight - 2):
-            p = (1 << degree) | 1
-            for m in mids:
-                p |= 1 << m
-            if best is not None and p >= best:
-                continue
-            if is_irreducible(p):
-                best = p
-        if best is not None:
-            return best
+        for mids in _masks(weight - 2, degree):
+            if is_irreducible(ends | mids):
+                return ends | mids
     raise AssertionError("unreachable: some irreducible of each degree exists")
 
 
-def gf_add(a: int, b: int) -> int:
-    return a ^ b
-
-
 def gf_mul(a: int, b: int, degree: int, poly: int | None = None) -> int:
-    """Product of a and b in GF(2^degree), shift-and-add with inline reduction."""
+    """Product of a and b in GF(2^degree): 4-bit window, then sparse reduction."""
     if poly is None:
         poly = reduction_poly(degree)
-    top = 1 << degree
-    mask = top - 1
+    mask = (1 << degree) - 1
     if a < 0 or b < 0 or a > mask or b > mask:
         raise ParameterError("operand outside the field")
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a = (a ^ poly) & mask
-    return r
+    return _mul_by(b, degree, _taps(poly, degree))(a)
 
 
 def _log_tables(degree: int, poly: int) -> tuple[list[int], list[int]]:
     n = (1 << degree) - 1  # order of the multiplicative group
-    # the first g whose powers reach every nonzero element; a small g keeps
-    # each gf_mul step short (degree 1 stops at g = 1)
+    taps = _taps(poly, degree)
+    # the first g whose powers reach every nonzero element (1 at degree 1)
     for g in range(1, n + 1):
+        mul_g = _mul_by(g, degree, taps)
         exp = [1]
         a = g
         while a != 1:
             exp.append(a)
-            a = gf_mul(a, g, degree, poly)
+            a = mul_g(a)
         if len(exp) == n:
             break
     log = [0] * (n + 1)
@@ -235,9 +258,9 @@ class GF2:
 
     Degrees up to _MUL_TABLE_MAX_DEGREE multiply through log/antilog tables
     (built lazily, shared per process): a*b = exp[log a + log b], and
-    fixed_mul(k) adds log k to log a. Larger degrees multiply shift-and-add
-    in gf_mul, and fixed_mul(k) returns a multiply-by-k closure over
-    byte-indexed tables built for k, which is what the MAC uses.
+    fixed_mul(k) adds log k to log a. Larger degrees multiply as gf_mul
+    does, through a 4-bit window of 16 unreduced multiples of one operand
+    and a sparse reduction; fixed_mul(k), which the MAC uses, keeps k's.
     """
 
     _instances: dict[int, "GF2"] = {}
@@ -246,6 +269,7 @@ class GF2:
         self.degree = degree
         self.poly = reduction_poly(degree)
         self.order = 1 << degree
+        self._taps = _taps(self.poly, degree)
         self._logs: tuple[list[int], list[int]] | None = None
 
     @classmethod
@@ -276,52 +300,14 @@ class GF2:
         return exp[log[a] + log[b]]
 
     def fixed_mul(self, k: int):
-        """A closure computing k*a for arbitrary a: two lookups per call up to
-        the table degree, O(degree/8) lookups above it."""
+        """A closure computing k*a: two lookups per call up to the table
+        degree; above it, k's 16-entry window is all the per-key setup, so a
+        one-time MAC key costs about as much as one multiply."""
         tables = self.log_tables()
-        if tables is not None:
-            exp, log = tables
-            if not k:
-                return lambda a: 0
-            lk = log[k]
-            return lambda a: exp[log[a] + lk] if a else 0
-        # powers[j] = k * x^j; then k*a = XOR over set bits of a
-        top, mask, poly = 1 << self.degree, (1 << self.degree) - 1, self.poly
-        powers = []
-        cur = k
-        for _ in range(self.degree):
-            powers.append(cur)
-            cur <<= 1
-            if cur & top:
-                cur = (cur ^ poly) & mask
-        nchunks = (self.degree + 7) // 8
-        chunk_tabs = []
-        for c in range(nchunks):
-            tab = [0] * 256
-            base = 8 * c
-            for bit in range(min(8, self.degree - base)):
-                p = powers[base + bit]
-                step = 1 << bit
-                for lo in range(0, 256, 2 * step):
-                    for b in range(lo + step, lo + 2 * step):
-                        tab[b] = tab[b - step] ^ p
-            chunk_tabs.append(tab)
-
-        def mul_by_k(a: int) -> int:
-            r = 0
-            for c in range(nchunks):
-                byte = (a >> (8 * c)) & 0xFF
-                if byte:
-                    r ^= chunk_tabs[c][byte]
-            return r
-
-        return mul_by_k
-
-    def pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        if tables is None:
+            return _mul_by(k, self.degree, self._taps)
+        exp, log = tables
+        if not k:
+            return lambda a: 0
+        lk = log[k]
+        return lambda a: exp[log[a] + lk] if a else 0

@@ -3,7 +3,7 @@
 Tags are tag_bits long. A MacKey couples a hash key kh, an element of the
 double-width field GF(2^(2*tag_bits)), with a fresh tag_bits-bit pad:
 
-    tag = low_tag_bits( kh * poly_hash(kh, context || message) ) XOR pad
+    tag = low_tag_bits( kh * poly_hash(kh, message) ) XOR pad
 
 where the hash runs over blocks of 2*tag_bits bits. Multiplying the digest
 by kh once more removes the key-independent constant coefficient, and the
@@ -74,19 +74,12 @@ def mac_verify_bits(key: MacKey, value: int, bit_len: int, tag: int) -> bool:
     return _tag_core(key, value, bit_len) == tag
 
 
-def _join(message: bytes, context: bytes) -> tuple[int, int]:
-    data = context + message
-    return bytes_to_bits(data), 8 * len(data)
+def mac_tag(key: MacKey, message: bytes) -> int:
+    return mac_tag_bits(key, bytes_to_bits(message), 8 * len(message))
 
 
-def mac_tag(key: MacKey, message: bytes, context: bytes = b"") -> int:
-    value, bits = _join(message, context)
-    return mac_tag_bits(key, value, bits)
-
-
-def mac_verify(key: MacKey, message: bytes, tag: int, context: bytes = b"") -> bool:
-    value, bits = _join(message, context)
-    return mac_verify_bits(key, value, bits, tag)
+def mac_verify(key: MacKey, message: bytes, tag: int) -> bool:
+    return mac_verify_bits(key, bytes_to_bits(message), 8 * len(message), tag)
 
 
 def forgery_bound(msg_bits: int, tag_bits: int) -> Fraction:

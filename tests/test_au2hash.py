@@ -13,11 +13,12 @@ from oracles import oracle_mul
 
 
 def oracle_hash(key, value, msg_bits, degree):
-    """Power-sum form, no Horner: sum block_i * k^(i-1)."""
-    f = GF2.get(degree)
-    out = 0
-    for i, block in enumerate(chunk_blocks(value, msg_bits, degree)):
-        out ^= f.mul(block, f.pow(key, i))
+    """Power-sum form, no Horner: sum block_i * k^(i-1), on the list-based oracle."""
+    poly = reduction_poly(degree)
+    out, power = 0, 1
+    for block in chunk_blocks(value, msg_bits, degree):
+        out ^= oracle_mul(block, power, poly)
+        power = oracle_mul(power, key, poly)
     return out
 
 
@@ -121,7 +122,7 @@ def horner_oracle(key, value, msg_bits, degree):
 
 
 def test_vector_hasher_matches_scalar_path():
-    for degree in range(1, 21):  # log tables up to 16, shift-and-add above
+    for degree in range(1, 21):  # log tables up to 16, the 4-bit window above
         rng = random.Random(99 + degree)
         q = 1 << degree
         keys = [0, 1, q - 1] + [rng.randrange(q) for _ in range(5)]
@@ -135,6 +136,15 @@ def test_vector_hasher_matches_scalar_path():
             assert vec == [horner_oracle(k, v, bits, degree) for k in keys], (degree, bits)
 
 
+@pytest.mark.parametrize("degree", [64, 280])  # the MAC fields at eps = 2^-4 and 2^-40
+def test_poly_hash_matches_oracle_in_mac_fields(degree):
+    rng = random.Random(degree)
+    for key in (0, 1, (1 << degree) - 1, rng.getrandbits(degree), rng.getrandbits(degree)):
+        for bits in (1, degree, 480, 960):
+            v = rng.getrandbits(bits)
+            assert poly_hash(key, v, bits, degree) == horner_oracle(key, v, bits, degree), (key, bits)
+
+
 def test_vector_hasher_finalize_is_terminal():
     from etdr.au2hash import VectorHasher
 
@@ -143,3 +153,13 @@ def test_vector_hasher_finalize_is_terminal():
     h.digests()
     with pytest.raises(ParameterError):
         h.update(1)
+
+
+@pytest.mark.parametrize("degree", [12, 17])  # log tables, then the 4-bit window
+def test_vector_hasher_rejects_blocks_outside_the_field(degree):
+    from etdr.au2hash import VectorHasher
+
+    h = VectorHasher(degree, [5, 6])
+    for block in (-1, 1 << degree):
+        with pytest.raises(ParameterError):
+            h.update(block)

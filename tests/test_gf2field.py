@@ -3,13 +3,15 @@
 import random
 import sys
 import threading
+import time
+import tracemalloc
 from functools import lru_cache
 
 import pytest
 
 from etdr import gf2field
 from etdr.errors import ParameterError
-from etdr.gf2field import GF2, REDUCTION_POLY, gf_add, gf_mul, is_irreducible, reduction_poly
+from etdr.gf2field import GF2, REDUCTION_POLY, gf_mul, is_irreducible, reduction_poly
 from oracles import oracle_mod, oracle_mul
 
 
@@ -20,10 +22,6 @@ def test_worked_example_degree_3():
     assert gf_mul(0b010, 0b100, 3) == 0b011
 
 
-def test_add_is_xor():
-    assert gf_add(0b1100, 0b1010) == 0b0110
-
-
 def test_zero_and_one():
     f = GF2.get(8)
     for a in range(256):
@@ -32,10 +30,11 @@ def test_zero_and_one():
 
 
 def test_operand_domain_checked():
-    with pytest.raises(ParameterError):
-        gf_mul(1 << 8, 1, 8)
-    with pytest.raises(ParameterError):
-        gf_mul(1, -1, 8)
+    for degree in (8, 64, 280):
+        with pytest.raises(ParameterError):
+            gf_mul(1 << degree, 1, degree)
+        with pytest.raises(ParameterError):
+            gf_mul(1, -1, degree)
 
 
 # ---------------------------------------------------------------- table
@@ -82,12 +81,21 @@ def test_reduction_poly_search_beyond_table_matches_rule():
     assert reduction_poly(130) == p  # cached and deterministic
 
 
+def test_search_reproduces_the_pinned_table():
+    search = gf2field._search_reduction_poly.__wrapped__
+    for degree in range(2, 129):
+        assert search(degree) == REDUCTION_POLY[degree], degree
+
+
 def test_reduction_poly_search_runs_once_under_concurrent_calls(monkeypatch):
     searched = []
     search = gf2field._search_reduction_poly.__wrapped__
 
     def counting_search(degree):
         searched.append(degree)
+        # the search itself takes a few ms; holding it open lets the other
+        # threads arrive while it runs, so a missing lock shows
+        time.sleep(0.05)
         return search(degree)
 
     monkeypatch.setattr(gf2field, "_search_reduction_poly", lru_cache(maxsize=None)(counting_search))
@@ -97,7 +105,7 @@ def test_reduction_poly_search_runs_once_under_concurrent_calls(monkeypatch):
 
     def call():
         start.wait()
-        results.append(reduction_poly(150))  # about 60 ms of search
+        results.append(reduction_poly(150))
 
     threads = [threading.Thread(target=call) for _ in range(4)]
     interval = sys.getswitchinterval()
@@ -142,6 +150,36 @@ def test_oracle_agreement_random_log_table_degrees(degree):
         assert f.mul(a, b) == oracle_mul(a, b, poly)
 
 
+@pytest.mark.parametrize("degree", [17, 20, 34, 64, 72, 92, 140, 280, 300])
+def test_window_mul_matches_oracle(degree):
+    rng = random.Random(degree)
+    poly = reduction_poly(degree)
+    f = GF2.get(degree)
+    top = (1 << degree) - 1
+    for k in (0, 1, top, rng.getrandbits(degree), rng.getrandbits(degree)):
+        mul_k = f.fixed_mul(k)
+        for a in [0, 1, top] + [rng.getrandbits(degree) for _ in range(8)]:
+            want = oracle_mul(k, a, poly)
+            assert gf_mul(k, a, degree) == want
+            assert mul_k(a) == want
+
+
+@pytest.mark.parametrize("degree", [17, 64, 280])
+def test_fixed_mul_above_16_builds_no_per_key_byte_tables(degree):
+    # a one-time MAC key gets a window of 16 multiples; byte tables for it
+    # would hold ceil(degree / 8) * 256 field elements
+    f = GF2.get(degree)
+    k = (1 << degree) - 1
+    f.fixed_mul(k)  # the field's own setup is not the key's
+    tracemalloc.start()
+    try:
+        f.fixed_mul(k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * sys.getsizeof(k)
+
+
 def test_oracle_agreement_random_degree_64():
     rng = random.Random(0xE7D1)
     poly = reduction_poly(64)
@@ -181,7 +219,10 @@ def test_nonzero_elements_form_a_group(degree):
         assert 0 not in row
         assert len(row) == len(list(nz))
     for a in nz:
-        assert f.pow(a, (1 << degree) - 1) == 1
+        power = a
+        for _ in range((1 << degree) - 2):
+            power = f.mul(power, a)
+        assert power == 1  # a^(2^degree - 1)
 
 
 @pytest.mark.parametrize("degree", range(1, 17))
@@ -211,5 +252,8 @@ def test_fixed_mul_matches_general_mul(degree):
 def test_pow_small_cases():
     f = GF2.get(3)
     # x has order 7 under x^3 + x + 1
-    seen = {f.pow(0b010, e) for e in range(7)}
-    assert seen == set(range(1, 8))
+    seen, power = set(), 1
+    for _ in range(7):
+        seen.add(power)
+        power = f.mul(power, 0b010)
+    assert seen == set(range(1, 8)) and power == 1

@@ -1,5 +1,6 @@
 """End-to-end sessions over both carriers, fault injection, restarts."""
 
+import hashlib
 import random
 import threading
 from fractions import Fraction
@@ -26,6 +27,7 @@ from etdr.transport.runners import ERR_STATE, _sign
 from etdr.transport.sockets import SocketTtpServer, run_party_session
 
 PARAMS = derive_params(256, Fraction(1, 16))
+PINNED_TRANSCRIPT_DIGEST = "ed67ada13490f94d31c47a31e24902a58bd90c12cfda0a778ba89a628915daed"
 
 
 def messages(seed):
@@ -97,6 +99,34 @@ def test_traffic_budgets_hold_on_second_parameter_set():
     assert res.clean
     assert res.meter.et_within_budget and res.meter.dr_within_budget
     assert res.meter.claim_bits == 2 * 1024
+
+
+def seeded_transcript_digest():
+    """SHA-256 over the frames (tags included), outcomes and verdicts of
+    seeded honest and dispute sessions at r = 256, eps = 2^-4 and 2^-40."""
+    h = hashlib.sha256()
+    for eps in (Fraction(1, 16), Fraction(1, 2**40)):
+        params = derive_params(256, eps)
+        for seed in range(1, 4):
+            sec = generate_keys(params, seed=seed)
+            m, other = messages(seed)
+            lie = Message(m.value ^ (1 << 200), 256)
+            for res in (
+                run_session(sec, m, m),
+                run_session(sec, m, other, dispute=True),
+                run_session(sec, m, other, dispute=True, claim_b=lie),
+            ):
+                for src, dst, raw in res.transcript:
+                    h.update(bytes([src, dst]) + len(raw).to_bytes(4, "big") + raw)
+                ends = (res.et_outcome_a, res.et_outcome_b, res.verdict_a, res.verdict_b)
+                h.update(repr([None if x is None else int(x) for x in ends]).encode())
+    return h.hexdigest()
+
+
+def test_seeded_transcripts_match_the_pinned_digest():
+    # pinned with the per-key byte-table multiply the MAC used before the
+    # 4-bit window; any changed tag or frame byte fails
+    assert seeded_transcript_digest() == PINNED_TRANSCRIPT_DIGEST
 
 
 # -------------------------------------------------------- fault injection
