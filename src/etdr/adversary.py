@@ -105,13 +105,6 @@ def _difference_tables(data_bits: int, subkey_bits: int):
     return roots, counts
 
 
-def collision_positions(view: CheaterView, difference: int) -> int:
-    """|T| for one difference: positions where the cheater's subkey maps the
-    difference to zero."""
-    roots, _ = _difference_tables(view.params.data_bits, view.params.subkey_bits)
-    return int(roots[difference, list(view.subkeys)].sum())
-
-
 @lru_cache(maxsize=16)
 def _win_prob_ranks(data_bits: int, subkey_bits: int, subkey_count: int):
     """Exact win probabilities indexed (|T|, root count), plus a rank table

@@ -14,6 +14,24 @@ that count divided by 2^l as an exact Fraction.
 
 The digest is linear in the message over GF(2), so collision statistics
 depend only on the XOR difference of a message pair; tests rely on this.
+
+hash_vector, the digests under all N subkeys, is nearly all of a
+session's work, and it takes one of three paths by input size:
+
+  * degrees up to 16 (the log-table degree), keys x blocks at least
+    _LIST_PATH_MAX_WORK: numpy gathers exp[log b_i + i * log k] for groups
+    of keys and XOR-reduces each row;
+  * degrees 17 to 27: numpy builds a table of key powers by doubling and
+    4-bit windows of it, sums b_i * k^i for a slice of blocks from the
+    windows, and joins the slices with carry-less array multiplies;
+  * everything else: VectorHasher, a Python loop per block. Below the
+    cutoff numpy's fixed cost per call outweighs its speed (only the
+    analysis game's tiny fields land there). No session goes above degree
+    27, because key dealing caps r at 2^27; only `etdr attack` with
+    chosen widths does.
+
+Both numpy paths chunk the message in one O(r) pass over its bytes; the
+first of them in a process imports numpy (about 0.17 s).
 """
 
 from __future__ import annotations
@@ -21,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParameterError
-from .gf2field import GF2
+from .gf2field import _MUL_TABLE_MAX_DEGREE, GF2
 
 
 def block_count(msg_bits: int, degree: int) -> int:
@@ -32,11 +50,64 @@ def block_count(msg_bits: int, degree: int) -> int:
     return -(-msg_bits // degree)
 
 
+# The list path below this many key-block products (keys x r/l): numpy's
+# fixed cost per digest vector (about 40 us) exceeds VectorHasher's loop,
+# which the crossover put between 100 and 200 products on a 2-CPU x86 host.
+_LIST_PATH_MAX_WORK = 160
+# Highest degree on the numpy paths: key dealing caps r at 2^27, so l <= 27
+# (and the carry-less path's uint32 windows hold l + 3 bits).
+_VECTOR_MAX_DEGREE = 27
+# Entries in one log-table gather for a group of keys: 2^16 uint32 entries
+# are 256 kB, so the gather stays in cache.
+_TABLE_ENTRIES = 1 << 16
+# The carry-less path's slices (blocks sharing one window table of key
+# powers) and groups (slices weighted in one array multiply), powers of
+# two so that doubling ends on k^s and k^(s g).
+_SLICE_BLOCKS = 128
+_GROUP_SLICES = 32
+# Blocks per piece that chunk_blocks shifts: a multiple of 8, so that a
+# piece is a whole number of bytes.
+_PIECE_BLOCKS = 64
+# Blocks unpacked at once while chunking, so that the 0/1 byte per bit
+# stays a few MB at r = 2^27.
+_UNPACK_BLOCKS = 1 << 16
+
+
 def chunk_blocks(value: int, msg_bits: int, degree: int) -> list[int]:
     """The block sequence hashed for this message, front block first."""
     c = block_count(msg_bits, degree)
-    mask = (1 << degree) - 1
-    return [(value >> (i * degree)) & mask for i in range(c)]
+    width, mask = c * degree, (1 << degree) - 1
+    if c <= _PIECE_BLOCKS:
+        return [value >> i & mask for i in range(0, width, degree)]
+    # Shifting the whole message once per block would cost O(r^2 / l): cut
+    # its bytes into pieces first, so that only a piece is shifted.
+    step = _PIECE_BLOCKS * degree // 8
+    data = (value & ((1 << width) - 1)).to_bytes(-(-width // 8), "little")
+    out = []
+    for at in range(0, len(data), step):
+        piece = int.from_bytes(data[at : at + step], "little")
+        out += [piece >> i & mask for i in range(0, min(8 * step, width - 8 * at), degree)]
+    return out
+
+
+def _block_array(value: int, msg_bits: int, degree: int):
+    """chunk_blocks as a uint32 numpy array (degree <= 32): the bytes of the
+    message, unpacked to bits, reshaped to (c, l) rows and packed back."""
+    import numpy as np
+
+    c = block_count(msg_bits, degree)
+    width = c * degree
+    data = (value & ((1 << width) - 1)).to_bytes(-(-width // 8), "little")
+    raw = np.frombuffer(data, np.uint8)
+    out = np.zeros((c, 4), np.uint8)
+    for first in range(0, c, _UNPACK_BLOCKS):
+        count = min(_UNPACK_BLOCKS, c - first)
+        lo = first * degree
+        bits = np.unpackbits(raw[lo // 8 :], count=lo % 8 + count * degree, bitorder="little")
+        rows = bits[lo % 8 :].reshape(count, degree)
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        out[first : first + count, : packed.shape[1]] = packed
+    return out.view("<u4").ravel()
 
 
 def collision_bound(msg_bits: int, degree: int) -> Fraction:
@@ -61,7 +132,10 @@ class VectorHasher:
     """All-keys digest vector in one streaming pass over the message.
 
     update() consumes blocks front to back; digests() finalizes. The state
-    is O(l) per key regardless of message length.
+    is O(l) per key regardless of message length. hash_vector uses it only
+    for small inputs and for degrees above 27 (see the module docstring);
+    it stays because there a Python loop beats numpy's fixed cost per call,
+    and the window multiply covers any degree.
 
     Up to the field's log-table degree (16), each key is held as log k and
     update(b_i) XORs exp[log b_i + (i * log k mod (2^l - 1))] into the
@@ -123,9 +197,104 @@ class VectorHasher:
         return [next(nonzero) if k else self._first for k in self.keys]
 
 
+def _log_digests(field: GF2, keys, blocks):
+    """Degrees <= 16: the digest for key k != 0 XORs exp[log b_i + i log k]
+    over the nonzero blocks b_i. Keys go in groups whose gather stays near
+    _TABLE_ENTRIES. i log k < 2^(2l) is reduced mod 2^l - 1 by adding its high
+    half to its low half; with log b_i the index stays below 3(2^l - 1),
+    the length of exp3."""
+    import numpy as np
+
+    exp3, log = field.log_arrays()
+    n, degree = np.uint32(field.order - 1), np.uint32(field.degree)
+    nonzero = np.flatnonzero(blocks)
+    log_b = log[blocks[nonzero]]
+    index = (nonzero % int(n)).astype(np.uint32)
+    log_k = log[keys]
+    out = np.empty(len(keys), np.uint32)
+    group = max(1, _TABLE_ENTRIES // max(1, len(index)))
+    for first in range(0, len(keys), group):
+        e = np.multiply.outer(log_k[first : first + group], index)
+        e = (e & n) + (e >> degree) + log_b
+        out[first : first + group] = np.bitwise_xor.reduce(exp3[e], axis=1)
+    out[keys == 0] = blocks[0]  # k^0 = 1 even for k = 0
+    return out
+
+
+def _powers(field: GF2, k, count: int):
+    """(k^0 .. k^(count-1) per key as a (count, keys) uint64 table, k^count)
+    for count a power of two: doubling, one array multiply a round gives
+    rows [w, 2w) and k^(2w)."""
+    import numpy as np
+
+    table = np.empty((count, len(k)), np.uint64)
+    table[0] = 1
+    width = 1
+    while width < count:  # here k holds k^width
+        product = field.mul_arrays(np.vstack([table[:width], k]), k)
+        table[width : 2 * width], k = product[:width], product[width]
+        width *= 2
+    return table, k
+
+
+def _clmul_digests(field: GF2, keys, blocks):
+    """Degrees 17-27. With s blocks to a slice, the digest is
+    sum_j (k^s)^j D_j, where D_j = sum_{i<s} b_{js+i} k^i. Every slice
+    reads one window table, W[16i + v] = v * k^i carry-less and unreduced,
+    so D_j XORs W[16i + (4 bits of b_{js+i})], shifted into place. A group
+    of slices weights its D_j with powers of k^s in one array multiply,
+    and Horner in k^(s g) joins the groups back to front."""
+    import numpy as np
+
+    k = keys.astype(np.uint64)
+    n_keys, c = len(k), len(blocks)
+    s = min(_SLICE_BLOCKS, 1 << (c - 1).bit_length())
+    n_slices = -(-c // s)
+    g = min(_GROUP_SLICES, 1 << (n_slices - 1).bit_length())
+    powers, k_s = _powers(field, k, s)
+    weights, k_group = _powers(field, k_s, g)
+    powers = powers.astype(np.uint32)  # field elements, l <= 27 bits
+    window = np.zeros((s, 16, n_keys), np.uint32)
+    for b in range(4):
+        window[:, 1 << b] = powers << b
+    for v in range(3, 16):
+        if v & (v - 1):
+            window[:, v] = window[:, v & -v] ^ window[:, v & (v - 1)]
+    window = window.reshape(16 * s, n_keys)
+    padded = np.zeros(n_slices * s, np.uint32)
+    padded[:c] = blocks
+    slices = padded.reshape(n_slices, s)
+    nibble = np.arange(0, field.degree, 4, dtype=np.uint32)
+    row = np.arange(0, 16 * s, 16, dtype=np.uint32)[:, None]
+    sums = np.empty((g, n_keys), np.uint64)
+    acc = np.zeros(n_keys, np.uint64)
+    for first in reversed(range(0, n_slices, g)):
+        group = slices[first : first + g]
+        index = row + (group[:, :, None] >> nibble & 15)  # (slices, s, nibbles)
+        for j in range(len(group)):
+            parts = np.bitwise_xor.reduce(np.take(window, index[j], axis=0), axis=0)
+            sums[j] = np.bitwise_xor.reduce(parts.astype(np.uint64) << nibble[:, None], axis=0)
+        weighted = field.mul_arrays(field.reduce_array(sums[: len(group)]), weights[: len(group)])
+        acc = field.mul_arrays(acc, k_group) ^ np.bitwise_xor.reduce(weighted, axis=0)
+    return acc
+
+
 def hash_vector(keys: list[int], value: int, msg_bits: int, degree: int) -> list[int]:
-    """Digests of one message under every key, single pass over the message."""
-    hasher = VectorHasher(degree, keys)
-    for block in chunk_blocks(value, msg_bits, degree):
-        hasher.update(block)
-    return hasher.digests()
+    """Digests of one message under every key (see the module docstring
+    for which path serves which sizes)."""
+    if degree > _VECTOR_MAX_DEGREE or len(keys) * msg_bits < _LIST_PATH_MAX_WORK * degree:
+        hasher = VectorHasher(degree, keys)
+        for block in chunk_blocks(value, msg_bits, degree):
+            hasher.update(block)
+        return hasher.digests()
+    import numpy as np
+
+    field = GF2.get(degree)
+    for k in keys:
+        if k < 0 or k >= field.order:
+            raise ParameterError("key outside the field")
+    blocks = _block_array(value, msg_bits, degree)
+    keys_array = np.array(keys, np.int64)
+    if degree <= _MUL_TABLE_MAX_DEGREE:
+        return _log_digests(field, keys_array, blocks).tolist()
+    return _clmul_digests(field, keys_array, blocks).tolist()

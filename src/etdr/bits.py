@@ -26,17 +26,6 @@ def bytes_to_bits(data: bytes, bit_len: int | None = None) -> int:
     return value
 
 
-def bits_from_str(s: str) -> tuple[int, int]:
-    """Parse "1011" with the leftmost character as bit 0; returns (value, length)."""
-    value = 0
-    for k, ch in enumerate(s):
-        if ch == "1":
-            value |= 1 << k
-        elif ch != "0":
-            raise ParameterError(f"not a bit: {ch!r}")
-    return value, len(s)
-
-
 @dataclass(frozen=True)
 class Message:
     """An input bit-string of explicit length (lengths need not be byte-aligned)."""

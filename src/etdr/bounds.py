@@ -52,12 +52,6 @@ def cover_prob(t: int, subkey_count: int, shared_count: int) -> Fraction:
     return Fraction(comb(t, shared_count), comb(subkey_count, shared_count))
 
 
-def cover_power_bound(t: int, subkey_count: int, shared_count: int) -> Fraction:
-    """(t/N)**n, a closed-form upper bound on cover_prob."""
-    _check_counts(t, subkey_count, shared_count)
-    return Fraction(t, subkey_count) ** shared_count
-
-
 def _tail_sums(trials: int, q: Fraction, lowest: int) -> list[Fraction]:
     """P[Binomial(trials, q) >= u] for u = lowest..trials, as suffix sums of
     the binomial terms, so every threshold costs one more term."""

@@ -81,7 +81,9 @@ REDUCTION_POLY: dict[int, int] = {
 
 # Degrees up to this multiply through log/antilog tables of 2^degree and
 # 2(2^degree - 1) Python ints (0.33 MB at degree 12, 5.5 MB at 16, doubling
-# per degree); above it, multiplies run through a 4-bit window.
+# per degree); above it, multiplies run through a 4-bit window. Digest
+# vectors at these degrees also read uint32 numpy copies of the tables
+# (log_arrays), 4 bytes an entry: 0.26 MB at degree 16.
 _MUL_TABLE_MAX_DEGREE = 16
 
 
@@ -271,6 +273,7 @@ class GF2:
         self.order = 1 << degree
         self._taps = _taps(self.poly, degree)
         self._logs: tuple[list[int], list[int]] | None = None
+        self._log_arrays = None
 
     @classmethod
     def get(cls, degree: int) -> "GF2":
@@ -290,10 +293,58 @@ class GF2:
             self._logs = _log_tables(self.degree, self.poly)
         return self._logs
 
+    def log_arrays(self):
+        """(exp3, log) as read-only uint32 numpy arrays, or None above the
+        table degree. exp3[i] = g^(i mod (order-1)) over 3(order-1) entries,
+        so a sum of three reduced logs needs no reduction; log is
+        log_tables()'s. Built on first use; imports numpy."""
+        if self._log_arrays is None and self.log_tables() is not None:
+            import numpy as np
+
+            exp, log = self._logs
+            n = self.order - 1
+            arrays = np.tile(np.array(exp[:n], np.uint32), 3), np.array(log, np.uint32)
+            for a in arrays:
+                a.flags.writeable = False
+            self._log_arrays = arrays
+        return self._log_arrays
+
+    def mul_arrays(self, a, b):
+        """Elementwise a*b for uint64 numpy arrays of field elements
+        (broadcast), degree <= 32: a carry-less product of `degree`
+        shift-and-XOR steps, under 2^63, then the fold through the taps
+        that _reduce makes."""
+        import numpy as np
+
+        if self.degree > 32:
+            raise ParameterError("array products need degree <= 32")
+        r = np.zeros(np.broadcast_shapes(a.shape, b.shape), np.uint64)
+        zero, one = np.uint64(0), np.uint64(1)
+        for t in map(np.uint64, range(self.degree)):
+            r ^= (a << t) & (zero - (b >> t & one))
+        return self.reduce_array(r)
+
+    def reduce_array(self, r):
+        """_reduce on a uint64 numpy array of carry-less products, in place."""
+        import numpy as np
+
+        degree, mask = np.uint64(self.degree), np.uint64(self.order - 1)
+        while (hi := r >> degree).any():
+            r &= mask
+            for e in self._taps:
+                r ^= hi << np.uint64(e)
+        return r
+
+    def _check(self, a: int) -> None:
+        if a < 0 or a >= self.order:
+            raise ParameterError("operand outside the field")
+
     def mul(self, a: int, b: int) -> int:
         tables = self.log_tables()
         if tables is None:
             return gf_mul(a, b, self.degree, self.poly)
+        self._check(a)
+        self._check(b)
         if not (a and b):
             return 0
         exp, log = tables
@@ -302,7 +353,12 @@ class GF2:
     def fixed_mul(self, k: int):
         """A closure computing k*a: two lookups per call up to the table
         degree; above it, k's 16-entry window is all the per-key setup, so a
-        one-time MAC key costs about as much as one multiply."""
+        one-time MAC key costs about as much as one multiply.
+
+        k is checked here. The closure trusts its operand a to be a field
+        element, because its callers pass field elements: it is the
+        innermost loop of every digest."""
+        self._check(k)
         tables = self.log_tables()
         if tables is None:
             return _mul_by(k, self.degree, self._taps)

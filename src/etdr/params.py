@@ -92,10 +92,6 @@ class Params:
         return self.shared_count + self.subkey_bits
 
     @property
-    def mac_field_degree(self) -> int:
-        return 2 * self.tag_bits
-
-    @property
     def digest_vector_bits(self) -> int:
         # N digests of l bits each; equals 2nl
         return self.subkey_count * self.subkey_bits
@@ -108,7 +104,7 @@ class Params:
 
     @property
     def sc_key_bits_per_party(self) -> int:
-        return self.digest_vector_bits + 8 * self.tag_bits
+        return self.digest_vector_bits + self.mac_key_bits_per_party
 
     @property
     def mac_key_bits_per_party(self) -> int:

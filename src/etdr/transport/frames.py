@@ -125,7 +125,3 @@ class FrameReader:
                 return frames
             del self._buf[:used]
             frames.append(frame)
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buf)

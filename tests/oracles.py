@@ -15,6 +15,17 @@ CHI2_999 = {5: 20.515005652432873, 15: 37.69729821835383}
 WILSON_Z99 = 2.5758293035489004
 
 
+def bits_from_str(s):
+    """Parse "1011" with the leftmost character as bit 0; returns (value, length)."""
+    value = 0
+    for k, ch in enumerate(s):
+        if ch == "1":
+            value |= 1 << k
+        elif ch != "0":
+            raise ParameterError(f"not a bit: {ch!r}")
+    return value, len(s)
+
+
 def _to_coeffs(v):
     return [(v >> i) & 1 for i in range(v.bit_length())]
 

@@ -131,15 +131,6 @@ def test_per_view_optimum_ignores_honest_data_by_construction():
         assert best_d != 0
 
 
-def test_collision_positions_counts_roots():
-    view = adv.CheaterView(TINY, Message(5, 4), (1, 1, 2, 3))
-    for d in range(1, 16):
-        manual = sum(
-            1 for k in view.subkeys if poly_hash(k, d, 4, 2) == 0
-        )
-        assert adv.collision_positions(view, d) == manual
-
-
 def test_difference_tables_structure():
     roots, counts = adv._difference_tables(6, 2)
     assert roots.shape == (64, 4)

@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from etdr import au2hash
 from etdr.au2hash import block_count, chunk_blocks, collision_bound, hash_vector, poly_hash
-from etdr.bits import bits_from_str
 from etdr.errors import ParameterError
 from etdr.gf2field import GF2, reduction_poly
-from oracles import oracle_mul
+from oracles import bits_from_str, oracle_mul
 
 
 def oracle_hash(key, value, msg_bits, degree):
@@ -163,3 +165,53 @@ def test_vector_hasher_rejects_blocks_outside_the_field(degree):
     for block in (-1, 1 << degree):
         with pytest.raises(ParameterError):
             h.update(block)
+
+
+def test_chunk_blocks_matches_shift_and_mask():
+    # one shift of the whole message per block, as the blocks are defined
+    rng = random.Random(300)
+    for degree in range(1, 301):
+        mask = (1 << degree) - 1
+        for bits in (1, degree, 64 * degree, 64 * degree + 1, 130 * degree + 7):
+            for v in (rng.getrandbits(bits), (1 << bits) - 1, rng.getrandbits(bits + 9)):
+                c = -(-bits // degree)
+                want = [(v >> (i * degree)) & mask for i in range(c)]
+                assert chunk_blocks(v, bits, degree) == want, (degree, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hash_vector_matches_horner(data):
+    # sizes on both sides of the list-path cutoff; keys 0, 1 and 2^l - 1 always
+    degree = data.draw(st.integers(1, 27), label="degree")
+    q = 1 << degree
+    keys = [0, 1, q - 1] + data.draw(st.lists(st.integers(0, q - 1), max_size=13), label="keys")
+    bits = data.draw(st.integers(1, 40 * degree), label="bits")
+    v = data.draw(st.sampled_from([0, (1 << bits) - 1]) | st.integers(0, (1 << bits) - 1), label="v")
+    vec = hash_vector(keys, v, bits, degree)
+    assert vec == [poly_hash(k, v, bits, degree) for k in keys]
+    assert vec[:3] == [horner_oracle(k, v, bits, degree) for k in keys[:3]]
+
+
+@pytest.mark.parametrize("degree,n_keys,n_blocks", [
+    (12, 30, 5000),  # three groups of keys in the log-table gather
+    (17, 8, 9000),  # 71 slices of 128 blocks: three groups of up to 32
+    (27, 264, 300),  # three slices, the last one short
+])
+def test_hash_vector_across_groups_and_slices(degree, n_keys, n_blocks):
+    rng = random.Random(degree)
+    q = 1 << degree
+    keys = [0, 1, q - 1] + [rng.randrange(q) for _ in range(n_keys - 3)]
+    bits = n_blocks * degree - 3  # the final block zero-padded
+    for v in (0, (1 << bits) - 1, rng.getrandbits(bits)):
+        assert hash_vector(keys, v, bits, degree) == [poly_hash(k, v, bits, degree) for k in keys]
+
+
+@pytest.mark.parametrize("degree", [8, 12, 17, 27])
+@pytest.mark.parametrize("n_blocks", [1, 100])  # the list path, then numpy
+def test_hash_vector_rejects_keys_outside_the_field(degree, n_blocks):
+    assert (n_blocks * 4 < au2hash._LIST_PATH_MAX_WORK) == (n_blocks == 1)
+    bits = n_blocks * degree
+    for bad in (-1, -(1 << degree), 1 << degree, (1 << degree) + 1, 1 << 64):
+        with pytest.raises(ParameterError):
+            hash_vector([1, 2, bad, 3], 12345, bits, degree)

@@ -51,15 +51,6 @@ def test_cover_prob_subset_enumeration():
             )
 
 
-def test_cover_power_bound_dominates():
-    for n in range(1, 25):
-        big_n = 2 * n
-        for t in range(n, big_n + 1):
-            assert bounds.cover_prob(t, big_n, n) <= bounds.cover_power_bound(
-                t, big_n, n
-            )
-
-
 def test_cover_prob_domain():
     with pytest.raises(ParameterError):
         bounds.cover_prob(1, 4, 2)

@@ -88,7 +88,7 @@ def test_reader_reassembles_byte_dribble():
     for k in range(len(stream)):
         got.extend(reader.feed(stream[k : k + 1]))
     assert got == frames
-    assert reader.pending_bytes == 0
+    assert reader.feed(stream) == frames  # nothing left over from the first pass
 
 
 def test_reader_raises_on_poisoned_stream():

@@ -37,6 +37,18 @@ def test_operand_domain_checked():
             gf_mul(1, -1, degree)
 
 
+@pytest.mark.parametrize("degree", [8, 12, 17, 27])
+def test_mul_and_fixed_mul_reject_operands_outside_the_field(degree):
+    f = GF2.get(degree)
+    for bad in (-1, -(1 << degree), 1 << degree, (1 << degree) + 1):
+        with pytest.raises(ParameterError):
+            f.mul(bad, 3)
+        with pytest.raises(ParameterError):
+            f.mul(3, bad)
+        with pytest.raises(ParameterError):
+            f.fixed_mul(bad)
+
+
 # ---------------------------------------------------------------- table
 
 def test_table_covers_1_to_128_and_is_irreducible():

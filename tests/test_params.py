@@ -61,7 +61,6 @@ def test_derive_params_small_corner():
     assert p.et_comm_bits == 1028
     assert p.dr_comm_bits == 772
     assert p.tag_bits == 32
-    assert p.mac_field_degree == 64
     assert p.digest_vector_bits == 384
 
 
