@@ -30,8 +30,9 @@ session's work, and it takes one of three paths by input size:
     27, because key dealing caps r at 2^27; only `etdr attack` with
     chosen widths does.
 
-Both numpy paths chunk the message in one O(r) pass over its bytes; the
-first of them in a process imports numpy (about 0.17 s).
+Both numpy paths chunk the message with one to_bytes and a gather of one
+8-byte word per block (_block_array); the first of them in a process
+imports numpy (about 0.17 s).
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ _LIST_PATH_MAX_WORK = 160
 # Highest degree on the numpy paths: key dealing caps r at 2^27, so l <= 27
 # (and the carry-less path's uint32 windows hold l + 3 bits).
 _VECTOR_MAX_DEGREE = 27
-# Entries in one log-table gather for a group of keys: 2^16 uint32 entries
-# are 256 kB, so the gather stays in cache.
-_TABLE_ENTRIES = 1 << 16
+# Entries in one log-table gather for a group of keys: 2^15 uint32 entries
+# are 128 kB a buffer, so both buffers stay in cache. At r = 2^12 with 264
+# keys 2^15 took 0.33 ms and 2^16 0.88 ms (2-CPU Xeon); at r = 2^16 they tie.
+_TABLE_ENTRIES = 1 << 15
 # The carry-less path's slices (blocks sharing one window table of key
 # powers) and groups (slices weighted in one array multiply), powers of
 # two so that doubling ends on k^s and k^(s g).
@@ -68,9 +70,8 @@ _GROUP_SLICES = 32
 # Blocks per piece that chunk_blocks shifts: a multiple of 8, so that a
 # piece is a whole number of bytes.
 _PIECE_BLOCKS = 64
-# Blocks unpacked at once while chunking, so that the 0/1 byte per bit
-# stays a few MB at r = 2^27.
-_UNPACK_BLOCKS = 1 << 16
+# Groups of 8 blocks that _block_array reads at once: 4 MB of uint64 words.
+_WORD_GROUPS = 1 << 16
 
 
 def chunk_blocks(value: int, msg_bits: int, degree: int) -> list[int]:
@@ -78,6 +79,9 @@ def chunk_blocks(value: int, msg_bits: int, degree: int) -> list[int]:
     c = block_count(msg_bits, degree)
     width, mask = c * degree, (1 << degree) - 1
     if c <= _PIECE_BLOCKS:
+        # One shift of the message per block. Cutting bytes costs 2.0 us a
+        # call here against 0.9 us at the analysis game's 3 blocks, and put
+        # that workload's op_b_ms.p50 11% higher (6 pairs, none faster).
         return [value >> i & mask for i in range(0, width, degree)]
     # Shifting the whole message once per block would cost O(r^2 / l): cut
     # its bytes into pieces first, so that only a piece is shifted.
@@ -91,23 +95,27 @@ def chunk_blocks(value: int, msg_bits: int, degree: int) -> list[int]:
 
 
 def _block_array(value: int, msg_bits: int, degree: int):
-    """chunk_blocks as a uint32 numpy array (degree <= 32): the bytes of the
-    message, unpacked to bits, reshaped to (c, l) rows and packed back."""
+    """chunk_blocks as a uint32 numpy array (degree <= 27). Blocks 8g to
+    8g + 7 start in bytes g*l to g*l + l - 1: block 8g + j is the
+    little-endian 8-byte word at byte g*l + j*l // 8, shifted right by
+    j*l % 8 and masked. So after one to_bytes the numpy work is O(r / l),
+    done _WORD_GROUPS groups at a time to keep the uint64 words small."""
     import numpy as np
 
     c = block_count(msg_bits, degree)
-    width = c * degree
-    data = (value & ((1 << width) - 1)).to_bytes(-(-width // 8), "little")
-    raw = np.frombuffer(data, np.uint8)
-    out = np.zeros((c, 4), np.uint8)
-    for first in range(0, c, _UNPACK_BLOCKS):
-        count = min(_UNPACK_BLOCKS, c - first)
-        lo = first * degree
-        bits = np.unpackbits(raw[lo // 8 :], count=lo % 8 + count * degree, bitorder="little")
-        rows = bits[lo % 8 :].reshape(count, degree)
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        out[first : first + count, : packed.shape[1]] = packed
-    return out.view("<u4").ravel()
+    groups = -(-c // 8)
+    data = (value & ((1 << c * degree) - 1)).to_bytes(groups * degree + 8, "little")
+    words = np.ndarray((groups, degree), "<u8", data, 0, (degree, 1))  # a word at every byte
+    column = [j * degree // 8 for j in range(8)]
+    shift = np.array([j * degree % 8 for j in range(8)], np.uint64)
+    mask = np.uint64((1 << degree) - 1)
+    out = np.empty((groups, 8), np.uint32)
+    for first in range(0, groups, _WORD_GROUPS):
+        part = words[first : first + _WORD_GROUPS].take(column, axis=1)
+        part >>= shift
+        part &= mask
+        out[first : first + _WORD_GROUPS] = part
+    return out.ravel()[:c]
 
 
 def collision_bound(msg_bits: int, degree: int) -> Fraction:
@@ -115,11 +123,16 @@ def collision_bound(msg_bits: int, degree: int) -> Fraction:
     return Fraction(block_count(msg_bits, degree) - 1, 1 << degree)
 
 
+def _check_keys(field: GF2, keys) -> None:
+    for k in keys:
+        if k < 0 or k >= field.order:
+            raise ParameterError("key outside the field")
+
+
 def poly_hash(key: int, value: int, msg_bits: int, degree: int) -> int:
     """Digest of one message under one key (Horner on the reversed blocks)."""
     field = GF2.get(degree)
-    if key < 0 or key >= field.order:
-        raise ParameterError("key outside the field")
+    _check_keys(field, [key])
     blocks = chunk_blocks(value, msg_bits, degree)
     mul_k = field.fixed_mul(key)
     acc = 0
@@ -149,9 +162,7 @@ class VectorHasher:
     def __init__(self, degree: int, keys: list[int]):
         self.field = GF2.get(degree)
         self.degree = degree
-        for k in keys:
-            if k < 0 or k >= self.field.order:
-                raise ParameterError("key outside the field")
+        _check_keys(self.field, keys)
         self.keys = list(keys)
         self._tables = self.field.log_tables()
         if self._tables is None:
@@ -169,15 +180,15 @@ class VectorHasher:
     def update(self, block: int) -> None:
         if self._done:
             raise ParameterError("hasher already finalized")
-        if block < 0 or block >= self.field.order:
-            raise ParameterError("block outside the field")
         if self._tables is None:
             acc, kpow = self._acc, self._kpow
-            mul_b = self.field.fixed_mul(block)
+            mul_b = self.field.fixed_mul(block)  # rejects a block outside the field
             for j, mul_k in enumerate(self._mul_k):
                 acc[j] ^= mul_b(kpow[j])
                 kpow[j] = mul_k(kpow[j])
             return
+        if block < 0 or block >= self.field.order:
+            raise ParameterError("block outside the field")
         i = self._index
         self._index = i + 1
         if not block:
@@ -200,9 +211,9 @@ class VectorHasher:
 def _log_digests(field: GF2, keys, blocks):
     """Degrees <= 16: the digest for key k != 0 XORs exp[log b_i + i log k]
     over the nonzero blocks b_i. Keys go in groups whose gather stays near
-    _TABLE_ENTRIES. i log k < 2^(2l) is reduced mod 2^l - 1 by adding its high
-    half to its low half; with log b_i the index stays below 3(2^l - 1),
-    the length of exp3."""
+    _TABLE_ENTRIES, through two buffers reused for every group. i log k <
+    2^(2l) is reduced mod 2^l - 1 by adding its high half to its low half;
+    with log b_i the index stays below 3(2^l - 1), the length of exp3."""
     import numpy as np
 
     exp3, log = field.log_arrays()
@@ -212,11 +223,18 @@ def _log_digests(field: GF2, keys, blocks):
     index = (nonzero % int(n)).astype(np.uint32)
     log_k = log[keys]
     out = np.empty(len(keys), np.uint32)
-    group = max(1, _TABLE_ENTRIES // max(1, len(index)))
+    group = min(len(keys), max(1, _TABLE_ENTRIES // max(1, len(index))))
+    e_buf = np.empty((group, len(index)), np.uint32)
+    hi_buf = np.empty_like(e_buf)
     for first in range(0, len(keys), group):
-        e = np.multiply.outer(log_k[first : first + group], index)
-        e = (e & n) + (e >> degree) + log_b
-        out[first : first + group] = np.bitwise_xor.reduce(exp3[e], axis=1)
+        lk = log_k[first : first + group]
+        e, hi = e_buf[: len(lk)], hi_buf[: len(lk)]
+        np.multiply.outer(lk, index, out=e)
+        np.right_shift(e, degree, out=hi)
+        e &= n
+        e += hi
+        e += log_b
+        out[first : first + group] = np.bitwise_xor.reduce(np.take(exp3, e, out=hi), axis=1)
     out[keys == 0] = blocks[0]  # k^0 = 1 even for k = 0
     return out
 
@@ -290,9 +308,7 @@ def hash_vector(keys: list[int], value: int, msg_bits: int, degree: int) -> list
     import numpy as np
 
     field = GF2.get(degree)
-    for k in keys:
-        if k < 0 or k >= field.order:
-            raise ParameterError("key outside the field")
+    _check_keys(field, keys)
     blocks = _block_array(value, msg_bits, degree)
     keys_array = np.array(keys, np.int64)
     if degree <= _MUL_TABLE_MAX_DEGREE:

@@ -7,6 +7,7 @@ import numpy as np
 
 from etdr.bounds import _check_counts, _check_prob
 from etdr.errors import ParameterError
+from etdr.gf2field import reduction_poly
 
 # chi-square 0.999 quantiles by degrees of freedom (frozen; generous so the
 # seeded statistical tests fail only on real defects)
@@ -47,6 +48,16 @@ def oracle_mul(a, b, poly):
             for j in range(dp + 1):
                 prod[i - dp + j] ^= cp[j]
     return _from_coeffs(prod[:dp])
+
+
+def horner_oracle(key, value, msg_bits, degree):
+    """Digest of au2hash: Horner on the reversed blocks, multiplying with oracle_mul."""
+    poly = reduction_poly(degree)
+    blocks = [(value >> (i * degree)) & ((1 << degree) - 1) for i in range(-(-msg_bits // degree))]
+    acc = 0
+    for block in reversed(blocks):
+        acc = oracle_mul(acc, key, poly) ^ block
+    return acc
 
 
 def oracle_mod(a, p):

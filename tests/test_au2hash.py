@@ -4,14 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from etdr import au2hash
 from etdr.au2hash import block_count, chunk_blocks, collision_bound, hash_vector, poly_hash
 from etdr.errors import ParameterError
 from etdr.gf2field import GF2, reduction_poly
-from oracles import bits_from_str, oracle_mul
+from oracles import bits_from_str, horner_oracle, oracle_mul
 
 
 def oracle_hash(key, value, msg_bits, degree):
@@ -113,16 +111,6 @@ def test_collision_bound_exhaustive_small(degree, max_r):
             assert hits <= allowed, (degree, r, bin(d))
 
 
-def horner_oracle(key, value, msg_bits, degree):
-    """Horner on the reversed blocks, multiplying with the list-based oracle."""
-    poly = reduction_poly(degree)
-    blocks = [(value >> (i * degree)) & ((1 << degree) - 1) for i in range(-(-msg_bits // degree))]
-    acc = 0
-    for block in reversed(blocks):
-        acc = oracle_mul(acc, key, poly) ^ block
-    return acc
-
-
 def test_vector_hasher_matches_scalar_path():
     for degree in range(1, 21):  # log tables up to 16, the 4-bit window above
         rng = random.Random(99 + degree)
@@ -177,24 +165,21 @@ def test_chunk_blocks_matches_shift_and_mask():
                 c = -(-bits // degree)
                 want = [(v >> (i * degree)) & mask for i in range(c)]
                 assert chunk_blocks(v, bits, degree) == want, (degree, bits)
+                if degree <= au2hash._VECTOR_MAX_DEGREE:  # the numpy paths' blocks
+                    assert au2hash._block_array(v, bits, degree).tolist() == want, (degree, bits)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_hash_vector_matches_horner(data):
-    # sizes on both sides of the list-path cutoff; keys 0, 1 and 2^l - 1 always
-    degree = data.draw(st.integers(1, 27), label="degree")
-    q = 1 << degree
-    keys = [0, 1, q - 1] + data.draw(st.lists(st.integers(0, q - 1), max_size=13), label="keys")
-    bits = data.draw(st.integers(1, 40 * degree), label="bits")
-    v = data.draw(st.sampled_from([0, (1 << bits) - 1]) | st.integers(0, (1 << bits) - 1), label="v")
-    vec = hash_vector(keys, v, bits, degree)
-    assert vec == [poly_hash(k, v, bits, degree) for k in keys]
-    assert vec[:3] == [horner_oracle(k, v, bits, degree) for k in keys[:3]]
+def test_block_array_across_word_groups():
+    # more blocks than _block_array reads at once, the last group short
+    rng = random.Random(301)
+    for degree in (1, 27):
+        bits = (8 * au2hash._WORD_GROUPS + 13) * degree - 1
+        v = rng.getrandbits(bits)
+        assert au2hash._block_array(v, bits, degree).tolist() == chunk_blocks(v, bits, degree)
 
 
 @pytest.mark.parametrize("degree,n_keys,n_blocks", [
-    (12, 30, 5000),  # three groups of keys in the log-table gather
+    (12, 28, 5000),  # five groups of keys in the log-table gather, the last one short
     (17, 8, 9000),  # 71 slices of 128 blocks: three groups of up to 32
     (27, 264, 300),  # three slices, the last one short
 ])
