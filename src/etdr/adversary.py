@@ -23,6 +23,13 @@ Digests are linear over GF(2) in the message, so T depends only on the
 XOR difference d between claim and honest data, and the entire view
 value depends only on the cheater's subkeys. The exact enumerators
 exploit this: they walk difference space, not message space.
+
+One cached table per (data bits, subkey bits) holds the digest of every
+message under every key, filled by the same linearity: doubling over the
+bit basis. The difference tables are its zeros, and the game reads each
+digest vector as a row of it when it has at most 2^16 entries. Wider
+games hash each vector as the parties do. Either way a round runs
+through the shipped dealer, comparison and verdict rule.
 """
 
 from __future__ import annotations
@@ -47,6 +54,10 @@ WILSON_Z99 = 2.5758293035489004
 
 # exact machinery enumerates difference space, so keep it small
 MAX_EXACT_DATA_BITS = 20
+# The game reads its digest vectors from a (messages x keys) table of at
+# most 2^16 entries, which covers every tiny game; wider games, which only
+# `etdr attack` with chosen widths plays, hash each vector.
+_GAME_TABLE_MAX_BITS = 16
 
 
 # ------------------------------------------------------------ raw worlds
@@ -82,27 +93,55 @@ class CheaterView:
 
 
 @lru_cache(maxsize=16)
-def _difference_tables(data_bits: int, subkey_bits: int):
-    """(roots, counts): roots[d, k] says key k hashes difference d to zero;
-    counts[d] is the number of such keys. Row 0 is all keys."""
+def _digest_table(data_bits: int, subkey_bits: int):
+    """digests[m, k]: the digest of message m under key k, for every
+    message and every key."""
     if data_bits > MAX_EXACT_DATA_BITS:
         raise ParameterError(
             f"difference enumeration capped at {MAX_EXACT_DATA_BITS} data bits"
         )
-    n_msgs = 1 << data_bits
     n_keys = 1 << subkey_bits
-    roots = np.empty((n_msgs, n_keys), dtype=bool)
-    for k in range(n_keys):
-        # digests are GF(2)-linear in the message, so doubling over the
-        # bit basis fills the whole difference space
-        digest = np.zeros(n_msgs, dtype=np.int64)
-        for bit in range(data_bits):
-            step = 1 << bit
-            basis = poly_hash(k, 1 << bit, data_bits, subkey_bits)
-            digest[step : 2 * step] = digest[:step] ^ basis
-        roots[:, k] = digest == 0
-    counts = roots.sum(axis=1)
-    return roots, counts
+    digests = np.zeros(
+        (1 << data_bits, n_keys), dtype=np.min_scalar_type(n_keys - 1)
+    )
+    # digests are GF(2)-linear in the message, so doubling over the bit
+    # basis fills the whole message space
+    for bit in range(data_bits):
+        step = 1 << bit
+        basis = [poly_hash(k, step, data_bits, subkey_bits) for k in range(n_keys)]
+        digests[step : 2 * step] = digests[:step] ^ np.array(basis, digests.dtype)
+    return digests
+
+
+@lru_cache(maxsize=16)
+def _difference_tables(data_bits: int, subkey_bits: int):
+    """(roots, counts): roots[d, k] says key k hashes difference d to zero;
+    counts[d] is the number of such keys. Row 0 is all keys."""
+    roots = _digest_table(data_bits, subkey_bits) == 0
+    return roots, roots.sum(axis=1)
+
+
+@lru_cache(maxsize=16)
+def _digest_rows(data_bits: int, subkey_bits: int) -> list[list[int]] | None:
+    """_digest_table as Python lists for the game's per-trial lookups, or
+    None above 2^_GAME_TABLE_MAX_BITS entries."""
+    if data_bits + subkey_bits > _GAME_TABLE_MAX_BITS:
+        return None
+    return _digest_table(data_bits, subkey_bits).tolist()
+
+
+def _digest_vector(
+    params: Params,
+    rows: list[list[int]] | None,
+    subkeys: tuple[int, ...],
+    message: Message,
+) -> tuple[int, ...]:
+    """The digest vector of `message` under `subkeys`: a row of the game's
+    table, or the shipped digest for games too wide to tabulate."""
+    if rows is None:
+        return core.hash_vector_for(params, subkeys, message)
+    row = rows[message.value]
+    return tuple([row[k] for k in subkeys])
 
 
 @lru_cache(maxsize=16)
@@ -250,9 +289,10 @@ class Strategy:
     def play(
         self, view: CheaterView, rng: random.Random
     ) -> tuple[tuple[int, ...], Message]:
-        claim = Message(self.choose(view, rng), view.params.data_bits)
-        vector = core.hash_vector_for(view.params, view.subkeys, claim)
-        return vector, claim
+        p = view.params
+        claim = Message(self.choose(view, rng), p.data_bits)
+        rows = _digest_rows(p.data_bits, p.subkey_bits)
+        return _digest_vector(p, rows, view.subkeys, claim), claim
 
 
 class RandomClaim(Strategy):
@@ -326,11 +366,10 @@ class CopyHonestVector(Strategy):
     choose = RandomClaim.choose
 
     def play(self, view, rng):
-        claim = Message(self.choose(view, rng), view.params.data_bits)
-        vector = core.hash_vector_for(
-            view.params, view.subkeys, view.honest_message
-        )
-        return vector, claim
+        p = view.params
+        claim = Message(self.choose(view, rng), p.data_bits)
+        rows = _digest_rows(p.data_bits, p.subkey_bits)
+        return _digest_vector(p, rows, view.subkeys, view.honest_message), claim
 
 
 ALL_STRATEGIES: tuple[Strategy, ...] = (
@@ -362,7 +401,8 @@ def play_round(
     if claim.value == m_h.value:
         raise ParameterError("game rule: the claim must differ from the honest data")
 
-    honest_vec = core.hash_vector_for(params, world.honest_subkeys, m_h)
+    rows = _digest_rows(params.data_bits, params.subkey_bits)
+    honest_vec = _digest_vector(params, rows, world.honest_subkeys, m_h)
     passed = (
         core.et_compare(params, world.shared_indices, honest_vec, submitted)
         == core.ET_EQUAL
@@ -370,10 +410,13 @@ def play_round(
     if not passed:
         return False
 
-    count_hh = core.match_count(params, world.honest_subkeys, m_h, honest_vec)
-    count_hc = core.match_count(params, world.honest_subkeys, claim, honest_vec)
-    count_ch = core.match_count(params, world.cheater_subkeys, m_h, submitted)
-    count_cc = core.match_count(params, world.cheater_subkeys, claim, submitted)
+    honest_claim = _digest_vector(params, rows, world.honest_subkeys, claim)
+    cheater_honest = _digest_vector(params, rows, world.cheater_subkeys, m_h)
+    cheater_claim = _digest_vector(params, rows, world.cheater_subkeys, claim)
+    count_hh = core.count_matches(params, honest_vec, honest_vec)
+    count_hc = core.count_matches(params, honest_claim, honest_vec)
+    count_ch = core.count_matches(params, cheater_honest, submitted)
+    count_cc = core.count_matches(params, cheater_claim, submitted)
 
     if cheater == "bob":
         verdict = core.dr_verdict(

@@ -25,8 +25,9 @@ session's work, and it takes one of three paths by input size:
     4-bit windows of it, sums b_i * k^i for a slice of blocks from the
     windows, and joins the slices with carry-less array multiplies;
   * everything else: VectorHasher, a Python loop per block. Below the
-    cutoff numpy's fixed cost per call outweighs its speed (only the
-    analysis game's tiny fields land there). No session goes above degree
+    cutoff numpy's fixed cost per call outweighs its speed; sessions with
+    experimental sizes over a few bytes and `etdr attack` games too wide
+    for the game's digest table land there. No session goes above degree
     27, because key dealing caps r at 2^27; only `etdr attack` with
     chosen widths does.
 
@@ -79,9 +80,10 @@ def chunk_blocks(value: int, msg_bits: int, degree: int) -> list[int]:
     c = block_count(msg_bits, degree)
     width, mask = c * degree, (1 << degree) - 1
     if c <= _PIECE_BLOCKS:
-        # One shift of the message per block. Cutting bytes costs 2.0 us a
-        # call here against 0.9 us at the analysis game's 3 blocks, and put
-        # that workload's op_b_ms.p50 11% higher (6 pairs, none faster).
+        # One shift of the message per block: at 3 blocks, cutting bytes
+        # costs 2.0 us a call against 0.9 us. Messages this short come
+        # from the MAC's tags over frames, list-path digest vectors and
+        # the bit basis of the game's digest table.
         return [value >> i & mask for i in range(0, width, degree)]
     # Shifting the whole message once per block would cost O(r^2 / l): cut
     # its bytes into pieces first, so that only a piece is shifted.

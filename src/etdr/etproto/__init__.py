@@ -10,7 +10,9 @@ from .core import (
     ET_DISTINCT,
     ET_EQUAL,
     Verdict,
+    count_matches,
     decrypt_vector,
+    dispute_counts,
     dr_verdict,
     encrypt_vector,
     et_compare,
@@ -46,7 +48,9 @@ __all__ = [
     "SessionStore",
     "TtpSecret",
     "Verdict",
+    "count_matches",
     "decrypt_vector",
+    "dispute_counts",
     "dr_verdict",
     "encrypt_vector",
     "et_compare",

@@ -96,6 +96,15 @@ def et_compare(
     return ET_EQUAL if equal else ET_DISTINCT
 
 
+def count_matches(
+    params: Params, fresh_vec: tuple[int, ...], submitted_vec: tuple[int, ...]
+) -> int:
+    """How many positions of a freshly hashed vector equal the submitted one."""
+    if len(submitted_vec) != params.subkey_count:
+        raise ParameterError("wrong vector length")
+    return sum(1 for a, b in zip(fresh_vec, submitted_vec) if a == b)
+
+
 def match_count(
     params: Params,
     subkeys: tuple[int, ...],
@@ -103,10 +112,33 @@ def match_count(
     submitted_vec: tuple[int, ...],
 ) -> int:
     """How many of the N digests of `message` equal the submitted ones."""
-    fresh = hash_vector_for(params, subkeys, message)
-    if len(submitted_vec) != params.subkey_count:
-        raise ParameterError("wrong vector length")
-    return sum(1 for a, b in zip(fresh, submitted_vec) if a == b)
+    return count_matches(params, hash_vector_for(params, subkeys, message), submitted_vec)
+
+
+def dispute_counts(
+    params: Params,
+    subkeys_a: tuple[int, ...],
+    subkeys_b: tuple[int, ...],
+    claim_a: Message,
+    claim_b: Message,
+    vec_a: tuple[int, ...],
+    vec_b: tuple[int, ...],
+) -> tuple[int, int, int, int]:
+    """(count_aa, count_ab, count_ba, count_bb) for dr_verdict: each claim
+    is hashed once, under Alice's and Bob's subkeys together."""
+    n = params.subkey_count
+    if len(subkeys_a) != n or len(subkeys_b) != n:
+        raise ParameterError("wrong number of subkeys")
+    keys = [*subkeys_a, *subkeys_b]
+    counts = []
+    for claim in (claim_a, claim_b):
+        _check_message(params, claim)
+        fresh = hash_vector(keys, claim.value, params.data_bits, params.subkey_bits)
+        counts.append(
+            (count_matches(params, fresh[:n], vec_a), count_matches(params, fresh[n:], vec_b))
+        )
+    (count_aa, count_ba), (count_ab, count_bb) = counts
+    return count_aa, count_ab, count_ba, count_bb
 
 
 def dr_verdict(

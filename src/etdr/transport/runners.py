@@ -390,15 +390,16 @@ class TtpRunner(_Runner):
             vec_b = core.decrypt_vector(
                 p, bytes_to_bits(rec.get("et_blob_b")), self.secret.bob.otp_bits
             )
-            verdict = core.dr_verdict(
+            counts = core.dispute_counts(
                 p,
+                self.secret.alice.subkeys,
+                self.secret.bob.subkeys,
                 claim_a,
                 claim_b,
-                core.match_count(p, self.secret.alice.subkeys, claim_a, vec_a),
-                core.match_count(p, self.secret.alice.subkeys, claim_b, vec_a),
-                core.match_count(p, self.secret.bob.subkeys, claim_a, vec_b),
-                core.match_count(p, self.secret.bob.subkeys, claim_b, vec_b),
+                vec_a,
+                vec_b,
             )
+            verdict = core.dr_verdict(p, claim_a, claim_b, *counts)
             rec.set("dr_verdict", bytes([verdict]))
             self._save()
         return [

@@ -1,6 +1,7 @@
 """Adversarial game: exact per-view optima, brute-force cross-checks,
 Monte-Carlo strategy suite, and mirror symmetry."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -143,6 +144,23 @@ def test_difference_tables_structure():
         assert roots[d, k] == (poly_hash(k, d, 6, 2) == 0)
 
 
+def test_digest_table_matches_shipped_hash():
+    # every message under every key, read the way the game reads it
+    for params, _ in TINY_CONFIGS:
+        r, l, big_n = params.data_bits, params.subkey_bits, params.subkey_count
+        rows = adv._digest_rows(r, l)
+        assert rows == adv._digest_table(r, l).tolist()
+        key_lists = [
+            tuple((first + j) % (1 << l) for j in range(big_n))
+            for first in range(0, 1 << l, big_n)
+        ]
+        for m in range(1 << r):
+            message = Message(m, r)
+            for keys in key_lists:
+                want = core.hash_vector_for(params, keys, message)
+                assert adv._digest_vector(params, rows, keys, message) == want
+
+
 def test_difference_tables_size_guard():
     with pytest.raises(ParameterError):
         adv._difference_tables(adv.MAX_EXACT_DATA_BITS + 1, 2)
@@ -205,9 +223,25 @@ def test_draw_world_overlap_uniform():
 # ---------------------------------------------------------- the rounds
 
 
+def inline_round(params, world, s, w, digest):
+    """The game's outcome from the dispute rules written out, with
+    digest(k, x) the digest of message x under key k."""
+    m_h, big_n = world.honest_message.value, params.subkey_count
+    passed = all(
+        s[j] == digest(world.honest_subkeys[j], m_h) for j in world.shared_indices
+    )
+    cc = sum(digest(world.cheater_subkeys[j], w) == s[j] for j in range(big_n))
+    ch = sum(digest(world.cheater_subkeys[j], m_h) == s[j] for j in range(big_n))
+    hc = sum(
+        digest(world.honest_subkeys[j], w) == digest(world.honest_subkeys[j], m_h)
+        for j in range(big_n)
+    )
+    return passed and not (ch > hc or cc < big_n)
+
+
 def test_play_round_agrees_with_inline_rules():
     params = experimental_params(6, 2, 2)
-    l, r, big_n = params.subkey_bits, params.data_bits, params.subkey_count
+    l, r = params.subkey_bits, params.data_bits
     table = [[poly_hash(k, x, r, l) for x in range(1 << r)] for k in range(1 << l)]
     strategy = adv.BestCollide()
     for trial in range(300):
@@ -216,19 +250,28 @@ def test_play_round_agrees_with_inline_rules():
         view = adv.CheaterView(params, world.honest_message, world.cheater_subkeys)
         s, claim = strategy.play(view, random.Random(trial))
         got = adv.play_round(params, world, strategy, random.Random(trial))
-        m_h, w = world.honest_message.value, claim.value
-        passed = all(
-            s[j] == table[world.honest_subkeys[j]][m_h]
-            for j in world.shared_indices
-        )
-        cc = sum(table[world.cheater_subkeys[j]][w] == s[j] for j in range(big_n))
-        ch = sum(table[world.cheater_subkeys[j]][m_h] == s[j] for j in range(big_n))
-        hc = sum(
-            table[world.honest_subkeys[j]][w] == table[world.honest_subkeys[j]][m_h]
-            for j in range(big_n)
-        )
-        want = passed and not (ch > hc or cc < big_n)
+        want = inline_round(params, world, s, claim.value, lambda k, x: table[k][x])
         assert got == want
+
+
+def test_wide_games_play_through_the_shipped_digest():
+    # too wide for the game's digest table: every vector is hashed, and
+    # the strategies that need no difference table still play
+    params = experimental_params(64, 3, 8)
+    assert adv._digest_rows(params.data_bits, params.subkey_bits) is None
+    r, l = params.data_bits, params.subkey_bits
+    for strategy in (adv.RandomClaim(), adv.SingleBitFlip(), adv.CopyHonestVector()):
+        for trial in range(20):
+            rng = random.Random(trial)
+            world = adv.draw_world(params, rng)
+            view = adv.CheaterView(params, world.honest_message, world.cheater_subkeys)
+            s, claim = strategy.play(view, random.Random(trial))
+            got = adv.play_round(params, world, strategy, random.Random(trial))
+            want = inline_round(
+                params, world, s, claim.value, lambda k, x: poly_hash(k, x, r, l)
+            )
+            assert got == want
+        assert adv.play_game(params, strategy, 200, seed=4).within_bound
 
 
 def test_claim_matching_honest_data_is_rejected():
@@ -249,6 +292,24 @@ def test_mirror_symmetry_identical_outcomes():
     as_alice = adv.play_game(TINY, adv.BestCollide(), 3000, seed=21, cheater="alice")
     assert as_bob.wins == as_alice.wins
     assert as_bob.outcome_digest == as_alice.outcome_digest
+
+
+# SHA-256 over one line per (config, strategy, cheater) of
+# repr(((r, n, l), name, cheater, wins, outcome_digest)), 1000 trials at
+# seed 29, as the game played when every vector was hashed
+GAME_OUTCOMES_SHA256 = "85ec5704241e7898506d0ab73b983418eae4c6d1e17d33b49e9f74696f82f379"
+
+
+def test_game_outcomes_pinned():
+    digest = hashlib.sha256()
+    for params, _ in TINY_CONFIGS:
+        config = (params.data_bits, params.shared_count, params.subkey_bits)
+        for strategy in adv.ALL_STRATEGIES:
+            for cheater in ("bob", "alice"):
+                g = adv.play_game(params, strategy, 1000, seed=29, cheater=cheater)
+                line = repr((config, strategy.name, cheater, g.wins, g.outcome_digest))
+                digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == GAME_OUTCOMES_SHA256
 
 
 def test_play_game_reproducible():

@@ -309,6 +309,22 @@ def test_attack_csv_all_strategies(capsys):
     assert all(r[7] == "7/32" for r in rows[1:])
 
 
+def test_attack_wide_game(capsys):
+    # too wide for the difference tables: only the strategies that need
+    # none can play, and they hash every digest vector
+    strategies = ["random-claim", "single-bit-flip", "copy-honest-vector"]
+    code, out, _ = run_cli(
+        ["attack", "--data-bits", "64", "--shared-count", "3",
+         "--subkey-bits", "8", "--trials", "100", "--format", "csv",
+         *[arg for name in strategies for arg in ("--strategy", name)]],
+        capsys,
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[0] for r in rows[1:]] == strategies
+    assert all(r[-1] == "True" for r in rows[1:])
+
+
 def test_attack_exact_report(capsys):
     code, out, _ = run_cli(
         ["attack", "--data-bits", "4", "--shared-count", "2",

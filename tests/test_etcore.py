@@ -188,6 +188,13 @@ def test_verdict_validates_inputs():
         ep.dr_verdict(TINY, m_a, m_b, 7, 0, 0, 0)  # count beyond N
     with pytest.raises(ParameterError):
         ep.dr_verdict(TINY, Message(1, 5), m_b, 0, 0, 0, 0)  # short claim
+    keys, vec = (0,) * TINY.subkey_count, (0,) * TINY.subkey_count
+    with pytest.raises(ParameterError):
+        ep.dispute_counts(TINY, keys[1:], keys, m_a, m_b, vec, vec)
+    with pytest.raises(ParameterError):
+        ep.dispute_counts(TINY, keys, keys, Message(1, 5), m_b, vec, vec)
+    with pytest.raises(ParameterError):
+        ep.dispute_counts(TINY, keys, keys, m_a, m_b, vec, vec[1:])
 
 
 # -------------------------------------------------- dispute end to end
@@ -211,6 +218,10 @@ def test_dispute_blames_the_liar_both_directions():
             ep.match_count(PARAMS, sec.bob.subkeys, m_lie, vb),
         )
         assert ep.dr_verdict(PARAMS, m_true, m_lie, *counts) == Verdict.ALICE_CORRECT
+        # the referee's count hashes each claim once under both key lists
+        assert ep.dispute_counts(
+            PARAMS, sec.alice.subkeys, sec.bob.subkeys, m_true, m_lie, va, vb
+        ) == counts
 
         # same session, roles swapped
         counts = (
@@ -220,3 +231,6 @@ def test_dispute_blames_the_liar_both_directions():
             ep.match_count(PARAMS, sec.bob.subkeys, m_true, vb),
         )
         assert ep.dr_verdict(PARAMS, m_lie, m_true, *counts) == Verdict.BOB_CORRECT
+        assert ep.dispute_counts(
+            PARAMS, sec.alice.subkeys, sec.bob.subkeys, m_lie, m_true, va, vb
+        ) == counts
