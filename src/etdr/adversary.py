@@ -282,6 +282,9 @@ class Strategy:
     """
 
     name = "abstract"
+    # whether choose() reads the difference tables, which cap the game at
+    # MAX_EXACT_DATA_BITS data bits
+    enumerates_differences = False
 
     def choose(self, view: CheaterView, rng: random.Random) -> int:
         raise NotImplementedError
@@ -323,6 +326,7 @@ class BestCollide(Strategy):
     most positions (ties to the smallest difference)."""
 
     name = "best-collide"
+    enumerates_differences = True
 
     def choose(self, view, rng):
         roots, _ = _difference_tables(
@@ -337,6 +341,7 @@ class ExactBest(Strategy):
     """Claim with the exactly optimal win probability for the view."""
 
     name = "exact-best"
+    enumerates_differences = True
 
     def choose(self, view, rng):
         _, best_d = per_view_exact_optimum(view.params, view.subkeys)
@@ -347,6 +352,7 @@ class OverlapGuess(Strategy):
     """Guess the overlap, then pick the claim covering the guess best."""
 
     name = "overlap-guess"
+    enumerates_differences = True
 
     def choose(self, view, rng):
         p = view.params

@@ -131,12 +131,16 @@ def _check_keys(field: GF2, keys) -> None:
             raise ParameterError("key outside the field")
 
 
-def poly_hash(key: int, value: int, msg_bits: int, degree: int) -> int:
-    """Digest of one message under one key (Horner on the reversed blocks)."""
+def poly_hash(key: int, value: int, msg_bits: int, degree: int, *, mul_k=None) -> int:
+    """Digest of one message under one key (Horner on the reversed blocks).
+
+    mul_k, if given, is GF2.get(degree).fixed_mul(key): a caller that
+    multiplies by the key again (the MAC) builds the key's window once."""
     field = GF2.get(degree)
     _check_keys(field, [key])
     blocks = chunk_blocks(value, msg_bits, degree)
-    mul_k = field.fixed_mul(key)
+    if mul_k is None:
+        mul_k = field.fixed_mul(key)
     acc = 0
     for block in reversed(blocks):
         acc = mul_k(acc) ^ block

@@ -352,6 +352,17 @@ def cmd_attack(args) -> int:
                 f"unknown strategies {unknown}; have {sorted(by_name)}"
             )
         chosen = [by_name[n] for n in args.strategy]
+    if params.data_bits > adv.MAX_EXACT_DATA_BITS:
+        # fail before any game is played, not after the first rows
+        blocked = [s.name for s in chosen if s.enumerates_differences]
+        blocked += ["--exact"] if args.exact else []
+        if blocked:
+            playable = [s.name for s in adv.ALL_STRATEGIES if not s.enumerates_differences]
+            raise ParameterError(
+                f"{', '.join(blocked)} enumerate difference space, capped at "
+                f"{adv.MAX_EXACT_DATA_BITS} data bits; at {params.data_bits} "
+                f"data bits play only {', '.join(playable)}"
+            )
 
     header = [
         "strategy", "cheater", "trials", "wins", "rate",

@@ -16,7 +16,12 @@ Conventions, shared by every caller in this package:
 The table holds, for each degree, the irreducible polynomial with the
 fewest nonzero terms, ties broken by smallest integer mask. Degrees above
 the table are served by a deterministic cached search applying the same
-rule, so all processes agree without coordination.
+rule, so all processes agree without coordination. is_irreducible alone
+accepts a candidate; before it, the search skips candidates that a cheap
+exact rule proves reducible: a factor among the irreducibles of degree 2
+to 8, or Swan's theorem for trinomials of a degree divisible by 8. At
+degree 280, the MAC field at eps = 2^-40, 14 of the 343 candidates up to
+the answer take the full test.
 """
 
 from __future__ import annotations
@@ -204,25 +209,78 @@ def reduction_poly(degree: int) -> int:
         return _search_reduction_poly(degree)
 
 
-def _masks(bits: int, below: int):
-    """Every int with `bits` set bits, all in [1, below), in increasing order."""
-    if not bits:
-        yield 0
+def _exponent_sets(size: int, below: int):
+    """Every set of `size` exponents in [1, below), highest first, in the
+    increasing order of the masks they set."""
+    if not size:
+        yield ()
         return
-    for top in range(bits, below):
-        for rest in _masks(bits - 1, top):
-            yield rest | 1 << top
+    for top in range(size, below):
+        for rest in _exponent_sets(size - 1, top):
+            yield (top, *rest)
+
+
+# The sieve divides by every irreducible of degree 2 to this; degree 1
+# never divides a candidate, which has a constant term and odd weight.
+_SIEVE_MAX_DEGREE = 8
+
+
+@lru_cache(maxsize=1)
+def _small_irreducibles() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(deg g, x^i mod g for i below the order of x) for each irreducible g
+    of degree 2 to _SIEVE_MAX_DEGREE; x^e mod g is then powers[e % order]."""
+    out = []
+    for g in range(1 << 2, 1 << (_SIEVE_MAX_DEGREE + 1)):
+        if not is_irreducible(g):
+            continue
+        d = g.bit_length() - 1
+        powers, r = [1], 2
+        while r != 1:
+            powers.append(r)
+            r <<= 1
+            if r >> d:
+                r ^= g
+        out.append((d, tuple(powers)))
+    return tuple(out)
+
+
+def _proven_reducible(degree: int, mids: tuple[int, ...]) -> bool:
+    """Whether a cheap exact rule shows x^degree + sum(x^e for e in mids) + 1
+    reducible, so the search need not run the full test on it.
+
+    Swan's theorem (Pacific J. Math. 12, 1962) leaves no irreducible
+    trinomial of a degree divisible by 8. Otherwise the candidate is
+    reducible when an irreducible of degree 2 to _SIEVE_MAX_DEGREE, below
+    `degree`, divides it. True only for reducible candidates; False says
+    nothing, and the full test decides."""
+    if len(mids) == 1 and degree % 8 == 0:
+        return True
+    for d, powers in _small_irreducibles():
+        if d >= degree:
+            break
+        order = len(powers)
+        r = powers[degree % order] ^ 1  # x^degree + 1 mod g
+        for e in mids:
+            r ^= powers[e % order]
+        if not r:
+            return True
+    return False
 
 
 @lru_cache(maxsize=None)
 def _search_reduction_poly(degree: int) -> int:
     # same rule as the frozen table: fewest terms, then smallest mask; the
-    # masks of each weight come in increasing order, so the first hit wins
+    # masks of each weight come in increasing order, so the first
+    # irreducible wins. is_irreducible alone accepts a candidate; the cheap
+    # rules only skip ones it would reject.
     ends = (1 << degree) | 1
     for weight in range(3, degree + 2, 2):
-        for mids in _masks(weight - 2, degree):
-            if is_irreducible(ends | mids):
-                return ends | mids
+        for mids in _exponent_sets(weight - 2, degree):
+            if _proven_reducible(degree, mids):
+                continue
+            poly = ends | sum(1 << e for e in mids)
+            if is_irreducible(poly):
+                return poly
     raise AssertionError("unreachable: some irreducible of each degree exists")
 
 

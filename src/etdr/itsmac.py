@@ -56,10 +56,10 @@ class MacKey:
 
 
 def _tag_core(key: MacKey, value: int, bit_len: int) -> int:
-    field = GF2.get(2 * key.tag_bits)
-    digest = poly_hash(key.hash_key, value, bit_len, 2 * key.tag_bits)
-    shifted = field.mul(key.hash_key, digest)
-    return (shifted & ((1 << key.tag_bits) - 1)) ^ key.pad
+    degree = 2 * key.tag_bits
+    mul_k = GF2.get(degree).fixed_mul(key.hash_key)  # one window for both products
+    digest = poly_hash(key.hash_key, value, bit_len, degree, mul_k=mul_k)
+    return (mul_k(digest) & ((1 << key.tag_bits) - 1)) ^ key.pad
 
 
 def mac_tag_bits(key: MacKey, value: int, bit_len: int) -> int:

@@ -329,7 +329,6 @@ class TtpRunner(_Runner):
             self.record.set(field, frame.payload)
         except ProtocolStateError:
             return self._freeze(ERR_STATE, "conflicting resubmission")
-        self._save()
         return self._maybe_announce_et()
 
     def _maybe_announce_et(self) -> list[tuple[int, Frame]]:
@@ -373,7 +372,6 @@ class TtpRunner(_Runner):
             self.record.set(field, frame.payload)
         except ProtocolStateError:
             return self._freeze(ERR_STATE, "conflicting re-claim")
-        self._save()
         return self._maybe_announce_dr()
 
     def _maybe_announce_dr(self) -> list[tuple[int, Frame]]:

@@ -325,6 +325,28 @@ def test_attack_wide_game(capsys):
     assert all(r[-1] == "True" for r in rows[1:])
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--strategy", "random-claim", "--strategy", "overlap-guess"],
+     ["--strategy", "random-claim", "--exact"]],
+)
+def test_attack_wide_game_refuses_table_strategies_before_playing(capsys, monkeypatch, extra):
+    # the default set includes strategies that enumerate difference space;
+    # above its cap the command names what can play and plays nothing
+    import etdr.adversary as adv
+
+    played = []
+    monkeypatch.setattr(adv, "play_game", lambda *a, **k: played.append(a))
+    code, out, err = run_cli(
+        ["attack", "--data-bits", "64", "--shared-count", "3",
+         "--subkey-bits", "8", "--trials", "100", *extra],
+        capsys,
+    )
+    assert code == 2
+    assert played == [] and out == ""
+    assert "random-claim, single-bit-flip, copy-honest-vector" in err
+
+
 def test_attack_exact_report(capsys):
     code, out, _ = run_cli(
         ["attack", "--data-bits", "4", "--shared-count", "2",

@@ -99,6 +99,49 @@ def test_search_reproduces_the_pinned_table():
         assert search(degree) == REDUCTION_POLY[degree], degree
 
 
+@pytest.mark.parametrize(
+    "degree, taps",
+    [(136, [0, 2, 3, 5]), (280, [0, 2, 5, 9]), (424, [0, 2, 7, 9]), (808, [0, 2, 3, 14])],
+)
+def test_search_beyond_the_table_returns_the_pinned_answers(degree, taps):
+    # the MAC fields at eps = 2^-40, 2^-64 and 2^-128 are 280, 424 and 808;
+    # these are the answers of the search that ran the full test on every
+    # candidate, and they are wire constants like the table's
+    p = gf2field._search_reduction_poly.__wrapped__(degree)
+    assert p == sum(1 << e for e in [*taps, degree])
+
+
+def _mod(a, g):
+    while a.bit_length() >= g.bit_length():
+        a ^= g << (a.bit_length() - g.bit_length())
+    return a
+
+
+def test_search_skips_only_reducible_candidates():
+    # every trinomial to degree 64 and pentanomial to degree 24 (constant
+    # term set, as the search makes them): the cheap rules skip exactly the
+    # trinomials Swan's theorem rules out and the candidates with an
+    # irreducible factor of degree 2..8 below their own, and the full test
+    # finds each skipped one reducible
+    small = [g for g in range(4, 1 << 9) if is_irreducible(g)]
+    candidates = [(d, (k,)) for d in range(2, 65) for k in range(1, d)]
+    candidates += [
+        (d, (a, b, c)) for d in range(4, 25)
+        for a in range(3, d) for b in range(2, a) for c in range(1, b)
+    ]
+    skipped = {"swan": 0, "sieve": 0}
+    for d, mids in candidates:
+        poly = (1 << d) | 1 | sum(1 << e for e in mids)
+        swan = len(mids) == 1 and d % 8 == 0
+        factor = any(_mod(poly, g) == 0 for g in small if g.bit_length() <= d)
+        assert gf2field._proven_reducible(d, mids) == (swan or factor), (d, mids)
+        if swan or factor:
+            skipped["swan" if swan else "sieve"] += 1
+            assert not is_irreducible(poly), (d, mids)
+    assert skipped["swan"] == sum(d - 1 for d in range(8, 65, 8))
+    assert skipped["sieve"] > len(candidates) // 2
+
+
 def test_reduction_poly_search_runs_once_under_concurrent_calls(monkeypatch):
     searched = []
     search = gf2field._search_reduction_poly.__wrapped__

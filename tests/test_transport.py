@@ -293,6 +293,58 @@ def test_restart_verdict_matches_uninterrupted_run(tmp_path):
     assert bob.verdict == straight.verdict_b
 
 
+class CountingStore(SessionStore):
+    saves = 0
+
+    def save(self, rec):
+        self.saves += 1
+        super().save(rec)
+
+
+def test_referee_dropped_between_submits_rules_as_uninterrupted(tmp_path):
+    # the referee writes its record once per announce, so one dropped after
+    # Alice's submit and before Bob's has stored nothing of the comparison:
+    # a fresh referee on the same store takes both submits, and both
+    # claims after the same drop, and reaches the uninterrupted outcomes
+    sec = generate_keys(PARAMS, seed=402)
+    m, other = messages(15)
+    lie = Message(other.value ^ (1 << 7), 256)
+    straight = run_session(sec, m, other, dispute=True, claim_b=lie)
+
+    alice = PartyRunner(sec.alice, m)
+    bob = PartyRunner(sec.bob, other)
+    submit_a, submit_b = alice.et_submit_frame(), bob.et_submit_frame()
+    dropped = TtpRunner(sec, store=CountingStore(tmp_path))
+    assert dropped.on_frame(encode_frame(submit_a)) == []
+    assert dropped.store.saves == 0
+
+    store = CountingStore(tmp_path)
+    ttp = TtpRunner(sec, store=store)
+    assert not ttp.record.has("et_blob_a")
+    net = MemoryNetwork(ttp, alice, bob)
+    net.post(ROLE_ALICE, ROLE_TTP, submit_a)
+    net.post(ROLE_BOB, ROLE_TTP, submit_b)
+    net.deliver_all()
+    assert alice.et_outcome == straight.et_outcome_a == ET_DISTINCT
+    assert bob.et_outcome == straight.et_outcome_b
+    assert store.saves == 1
+
+    claim_a, claim_b = alice.dr_claim_frame(), bob.dr_claim_frame(lie)
+    dropped = TtpRunner(sec, store=CountingStore(tmp_path))
+    assert dropped.on_frame(encode_frame(claim_a)) == []
+    assert dropped.store.saves == 0
+
+    store = CountingStore(tmp_path)
+    net = MemoryNetwork(TtpRunner(sec, store=store), alice, bob)
+    net.post(ROLE_ALICE, ROLE_TTP, claim_a)
+    net.post(ROLE_BOB, ROLE_TTP, claim_b)
+    net.deliver_all()
+    assert alice.verdict == straight.verdict_a == Verdict.ALICE_CORRECT
+    assert bob.verdict == straight.verdict_b
+    assert store.saves == 1
+    assert SessionStore(tmp_path).record(sec.session_id).has("dr_verdict")
+
+
 # --------------------------------------------------------------- sockets
 
 
