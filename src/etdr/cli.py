@@ -46,11 +46,6 @@ EXIT_STATE = 5
 EXIT_FRAME = 6
 EXIT_STORE = 7
 
-# freeze reasons carried in error frames -> exit codes
-_FREEZE_EXIT = {1: EXIT_MAC, 2: EXIT_STATE, 3: EXIT_FRAME}
-
-_ET_NAMES = {0: "equal", 1: "distinct"}
-
 
 def _exit_code(exc: Exception) -> int:
     if isinstance(exc, ParameterError):
@@ -190,9 +185,19 @@ def cmd_keygen(args) -> int:
 
 
 def _freeze_exit(tag: str, info) -> int:
+    from .transport.runners import ERR_FRAME, ERR_MAC, ERR_STATE
+
+    # freeze reasons carried in error frames -> exit codes
+    exits = {ERR_MAC: EXIT_MAC, ERR_STATE: EXIT_STATE, ERR_FRAME: EXIT_FRAME}
     where = "detected locally" if info.local else "reported by peer"
     print(f"frozen {tag}: {info.reason_name} ({where}): {info.detail}")
-    return _FREEZE_EXIT.get(info.reason, EXIT_SOFTWARE)
+    return exits.get(info.reason, EXIT_SOFTWARE)
+
+
+def _outcome_name(code: int) -> str:
+    from .etproto.core import ET_DISTINCT, ET_EQUAL
+
+    return {ET_EQUAL: "equal", ET_DISTINCT: "distinct"}[code]
 
 
 def cmd_ttp(args) -> int:
@@ -211,22 +216,16 @@ def cmd_ttp(args) -> int:
         if args.port_file:
             Path(args.port_file).write_text(f"{bound_host} {bound_port}\n")
         runner = server.runner
-        deadline = time.monotonic() + args.wait
-        done = False
-        while time.monotonic() < deadline:
-            if runner.frozen is not None:
-                return _freeze_exit("ttp", runner.frozen)
-            done = runner.record.has("et_outcome") and (
-                not args.dispute or runner.record.has("dr_verdict")
-            )
-            if done:
-                break
-            time.sleep(0.05)
+        last = "dr_verdict" if args.dispute else "et_outcome"
+        # the announces have been sent once the record holds the last result
+        done = server.wait_until(
+            lambda r: r.frozen is not None or r.record.has(last), args.wait
+        )
+        if runner.frozen is not None:
+            return _freeze_exit("ttp", runner.frozen)
         if not done:
             raise FrameError(f"session did not complete within {args.wait}s")
-        time.sleep(0.2)  # let the last announces flush before closing
-        outcome = runner.record.get("et_outcome")[0]
-        print(f"outcome: {_ET_NAMES[outcome]}")
+        print(f"outcome: {_outcome_name(runner.record.get('et_outcome')[0])}")
         if args.dispute:
             from .etproto.core import Verdict
 
@@ -261,7 +260,7 @@ def _run_memory(args, dispute: bool) -> int:
     )
     for tag, info in result.frozen.items():
         return _freeze_exit(tag, info)
-    print(f"outcome: {_ET_NAMES[result.et_outcome_a]}")
+    print(f"outcome: {_outcome_name(result.et_outcome_a)}")
     if dispute:
         print(f"verdict: {result.verdict_a.name}")
     if args.traffic:
@@ -299,7 +298,7 @@ def _run_socket(args, dispute: bool) -> int:
     )
     if runner.frozen is not None:
         return _freeze_exit("party", runner.frozen)
-    print(f"outcome: {_ET_NAMES[runner.et_outcome]}")
+    print(f"outcome: {_outcome_name(runner.et_outcome)}")
     if dispute:
         print(f"verdict: {runner.verdict.name}")
     return EXIT_OK

@@ -16,7 +16,7 @@ from ..bits import Message
 from ..etproto.keys import ROLE_ALICE, ROLE_BOB, ROLE_TTP, ROLE_NAMES, TtpSecret
 from ..etproto.session import SessionStore
 from .frames import Frame, encode_frame
-from .runners import PartyRunner, SessionResult, TtpRunner
+from .runners import PARTIES, PartyRunner, SessionResult, TtpRunner
 from .traffic import TrafficMeter
 
 
@@ -117,10 +117,7 @@ def run_session(
     net.deliver_all()
 
     if dispute:
-        for role, runner, claim in (
-            (ROLE_ALICE, alice, claim_a),
-            (ROLE_BOB, bob, claim_b),
-        ):
+        for role, runner, claim in zip(PARTIES, (alice, bob), (claim_a, claim_b)):
             if runner.frozen is None and runner.state == "et_done":
                 net.post(role, ROLE_TTP, runner.dr_claim_frame(claim))
         net.deliver_all()

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from ..errors import FrameError
+from ..etproto.keys import ROLE_ALICE, ROLE_BOB
+from ..params import Params
 
 FRAME_VERSION = 1
 HEADER_BYTES = 23
@@ -40,6 +42,53 @@ class MsgType(IntEnum):
     DR_CLAIM_B = 5
     DR_ANNOUNCE = 6
     ERROR = 7
+
+
+@dataclass(frozen=True, eq=False)
+class Phase:
+    """One round of the protocol: each party sends the referee one
+    authenticated payload, and the referee records both, decides, and
+    announces one code to each party.
+
+    Keys and pads are named by MacMaterial field, payloads and the result
+    by SessionRecord field, and the payload width by Params attribute.
+    """
+
+    name: str
+    inbound: dict[int, MsgType]  # sender role -> its message type
+    announce: MsgType
+    hash_key: str
+    inbound_pad: str
+    announce_pad: str
+    payload_fields: dict[int, str]  # sender role -> record field of its payload
+    result_field: str
+    payload_width: str
+
+    def payload_bits(self, params: Params) -> int:
+        return getattr(params, self.payload_width)
+
+
+ET = Phase(
+    "et",
+    {ROLE_ALICE: MsgType.ET_SUBMIT_A, ROLE_BOB: MsgType.ET_SUBMIT_B},
+    MsgType.ET_ANNOUNCE,
+    "et_hash_key", "et_submit_pad", "et_announce_pad",
+    {ROLE_ALICE: "et_blob_a", ROLE_BOB: "et_blob_b"},
+    "et_outcome",
+    "digest_vector_bits",
+)
+DR = Phase(
+    "dr",
+    {ROLE_ALICE: MsgType.DR_CLAIM_A, ROLE_BOB: MsgType.DR_CLAIM_B},
+    MsgType.DR_ANNOUNCE,
+    "dr_hash_key", "dr_claim_pad", "dr_announce_pad",
+    {ROLE_ALICE: "dr_claim_a", ROLE_BOB: "dr_claim_b"},
+    "dr_verdict",
+    "data_bits",
+)
+PHASES = (ET, DR)  # in protocol order
+PHASE_OF = {t: ph for ph in PHASES for t in (*ph.inbound.values(), ph.announce)}
+SENDER_OF = {t: role for ph in PHASES for role, t in ph.inbound.items()}
 
 
 @dataclass(frozen=True)
@@ -84,8 +133,9 @@ def decode_frame(buf: bytes) -> Frame:
     return frame
 
 
-def _parse(buf: bytes) -> tuple[Frame | None, int]:
-    """(frame, bytes consumed), or (None, 0) if more bytes are needed."""
+def _parse(buf: bytes | bytearray) -> tuple[Frame | None, int]:
+    """(frame, bytes consumed), or (None, 0) if more bytes are needed.
+    The header is read in place; only a complete frame is copied out."""
     if len(buf) < HEADER_BYTES:
         return None, 0
     version, raw_type = buf[0], buf[1]
@@ -104,9 +154,9 @@ def _parse(buf: bytes) -> tuple[Frame | None, int]:
     total = HEADER_BYTES + payload_len + tag_len
     if len(buf) < total:
         return None, 0
-    session_id = buf[2:18]
-    payload = buf[HEADER_BYTES : HEADER_BYTES + payload_len]
-    tag = buf[HEADER_BYTES + payload_len : total]
+    session_id = bytes(buf[2:18])
+    payload = bytes(buf[HEADER_BYTES : HEADER_BYTES + payload_len])
+    tag = bytes(buf[HEADER_BYTES + payload_len : total])
     return Frame(msg_type, session_id, payload, tag), total
 
 
@@ -120,7 +170,7 @@ class FrameReader:
         self._buf.extend(data)
         frames = []
         while True:
-            frame, used = _parse(bytes(self._buf))
+            frame, used = _parse(self._buf)
             if frame is None:
                 return frames
             del self._buf[:used]

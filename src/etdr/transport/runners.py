@@ -1,7 +1,9 @@
 """Per-role protocol state machines, independent of any carrier.
 
 Runners consume raw frame bytes and return the frames they want sent; a
-carrier just moves bytes. Anything wrong with an incoming frame freezes
+carrier just moves bytes. Both phases run from the phase table in
+frames: each party sends one payload, and the referee records both,
+decides and announces. Anything wrong with an incoming frame freezes
 the runner: it records why, emits one error frame where an unused
 authenticator pad remains, and ignores everything afterwards. Local API
 misuse (submitting twice, disputing before the comparison finished)
@@ -19,14 +21,16 @@ from ..etproto import core
 from ..etproto.keys import (
     ROLE_ALICE,
     ROLE_BOB,
+    ROLE_NAMES,
     ROLE_TTP,
+    MacMaterial,
     PartyKeys,
     TtpSecret,
 )
 from ..etproto.session import SessionRecord, SessionStore
 from ..itsmac import MacKey, mac_tag, mac_verify
 from ..params import Params
-from .frames import Frame, MsgType, decode_frame
+from .frames import DR, ET, PHASE_OF, PHASES, SENDER_OF, Frame, MsgType, Phase, decode_frame
 
 # error-frame reason codes
 ERR_MAC = 1
@@ -34,6 +38,14 @@ ERR_STATE = 2
 ERR_FRAME = 3
 
 _REASON_NAMES = {ERR_MAC: "mac", ERR_STATE: "state", ERR_FRAME: "frame"}
+
+PARTIES = (ROLE_ALICE, ROLE_BOB)
+
+# a party's states per phase: awaiting the announce, and holding it
+_TURNS = {ET: ("et_wait", "et_done"), DR: ("dr_wait", "done")}
+
+# what the referee calls a phase's payload, and a second, different one
+_NOUNS = {ET: ("submission", "resubmission"), DR: ("claim", "re-claim")}
 
 
 @dataclass(frozen=True)
@@ -51,14 +63,6 @@ def _tag_bytes(params: Params) -> int:
     return (params.tag_bits + 7) // 8
 
 
-def _submit_payload_bytes(params: Params) -> int:
-    return (params.digest_vector_bits + 7) // 8
-
-
-def _claim_payload_bytes(params: Params) -> int:
-    return (params.data_bits + 7) // 8
-
-
 def _sign(frame: Frame, hash_key: int, pad: int, params: Params, role: int) -> Frame:
     # authenticate under the header as it will appear on the wire, i.e.
     # with the final tag length already in it
@@ -66,38 +70,97 @@ def _sign(frame: Frame, hash_key: int, pad: int, params: Params, role: int) -> F
     signed_shape = Frame(frame.msg_type, frame.session_id, frame.payload, placeholder)
     key = MacKey(hash_key, pad, params.tag_bits)
     tag_int = mac_tag(key, signed_shape.mac_input(role))
-    return Frame(
-        frame.msg_type,
-        frame.session_id,
-        frame.payload,
-        bits_to_bytes(tag_int, params.tag_bits),
-    )
-
-
-def _verify(frame: Frame, hash_key: int, pad: int, params: Params, role: int) -> bool:
-    if len(frame.tag) != _tag_bytes(params):
-        return False
-    try:
-        tag_int = bytes_to_bits(frame.tag, params.tag_bits)
-    except ParameterError:
-        return False
-    key = MacKey(hash_key, pad, params.tag_bits)
-    return mac_verify(key, frame.mac_input(role), tag_int)
+    tag = bits_to_bytes(tag_int, params.tag_bits)
+    return Frame(frame.msg_type, frame.session_id, frame.payload, tag)
 
 
 class _Runner:
-    """State shared by both endpoint kinds: freeze handling and signing."""
+    """State shared by both endpoint kinds: decoding, signing, freezing and
+    the ledger of spent outbound pads.
 
-    def __init__(self, params: Params, session_id: bytes):
+    A runner has one link per peer, keyed by the peer's role. On a link
+    each phase has one pad per direction: parties sign with the phase's
+    inbound pad, the referee with its announce pad. Subclasses handle a
+    checked protocol frame (`_accept`).
+    """
+
+    role: int  # the role byte this runner signs as
+    _to_referee: bool  # whether this runner's frames go to the referee
+    _error_detail: str  # wording of a peer's error report: {kind}, {name}, {code}
+
+    def __init__(self, params: Params, session_id: bytes, links: dict[int, MacMaterial]):
         self.params = params
         self.session_id = session_id
+        self._links = links  # peer role -> key material of the link
         self.frozen: FreezeInfo | None = None
+        # (peer, phase name) whose outbound pad has signed a frame
+        self._spent: set[tuple[int, str]] = set()
 
     def _require_live(self) -> None:
         if self.frozen is not None:
             raise ProtocolStateError(
                 f"session frozen ({self.frozen.reason_name}): {self.frozen.detail}"
             )
+
+    def _key(self, peer: int, phase: Phase, outbound: bool) -> tuple[int, int]:
+        """(hash key, pad) of `phase` on the link to `peer`, for a frame this
+        runner sends (outbound) or receives."""
+        mac = self._links[peer]
+        pad = phase.inbound_pad if outbound == self._to_referee else phase.announce_pad
+        return getattr(mac, phase.hash_key), getattr(mac, pad)
+
+    def _signed(self, frame: Frame, peer: int, phase: Phase) -> Frame:
+        self._spent.add((peer, phase.name))
+        return _sign(frame, *self._key(peer, phase, True), self.params, self.role)
+
+    def _authentic(self, frame: Frame, peer: int, phase: Phase) -> bool:
+        if len(frame.tag) != _tag_bytes(self.params):
+            return False
+        try:
+            tag_int = bytes_to_bits(frame.tag, self.params.tag_bits)
+        except ParameterError:
+            return False
+        key = MacKey(*self._key(peer, phase, False), self.params.tag_bits)
+        return mac_verify(key, frame.mac_input(peer), tag_int)
+
+    # -- inbound --------------------------------------------------------
+
+    def _receive(self, raw: bytes) -> list[tuple[int, Frame]]:
+        if self.frozen is not None:
+            return []
+        try:
+            frame = decode_frame(raw)
+        except FrameError as exc:
+            return self._freeze(ERR_FRAME, str(exc))
+        if frame.session_id != self.session_id:
+            return self._freeze(ERR_FRAME, "frame for a different session")
+        if frame.msg_type == MsgType.ERROR:
+            return self._on_error(frame)
+        return self._accept(frame)
+
+    def _on_error(self, frame: Frame) -> list[tuple[int, Frame]]:
+        # the peer's reason code counts only under one of its own pads
+        senders = (p for p in self._links if any(self._authentic(frame, p, ph) for ph in PHASES))
+        sender = next(senders, None)
+        reason = frame.payload[0] if frame.payload else 0
+        kind = "unauthenticated" if sender is None else "authentic"
+        name = ROLE_NAMES.get(sender, "unknown sender")
+        detail = self._error_detail.format(kind=kind, name=name, code=reason)
+        self.frozen = FreezeInfo(ERR_MAC if sender is None else reason, detail, local=False)
+        return []
+
+    # -- freezing -------------------------------------------------------
+
+    def _freeze(self, reason: int, detail: str) -> list[tuple[int, Frame]]:
+        """Freeze and report to every peer, signed with the link's first
+        unspent outbound pad; unsigned once the link has none left."""
+        self.frozen = FreezeInfo(reason, detail, local=True)
+        err = Frame(MsgType.ERROR, self.session_id, bytes([reason]), b"")
+        out = []
+        for peer in self._links:
+            unspent = [phase for phase in PHASES if (peer, phase.name) not in self._spent]
+            out.append((peer, self._signed(err, peer, unspent[0]) if unspent else err))
+        return out
 
 
 # --------------------------------------------------------------- parties
@@ -107,12 +170,14 @@ class PartyRunner(_Runner):
     """Alice or Bob. Feed it announce frames; it hands back nothing unless
     it needs to report an error."""
 
+    _to_referee = True
+    _error_detail = "{kind} error report from referee (code {code})"
+
     def __init__(self, keys: PartyKeys, message: Message):
-        super().__init__(keys.params, keys.session_id)
+        super().__init__(keys.params, keys.session_id, {ROLE_TTP: keys.mac})
         if message.bit_len != keys.params.data_bits:
             raise ParameterError(
-                f"message is {message.bit_len} bits, protocol fixed "
-                f"{keys.params.data_bits}"
+                f"message is {message.bit_len} bits, protocol fixed {keys.params.data_bits}"
             )
         self.keys = keys
         self.role = keys.role
@@ -120,9 +185,7 @@ class PartyRunner(_Runner):
         self.state = "new"
         self.et_outcome: int | None = None
         self.verdict: core.Verdict | None = None
-        self._claimed: Message | None = None
-        self._announce_payload: bytes | None = None
-        self._verdict_payload: bytes | None = None
+        self._announced: dict[str, bytes] = {}  # phase name -> accepted announce payload
 
     # -- outbound -------------------------------------------------------
 
@@ -131,20 +194,7 @@ class PartyRunner(_Runner):
         if self.state != "new":
             raise ProtocolStateError("digest vector already submitted")
         vec = core.hash_vector_for(self.params, self.keys.subkeys, self.message)
-        blob = core.encrypt_vector(self.params, vec, self.keys.otp_bits)
-        payload = bits_to_bytes(blob, self.params.digest_vector_bits)
-        msg_type = (
-            MsgType.ET_SUBMIT_A if self.role == ROLE_ALICE else MsgType.ET_SUBMIT_B
-        )
-        frame = _sign(
-            Frame(msg_type, self.session_id, payload, b""),
-            self.keys.mac.et_hash_key,
-            self.keys.mac.et_submit_pad,
-            self.params,
-            self.role,
-        )
-        self.state = "et_wait"
-        return frame
+        return self._send(ET, core.encrypt_vector(self.params, vec, self.keys.otp_bits))
 
     def dr_claim_frame(self, claim: Message | None = None) -> Frame:
         """Reveal data for the dispute; an honest party claims its own."""
@@ -154,109 +204,49 @@ class PartyRunner(_Runner):
         claim = claim if claim is not None else self.message
         if claim.bit_len != self.params.data_bits:
             raise ParameterError("claim has the wrong length")
-        payload = bits_to_bytes(claim.value, self.params.data_bits)
-        msg_type = (
-            MsgType.DR_CLAIM_A if self.role == ROLE_ALICE else MsgType.DR_CLAIM_B
-        )
-        frame = _sign(
-            Frame(msg_type, self.session_id, payload, b""),
-            self.keys.mac.dr_hash_key,
-            self.keys.mac.dr_claim_pad,
-            self.params,
-            self.role,
-        )
-        self._claimed = claim
-        self.state = "dr_wait"
+        return self._send(DR, claim.value)
+
+    def _send(self, phase: Phase, payload: int) -> Frame:
+        raw = bits_to_bytes(payload, phase.payload_bits(self.params))
+        frame = Frame(phase.inbound[self.role], self.session_id, raw, b"")
+        frame = self._signed(frame, ROLE_TTP, phase)
+        self.state = _TURNS[phase][0]
         return frame
 
     # -- inbound --------------------------------------------------------
 
     def on_frame(self, raw: bytes) -> list[Frame]:
-        if self.frozen is not None:
-            return []
-        try:
-            frame = decode_frame(raw)
-        except FrameError as exc:
-            return self._freeze(ERR_FRAME, str(exc))
-        if frame.session_id != self.session_id:
-            return self._freeze(ERR_FRAME, "frame for a different session")
-        if frame.msg_type == MsgType.ET_ANNOUNCE:
-            return self._on_announce(frame, "et")
-        if frame.msg_type == MsgType.DR_ANNOUNCE:
-            return self._on_announce(frame, "dr")
-        if frame.msg_type == MsgType.ERROR:
-            return self._on_error(frame)
+        return [frame for _, frame in self._receive(raw)]
+
+    def _accept(self, frame: Frame) -> list[tuple[int, Frame]]:
+        phase = PHASE_OF[frame.msg_type]
+        if frame.msg_type == phase.announce:
+            return self._on_announce(frame, phase)
         return self._freeze(ERR_STATE, f"unexpected {frame.msg_type.name} at a party")
 
-    def _on_announce(self, frame: Frame, phase: str) -> list[Frame]:
-        mac = self.keys.mac
-        if phase == "et":
-            want_state, hash_key, pad = "et_wait", mac.et_hash_key, mac.et_announce_pad
-            done_state, replay = "et_done", self._announce_payload
-        else:
-            want_state, hash_key, pad = "dr_wait", mac.dr_hash_key, mac.dr_announce_pad
-            done_state, replay = "done", self._verdict_payload
-
-        if self.state == done_state and replay == frame.payload:
-            if _verify(frame, hash_key, pad, self.params, ROLE_TTP):
+    def _on_announce(self, frame: Frame, phase: Phase) -> list[tuple[int, Frame]]:
+        want_state, done_state = _TURNS[phase]
+        if self.state == done_state and self._announced.get(phase.name) == frame.payload:
+            if self._authentic(frame, ROLE_TTP, phase):
                 return []  # identical authentic retransmit
         if self.state != want_state:
-            return self._freeze(
-                ERR_STATE, f"{frame.msg_type.name} in state {self.state}"
-            )
+            return self._freeze(ERR_STATE, f"{frame.msg_type.name} in state {self.state}")
         if len(frame.payload) != 1:
             return self._freeze(ERR_FRAME, "announce payload must be one byte")
-        if not _verify(frame, hash_key, pad, self.params, ROLE_TTP):
+        if not self._authentic(frame, ROLE_TTP, phase):
             return self._freeze(ERR_MAC, f"bad authenticator on {frame.msg_type.name}")
         code = frame.payload[0]
-        if phase == "et":
+        if phase is ET:
             if code not in (core.ET_EQUAL, core.ET_DISTINCT):
                 return self._freeze(ERR_STATE, f"invalid comparison outcome {code}")
             self.et_outcome = code
-            self._announce_payload = frame.payload
         else:
             if code > core.Verdict.UNDECIDABLE:
                 return self._freeze(ERR_STATE, f"invalid verdict code {code}")
             self.verdict = core.Verdict(code)
-            self._verdict_payload = frame.payload
+        self._announced[phase.name] = frame.payload
         self.state = done_state
         return []
-
-    def _on_error(self, frame: Frame) -> list[Frame]:
-        mac = self.keys.mac
-        authentic = any(
-            _verify(frame, hk, pad, self.params, ROLE_TTP)
-            for hk, pad in (
-                (mac.et_hash_key, mac.et_announce_pad),
-                (mac.dr_hash_key, mac.dr_announce_pad),
-            )
-        )
-        reason = frame.payload[0] if frame.payload else 0
-        kind = "authentic" if authentic else "unauthenticated"
-        self.frozen = FreezeInfo(
-            reason if authentic else ERR_MAC,
-            f"{kind} error report from referee (code {reason})",
-            local=False,
-        )
-        return []
-
-    # -- freezing -------------------------------------------------------
-
-    def _unused_outbound(self) -> tuple[int, int] | None:
-        mac = self.keys.mac
-        if self.state == "new":
-            return mac.et_hash_key, mac.et_submit_pad
-        if self.state in ("et_wait", "et_done"):
-            return mac.dr_hash_key, mac.dr_claim_pad
-        return None
-
-    def _freeze(self, reason: int, detail: str) -> list[Frame]:
-        keys = self._unused_outbound()
-        self.frozen = FreezeInfo(reason, detail, local=True)
-        err = Frame(MsgType.ERROR, self.session_id, bytes([reason]), b"")
-        if keys is None:
-            return [err]
-        return [_sign(err, keys[0], keys[1], self.params, self.role)]
 
 
 # ----------------------------------------------------------------- ttp
@@ -265,205 +255,85 @@ class PartyRunner(_Runner):
 class TtpRunner(_Runner):
     """The referee. Returns (destination role, frame) pairs to send."""
 
+    role = ROLE_TTP
+    _to_referee = False
+    _error_detail = "error report from {name} (code {code})"
+
     def __init__(self, secret: TtpSecret, store: SessionStore | None = None):
-        super().__init__(secret.params, secret.session_id)
+        links = {ROLE_ALICE: secret.alice.mac, ROLE_BOB: secret.bob.mac}
+        super().__init__(secret.params, secret.session_id, links)
         self.secret = secret
         self.store = store
         self.record: SessionRecord = (
             store.record(secret.session_id) if store else SessionRecord(secret.session_id)
         )
         # announce pads spent in an earlier process stay spent
-        self._announce_pad_used = {
-            (ROLE_ALICE, "et"): self.record.has("et_outcome"),
-            (ROLE_BOB, "et"): self.record.has("et_outcome"),
-            (ROLE_ALICE, "dr"): self.record.has("dr_verdict"),
-            (ROLE_BOB, "dr"): self.record.has("dr_verdict"),
-        }
-
-    def _party(self, role: int) -> PartyKeys:
-        return self.secret.alice if role == ROLE_ALICE else self.secret.bob
-
-    def _save(self) -> None:
-        if self.store is not None:
-            self.store.save(self.record)
+        for phase in PHASES:
+            if self.record.has(phase.result_field):
+                self._spent.update((role, phase.name) for role in PARTIES)
 
     # -- inbound --------------------------------------------------------
 
     def on_frame(self, raw: bytes) -> list[tuple[int, Frame]]:
-        if self.frozen is not None:
-            return []
-        try:
-            frame = decode_frame(raw)
-        except FrameError as exc:
-            return self._freeze(ERR_FRAME, str(exc))
-        if frame.session_id != self.session_id:
-            return self._freeze(ERR_FRAME, "frame for a different session")
-        handlers = {
-            MsgType.ET_SUBMIT_A: (self._on_submit, ROLE_ALICE),
-            MsgType.ET_SUBMIT_B: (self._on_submit, ROLE_BOB),
-            MsgType.DR_CLAIM_A: (self._on_claim, ROLE_ALICE),
-            MsgType.DR_CLAIM_B: (self._on_claim, ROLE_BOB),
-        }
-        if frame.msg_type == MsgType.ERROR:
-            return self._on_error(frame)
-        if frame.msg_type not in handlers:
-            return self._freeze(
-                ERR_STATE, f"unexpected {frame.msg_type.name} at the referee"
-            )
-        handler, sender = handlers[frame.msg_type]
-        return handler(frame, sender)
+        return self._receive(raw)
 
-    def _on_submit(self, frame: Frame, sender: int) -> list[tuple[int, Frame]]:
-        p = self.params
-        if len(frame.payload) != _submit_payload_bytes(p):
-            return self._freeze(ERR_FRAME, "submission has the wrong size")
-        keys = self._party(sender)
-        if not _verify(frame, keys.mac.et_hash_key, keys.mac.et_submit_pad, p, sender):
-            return self._freeze(ERR_MAC, "bad authenticator on a submission")
-        try:
-            bytes_to_bits(frame.payload, p.digest_vector_bits)
-        except ParameterError:
-            return self._freeze(ERR_STATE, "authentic submission is malformed")
-        field = "et_blob_a" if sender == ROLE_ALICE else "et_blob_b"
-        try:
-            self.record.set(field, frame.payload)
-        except ProtocolStateError:
-            return self._freeze(ERR_STATE, "conflicting resubmission")
-        return self._maybe_announce_et()
+    def _accept(self, frame: Frame) -> list[tuple[int, Frame]]:
+        sender = SENDER_OF.get(frame.msg_type)
+        if sender is None:
+            return self._freeze(ERR_STATE, f"unexpected {frame.msg_type.name} at the referee")
+        return self._on_inbound(frame, PHASE_OF[frame.msg_type], sender)
 
-    def _maybe_announce_et(self) -> list[tuple[int, Frame]]:
-        rec = self.record
-        if not (rec.has("et_blob_a") and rec.has("et_blob_b")):
-            return []
-        if not rec.has("et_outcome"):
-            vec_a = core.decrypt_vector(
-                self.params,
-                bytes_to_bits(rec.get("et_blob_a")),
-                self.secret.alice.otp_bits,
-            )
-            vec_b = core.decrypt_vector(
-                self.params,
-                bytes_to_bits(rec.get("et_blob_b")),
-                self.secret.bob.otp_bits,
-            )
-            code = core.et_compare(self.params, self.secret.shared_indices, vec_a, vec_b)
-            rec.set("et_outcome", bytes([code]))
-            self._save()
-        return [
-            (role, self._announce(role, "et", rec.get("et_outcome")))
-            for role in (ROLE_ALICE, ROLE_BOB)
-        ]
-
-    def _on_claim(self, frame: Frame, sender: int) -> list[tuple[int, Frame]]:
-        p = self.params
-        if len(frame.payload) != _claim_payload_bytes(p):
-            return self._freeze(ERR_FRAME, "claim has the wrong size")
-        keys = self._party(sender)
-        if not _verify(frame, keys.mac.dr_hash_key, keys.mac.dr_claim_pad, p, sender):
-            return self._freeze(ERR_MAC, "bad authenticator on a claim")
-        if not self.record.has("et_outcome"):
+    def _on_inbound(self, frame: Frame, phase: Phase, sender: int) -> list[tuple[int, Frame]]:
+        noun, again = _NOUNS[phase]
+        bits = phase.payload_bits(self.params)
+        if len(frame.payload) != (bits + 7) // 8:
+            return self._freeze(ERR_FRAME, f"{noun} has the wrong size")
+        if not self._authentic(frame, sender, phase):
+            return self._freeze(ERR_MAC, f"bad authenticator on a {noun}")
+        if phase is DR and not self.record.has(ET.result_field):
             return self._freeze(ERR_STATE, "dispute before the comparison finished")
         try:
-            bytes_to_bits(frame.payload, p.data_bits)
+            bytes_to_bits(frame.payload, bits)
         except ParameterError:
-            return self._freeze(ERR_STATE, "authentic claim is malformed")
-        field = "dr_claim_a" if sender == ROLE_ALICE else "dr_claim_b"
+            return self._freeze(ERR_STATE, f"authentic {noun} is malformed")
         try:
-            self.record.set(field, frame.payload)
+            self.record.set(phase.payload_fields[sender], frame.payload)
         except ProtocolStateError:
-            return self._freeze(ERR_STATE, "conflicting re-claim")
-        return self._maybe_announce_dr()
+            return self._freeze(ERR_STATE, f"conflicting {again}")
+        return self._announce(phase)
 
-    def _maybe_announce_dr(self) -> list[tuple[int, Frame]]:
+    def _announce(self, phase: Phase) -> list[tuple[int, Frame]]:
+        """Once both payloads are recorded: decide once, save the record,
+        then announce the recorded result to both parties."""
         rec = self.record
-        if not (rec.has("dr_claim_a") and rec.has("dr_claim_b")):
+        if not all(rec.has(name) for name in phase.payload_fields.values()):
             return []
-        p = self.params
-        if not rec.has("dr_verdict"):
-            claim_a = Message(bytes_to_bits(rec.get("dr_claim_a"), p.data_bits), p.data_bits)
-            claim_b = Message(bytes_to_bits(rec.get("dr_claim_b"), p.data_bits), p.data_bits)
-            vec_a = core.decrypt_vector(
-                p, bytes_to_bits(rec.get("et_blob_a")), self.secret.alice.otp_bits
-            )
-            vec_b = core.decrypt_vector(
-                p, bytes_to_bits(rec.get("et_blob_b")), self.secret.bob.otp_bits
-            )
-            counts = core.dispute_counts(
-                p,
-                self.secret.alice.subkeys,
-                self.secret.bob.subkeys,
-                claim_a,
-                claim_b,
-                vec_a,
-                vec_b,
-            )
-            verdict = core.dr_verdict(p, claim_a, claim_b, *counts)
-            rec.set("dr_verdict", bytes([verdict]))
-            self._save()
-        return [
-            (role, self._announce(role, "dr", rec.get("dr_verdict")))
-            for role in (ROLE_ALICE, ROLE_BOB)
-        ]
+        if not rec.has(phase.result_field):
+            rec.set(phase.result_field, bytes([self._decide(phase)]))
+            if self.store is not None:
+                self.store.save(rec)
+        result = Frame(phase.announce, self.session_id, rec.get(phase.result_field), b"")
+        return [(role, self._signed(result, role, phase)) for role in PARTIES]
 
-    def _announce(self, role: int, phase: str, payload: bytes) -> Frame:
-        keys = self._party(role).mac
-        hash_key, pad, msg_type = (
-            (keys.et_hash_key, keys.et_announce_pad, MsgType.ET_ANNOUNCE)
-            if phase == "et"
-            else (keys.dr_hash_key, keys.dr_announce_pad, MsgType.DR_ANNOUNCE)
+    def _decide(self, phase: Phase) -> int:
+        """The comparison outcome, or the dispute verdict."""
+        p, secret = self.params, self.secret
+        blob_a, blob_b = self._recorded(ET)
+        vec_a = core.decrypt_vector(p, blob_a, secret.alice.otp_bits)
+        vec_b = core.decrypt_vector(p, blob_b, secret.bob.otp_bits)
+        if phase is ET:
+            return core.et_compare(p, secret.shared_indices, vec_a, vec_b)
+        claim_a, claim_b = (Message(value, p.data_bits) for value in self._recorded(DR))
+        counts = core.dispute_counts(
+            p, secret.alice.subkeys, secret.bob.subkeys, claim_a, claim_b, vec_a, vec_b
         )
-        self._announce_pad_used[(role, phase)] = True
-        return _sign(
-            Frame(msg_type, self.session_id, payload, b""),
-            hash_key,
-            pad,
-            self.params,
-            ROLE_TTP,
-        )
+        return core.dr_verdict(p, claim_a, claim_b, *counts)
 
-    def _on_error(self, frame: Frame) -> list[tuple[int, Frame]]:
-        authentic_from = None
-        for role in (ROLE_ALICE, ROLE_BOB):
-            mac = self._party(role).mac
-            if any(
-                _verify(frame, hk, pad, self.params, role)
-                for hk, pad in (
-                    (mac.et_hash_key, mac.et_submit_pad),
-                    (mac.dr_hash_key, mac.dr_claim_pad),
-                )
-            ):
-                authentic_from = role
-                break
-        reason = frame.payload[0] if frame.payload else 0
-        name = {ROLE_ALICE: "alice", ROLE_BOB: "bob", None: "unknown sender"}[
-            authentic_from
-        ]
-        self.frozen = FreezeInfo(
-            reason if authentic_from else ERR_MAC,
-            f"error report from {name} (code {reason})",
-            local=False,
-        )
-        return []
-
-    # -- freezing -------------------------------------------------------
-
-    def _freeze(self, reason: int, detail: str) -> list[tuple[int, Frame]]:
-        self.frozen = FreezeInfo(reason, detail, local=True)
-        out = []
-        for role in (ROLE_ALICE, ROLE_BOB):
-            err = Frame(MsgType.ERROR, self.session_id, bytes([reason]), b"")
-            mac = self._party(role).mac
-            for phase, hash_key, pad in (
-                ("et", mac.et_hash_key, mac.et_announce_pad),
-                ("dr", mac.dr_hash_key, mac.dr_announce_pad),
-            ):
-                if not self._announce_pad_used[(role, phase)]:
-                    self._announce_pad_used[(role, phase)] = True
-                    out.append((role, _sign(err, hash_key, pad, self.params, ROLE_TTP)))
-                    break
-            else:
-                out.append((role, err))
-        return out
+    def _recorded(self, phase: Phase) -> list[int]:
+        """Both parties' recorded payloads of `phase`, Alice's first."""
+        bits = phase.payload_bits(self.params)
+        fields = phase.payload_fields
+        return [bytes_to_bits(self.record.get(fields[role]), bits) for role in PARTIES]
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """TCP carrier: the same runners over real connections.
 
-The referee serves both parties concurrently; a connection is bound to a
-role by the first frame it delivers (submission and claim types name
-their sender). All runner calls are serialized under one lock, so the
-protocol logic stays single-threaded and the per-channel byte streams
-match the in-process carrier exactly.
+The referee serves both parties concurrently. A connection is bound to a
+party's role once the runner has recorded a payload it delivered as that
+party's (submission and claim types name their sender, and the runner
+records only authentic payloads); until then the referee's frames for
+that role wait unsent. All runner calls are serialized under one lock,
+so the protocol logic stays single-threaded and the per-channel byte
+streams match the in-process carrier exactly.
 """
 
 from __future__ import annotations
@@ -12,20 +14,14 @@ from __future__ import annotations
 import socket
 import threading
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..bits import Message
 from ..errors import FrameError
 from ..etproto.keys import ROLE_ALICE, ROLE_BOB, PartyKeys, TtpSecret
 from ..etproto.session import SessionStore
-from .frames import Frame, FrameReader, MsgType, encode_frame
+from .frames import PHASE_OF, SENDER_OF, Frame, FrameReader, encode_frame
 from .runners import PartyRunner, TtpRunner
-
-_SENDER_OF = {
-    MsgType.ET_SUBMIT_A: ROLE_ALICE,
-    MsgType.ET_SUBMIT_B: ROLE_BOB,
-    MsgType.DR_CLAIM_A: ROLE_ALICE,
-    MsgType.DR_CLAIM_B: ROLE_BOB,
-}
 
 
 @dataclass
@@ -50,6 +46,7 @@ class SocketTtpServer:
         self.runner = TtpRunner(secret, store=store)
         self.timeout = timeout
         self._lock = threading.Lock()
+        self._sent = threading.Condition(self._lock)  # notified after each batch
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(0.1)
         self.address = self._listener.getsockname()
@@ -67,6 +64,12 @@ class SocketTtpServer:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def wait_until(self, pred: Callable[[TtpRunner], bool], timeout: float) -> bool:
+        """Wait until pred(runner) holds with every frame the runner has
+        answered so far sent or queued; False if `timeout` seconds pass."""
+        with self._sent:
+            return self._sent.wait_for(lambda: pred(self.runner), timeout)
 
     def close(self) -> None:
         self._stop.set()
@@ -116,15 +119,20 @@ class SocketTtpServer:
     def _handle(self, conn: socket.socket, frame: Frame) -> None:
         raw = encode_frame(frame)
         with self._lock:
-            role = _SENDER_OF.get(frame.msg_type)
-            if role is not None and role not in self._conns:
-                self._conns[role] = conn
-                for queued in self._pending[role]:
-                    conn.sendall(queued)
-                self._pending[role].clear()
+            role = SENDER_OF.get(frame.msg_type)
             if role is not None:
                 self.logs[role].to_ttp.append(raw)
-            for dst, out in self.runner.on_frame(raw):
+            replies = self.runner.on_frame(raw)
+            # bind only a connection whose payload the runner recorded as
+            # the sender's, so an impostor never receives a party's frames
+            if role is not None and role not in self._conns:
+                field_name = PHASE_OF[frame.msg_type].payload_fields[role]
+                if self.runner.record.get(field_name) == frame.payload:
+                    self._conns[role] = conn
+                    for queued in self._pending[role]:
+                        conn.sendall(queued)
+                    self._pending[role].clear()
+            for dst, out in replies:
                 out_raw = encode_frame(out)
                 self.logs[dst].from_ttp.append(out_raw)
                 sink = self._conns.get(dst)
@@ -132,6 +140,7 @@ class SocketTtpServer:
                     sink.sendall(out_raw)
                 else:
                     self._pending[dst].append(out_raw)
+            self._sent.notify_all()
 
 
 def run_party_session(

@@ -13,27 +13,18 @@ from dataclasses import dataclass, field
 
 from ..errors import ProtocolStateError
 from ..params import Params
-from .frames import Frame, MsgType
+from .frames import DR, ET, PHASE_OF, Frame, MsgType
 
 ANNOUNCE_BITS = 2
-
-ET_TYPES = (MsgType.ET_SUBMIT_A, MsgType.ET_SUBMIT_B, MsgType.ET_ANNOUNCE)
-DR_TYPES = (MsgType.DR_CLAIM_A, MsgType.DR_CLAIM_B, MsgType.DR_ANNOUNCE)
-
-
-def semantic_payload_bits(params: Params, msg_type: MsgType) -> int:
-    if msg_type in (MsgType.ET_SUBMIT_A, MsgType.ET_SUBMIT_B):
-        return params.digest_vector_bits
-    if msg_type in (MsgType.ET_ANNOUNCE, MsgType.DR_ANNOUNCE):
-        return ANNOUNCE_BITS
-    if msg_type in (MsgType.DR_CLAIM_A, MsgType.DR_CLAIM_B):
-        return params.data_bits
-    raise ProtocolStateError(f"no semantic accounting for {msg_type!r}")
 
 
 def semantic_bits(params: Params, msg_type: MsgType) -> int:
     """Payload information plus the n+l authenticator bits."""
-    return semantic_payload_bits(params, msg_type) + params.tag_bits
+    phase = PHASE_OF.get(msg_type)
+    if phase is None:
+        raise ProtocolStateError(f"no semantic accounting for {msg_type!r}")
+    payload = ANNOUNCE_BITS if msg_type == phase.announce else phase.payload_bits(params)
+    return payload + params.tag_bits
 
 
 @dataclass
@@ -50,12 +41,12 @@ class TrafficMeter:
         if frame.msg_type == MsgType.ERROR:
             return
         bits = semantic_bits(self.params, frame.msg_type)
-        if frame.msg_type in ET_TYPES:
+        if PHASE_OF[frame.msg_type] is ET:
             self.et_bits += bits
-        elif frame.msg_type in DR_TYPES:
+        else:
             self.dr_bits += bits
-        if frame.msg_type in (MsgType.DR_CLAIM_A, MsgType.DR_CLAIM_B):
-            self.claim_bits += semantic_payload_bits(self.params, frame.msg_type)
+        if frame.msg_type in DR.inbound.values():
+            self.claim_bits += bits - self.params.tag_bits
         self.counts[frame.msg_type] = self.counts.get(frame.msg_type, 0) + 1
 
     @property

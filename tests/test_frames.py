@@ -95,3 +95,18 @@ def test_reader_raises_on_poisoned_stream():
     reader = FrameReader()
     with pytest.raises(FrameError):
         reader.feed(b"\x09" + bytes(30))
+
+
+def test_reader_reassembles_a_large_frame_from_chunks():
+    # a 1 MiB payload in 64 KiB reads: nothing until the last chunk, then
+    # exactly that frame, its fields plain bytes
+    frame = Frame(MsgType.DR_CLAIM_A, SID, bytes(range(256)) * 4096, b"\x05\x06")
+    stream = encode_frame(frame)
+    chunk = 64 * 1024
+    reader = FrameReader()
+    got = [reader.feed(stream[k : k + chunk]) for k in range(0, len(stream), chunk)]
+    assert all(batch == [] for batch in got[:-1])
+    assert got[-1] == [frame]
+    out = got[-1][0]
+    assert all(type(v) is bytes for v in (out.session_id, out.payload, out.tag))
+    assert reader.feed(b"") == []

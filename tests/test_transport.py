@@ -1,16 +1,19 @@
 """End-to-end sessions over both carriers, fault injection, restarts."""
 
+import copy
 import hashlib
 import random
+import socket
 import threading
 from fractions import Fraction
 
 import pytest
 
 from etdr.bits import Message
-from etdr.errors import ProtocolStateError
+from etdr.errors import FrameError, ProtocolStateError
 from etdr.etproto import ET_DISTINCT, ET_EQUAL, Verdict, generate_keys
-from etdr.etproto.keys import ROLE_ALICE, ROLE_BOB, ROLE_TTP
+from etdr.etproto.keys import ROLE_ALICE, ROLE_BOB, ROLE_TTP, MacMaterial
+from etdr.etproto.session import _FIELDS as SESSION_FIELDS
 from etdr.etproto.session import SessionStore
 from etdr.params import derive_params
 from etdr.transport import (
@@ -22,8 +25,8 @@ from etdr.transport import (
     TtpRunner,
     run_session,
 )
-from etdr.transport.frames import encode_frame
-from etdr.transport.runners import ERR_STATE, _sign
+from etdr.transport.frames import PHASES, encode_frame
+from etdr.transport.runners import ERR_FRAME, ERR_MAC, ERR_STATE, _sign
 from etdr.transport.sockets import SocketTtpServer, run_party_session
 
 PARAMS = derive_params(256, Fraction(1, 16))
@@ -127,6 +130,125 @@ def test_seeded_transcripts_match_the_pinned_digest():
     # pinned with the per-key byte-table multiply the MAC used before the
     # 4-bit window; any changed tag or frame byte fails
     assert seeded_transcript_digest() == PINNED_TRANSCRIPT_DIGEST
+
+
+# ------------------------------------------------------------ phase table
+
+
+def test_phase_table_names_only_real_fields():
+    mac_names = [name for name, _ in MacMaterial.field_bits(PARAMS.tag_bits)]
+    table_macs, table_fields = [], []
+    for phase in PHASES:
+        table_macs += [phase.hash_key, phase.inbound_pad, phase.announce_pad]
+        table_fields += [*phase.payload_fields.values(), phase.result_field]
+        assert phase.payload_bits(PARAMS) == getattr(PARAMS, phase.payload_width) > 0
+        assert set(phase.inbound) == set(phase.payload_fields) == {ROLE_ALICE, ROLE_BOB}
+    # every key, pad and record field is named once, and each is real
+    assert sorted(table_macs) == sorted(mac_names)
+    assert sorted(table_fields) == sorted(SESSION_FIELDS)
+
+
+def test_every_message_type_but_error_belongs_to_one_phase():
+    for msg_type in MsgType:
+        owners = [ph for ph in PHASES if msg_type in (*ph.inbound.values(), ph.announce)]
+        assert len(owners) == (0 if msg_type == MsgType.ERROR else 1), msg_type.name
+
+
+# hash key of each pad, named as in MacMaterial, so the pad checks below do
+# not read the phase table they check
+_PAD_HASH_KEYS = {
+    "et_submit_pad": "et_hash_key",
+    "et_announce_pad": "et_hash_key",
+    "dr_claim_pad": "dr_hash_key",
+    "dr_announce_pad": "dr_hash_key",
+}
+
+
+def error_pad(err, mac, signer):
+    """The MacMaterial pad that signed error frame `err`, None if unsigned."""
+    assert err.msg_type == MsgType.ERROR
+    if not err.tag:
+        return None
+    unsigned = Frame(err.msg_type, err.session_id, err.payload, b"")
+    signed_by = [
+        pad
+        for pad, hash_key in _PAD_HASH_KEYS.items()
+        if _sign(unsigned, getattr(mac, hash_key), getattr(mac, pad), PARAMS, signer) == err
+    ]
+    assert len(signed_by) == 1
+    return signed_by[0]
+
+
+def test_party_error_frame_pad_in_each_state():
+    # a party reports under the first of its two outbound pads it has not
+    # yet used, and unsigned once it has used both
+    sec = generate_keys(PARAMS, seed=306)
+    m, other = messages(18)
+    alice, bob = PartyRunner(sec.alice, m), PartyRunner(sec.bob, other)
+    net = MemoryNetwork(TtpRunner(sec), alice, bob)
+    seen = []
+
+    def freeze_a_copy():
+        probe = copy.deepcopy(alice)
+        (err,) = probe.on_frame(b"junk")
+        assert probe.frozen.reason == ERR_FRAME
+        seen.append((probe.state, error_pad(err, sec.alice.mac, ROLE_ALICE)))
+
+    freeze_a_copy()
+    net.post(ROLE_ALICE, ROLE_TTP, alice.et_submit_frame())
+    freeze_a_copy()
+    net.post(ROLE_BOB, ROLE_TTP, bob.et_submit_frame())
+    net.deliver_all()
+    freeze_a_copy()
+    net.post(ROLE_ALICE, ROLE_TTP, alice.dr_claim_frame())
+    freeze_a_copy()
+    net.post(ROLE_BOB, ROLE_TTP, bob.dr_claim_frame())
+    net.deliver_all()
+    freeze_a_copy()
+    assert net.result().clean and alice.verdict == Verdict.UNDECIDABLE
+    assert seen == [
+        ("new", "et_submit_pad"),
+        ("et_wait", "dr_claim_pad"),
+        ("et_done", "dr_claim_pad"),
+        ("dr_wait", None),
+        ("done", None),
+    ]
+
+
+def test_referee_error_frame_pads_before_and_after_each_announce(tmp_path):
+    # the referee reports to each party under the first announce pad of
+    # that link it has not yet used, unsigned once both are used; a
+    # referee restarted on its store counts the stored results as used
+    sec = generate_keys(PARAMS, seed=307)
+    m, other = messages(19)
+    alice, bob = PartyRunner(sec.alice, m), PartyRunner(sec.bob, other)
+    ttp = TtpRunner(sec, store=SessionStore(tmp_path))
+    net = MemoryNetwork(ttp, alice, bob)
+    seen = []
+
+    def freeze_copies():
+        for runner in (ttp, TtpRunner(sec, store=SessionStore(tmp_path))):
+            out = copy.deepcopy(runner).on_frame(b"junk")
+            assert [dst for dst, _ in out] == [ROLE_ALICE, ROLE_BOB]
+            keys = {ROLE_ALICE: sec.alice, ROLE_BOB: sec.bob}
+            seen.append(tuple(error_pad(err, keys[dst].mac, ROLE_TTP) for dst, err in out))
+
+    freeze_copies()
+    net.post(ROLE_ALICE, ROLE_TTP, alice.et_submit_frame())
+    net.deliver_all()
+    freeze_copies()
+    net.post(ROLE_BOB, ROLE_TTP, bob.et_submit_frame())
+    net.deliver_all()
+    freeze_copies()
+    net.post(ROLE_ALICE, ROLE_TTP, alice.dr_claim_frame())
+    net.post(ROLE_BOB, ROLE_TTP, bob.dr_claim_frame())
+    net.deliver_all()
+    freeze_copies()
+    assert net.result().clean and alice.verdict == Verdict.UNDECIDABLE
+    et, dr, unsigned = ("et_announce_pad",) * 2, ("dr_announce_pad",) * 2, (None, None)
+    # (live referee, restarted referee) before any announce, after one
+    # submission, after the comparison announce, after the verdict
+    assert seen == [et, et, et, et, dr, dr, unsigned, unsigned]
 
 
 # -------------------------------------------------------- fault injection
@@ -407,3 +529,45 @@ def test_socket_carrier_with_store(tmp_path):
     assert alice.et_outcome == ET_EQUAL
     reopened = SessionStore(tmp_path).record(sec.session_id)
     assert reopened.get("et_outcome") == bytes([ET_EQUAL])
+
+
+def test_socket_impostor_connecting_first_receives_nothing():
+    # an impostor takes the first connection and sends a badly tagged
+    # ET_SUBMIT_A; the referee freezes (denial of service is out of scope)
+    # but binds no role to that connection, so Alice's frames never reach
+    # it, and no honest party ends with a wrong outcome
+    sec = generate_keys(PARAMS, seed=503)
+    m, _ = messages(18)
+    tag = bytes((PARAMS.tag_bits + 7) // 8)
+    forged = Frame(MsgType.ET_SUBMIT_A, sec.session_id, bytes(PARAMS.digest_vector_bits // 8), tag)
+    with SocketTtpServer(sec, timeout=5.0) as server:
+        impostor = socket.create_connection(server.address, timeout=5.0)
+        impostor.sendall(encode_frame(forged))
+        assert server.wait_until(lambda r: r.frozen is not None, timeout=5.0)
+        assert server.runner.frozen.reason == ERR_MAC
+        results = {}
+
+        def drive(name, keys):
+            try:
+                results[name] = run_party_session(keys, m, server.address, timeout=1.0)[0]
+            except FrameError as exc:  # waited for an announce that never came
+                results[name] = exc
+
+        threads = [
+            threading.Thread(target=drive, args=("alice", sec.alice)),
+            threading.Thread(target=drive, args=("bob", sec.bob)),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        impostor.settimeout(0.5)
+        with pytest.raises(socket.timeout):
+            impostor.recv(65536)
+        impostor.close()
+    assert set(results) == {"alice", "bob"}
+    for result in results.values():  # a timeout, or a runner with no wrong outcome
+        assert isinstance(result, FrameError) or result.et_outcome in (None, ET_EQUAL)
+    # the referee queued its error reports for Alice and Bob and sent none
+    assert [len(server._pending[role]) for role in (ROLE_ALICE, ROLE_BOB)] == [1, 1]
