@@ -44,7 +44,7 @@ import numpy as np
 
 from .au2hash import collision_bound, poly_hash
 from .bits import Message
-from .bounds import attack_success_bound, cover_prob, match_tail
+from .bounds import attack_rows, attack_success_bound
 from .errors import ParameterError
 from .etproto import core
 from .etproto.keys import deal_subkeys
@@ -146,21 +146,17 @@ def _digest_vector(
 
 @lru_cache(maxsize=16)
 def _win_prob_ranks(data_bits: int, subkey_bits: int, subkey_count: int):
-    """Exact win probabilities indexed (|T|, root count), plus a rank table
-    so numpy can take maxima without losing exactness."""
+    """Exact win probabilities indexed (|T|, root count): attack_rows'
+    cover * tail at q = root count / 2^l, zero below the overlap size; plus
+    a rank table so numpy can take maxima without losing exactness."""
     shared = subkey_count // 2
     if subkey_count != 2 * shared:
         raise ParameterError("game needs an even subkey count")
     n_keys = 1 << subkey_bits
-    values: dict[tuple[int, int], Fraction] = {}
-    for t in range(subkey_count + 1):
-        for rc in range(n_keys + 1):
-            if t < shared:
-                values[(t, rc)] = Fraction(0)
-            else:
-                values[(t, rc)] = cover_prob(t, subkey_count, shared) * match_tail(
-                    t, subkey_count, shared, Fraction(rc, n_keys)
-                )
+    values = {(t, rc): Fraction(0) for t in range(shared) for rc in range(n_keys + 1)}
+    for rc in range(n_keys + 1):
+        for t, _, _, product in attack_rows(subkey_count, shared, Fraction(rc, n_keys)):
+            values[(t, rc)] = product
     ordered = sorted(set(values.values()))
     rank_of = {v: i for i, v in enumerate(ordered)}
     rank_table = np.empty((subkey_count + 1, n_keys + 1), dtype=np.int32)

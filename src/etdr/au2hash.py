@@ -24,12 +24,12 @@ session's work, and it takes one of three paths by input size:
   * degrees 17 to 27: numpy builds a table of key powers by doubling and
     4-bit windows of it, sums b_i * k^i for a slice of blocks from the
     windows, and joins the slices with carry-less array multiplies;
-  * everything else: VectorHasher, a Python loop per block. Below the
-    cutoff numpy's fixed cost per call outweighs its speed; sessions with
-    experimental sizes over a few bytes and `etdr attack` games too wide
-    for the game's digest table land there. No session goes above degree
-    27, because key dealing caps r at 2^27; only `etdr attack` with
-    chosen widths does.
+  * everything else: VectorHasher, poly_hash's Horner loop once per key.
+    Below the cutoff numpy's fixed cost per call outweighs its speed;
+    sessions with experimental sizes over a few bytes and `etdr attack`
+    games too wide for the game's digest table land there. No session
+    goes above degree 27, because key dealing caps r at 2^27; only
+    `etdr attack` with chosen widths does.
 
 Both numpy paths chunk the message with one to_bytes and a gather of one
 8-byte word per block (_block_array); the first of them in a process
@@ -131,38 +131,32 @@ def _check_keys(field: GF2, keys) -> None:
             raise ParameterError("key outside the field")
 
 
-def poly_hash(key: int, value: int, msg_bits: int, degree: int, *, mul_k=None) -> int:
-    """Digest of one message under one key (Horner on the reversed blocks).
-
-    mul_k, if given, is GF2.get(degree).fixed_mul(key): a caller that
-    multiplies by the key again (the MAC) builds the key's window once."""
-    field = GF2.get(degree)
-    _check_keys(field, [key])
-    blocks = chunk_blocks(value, msg_bits, degree)
-    if mul_k is None:
-        mul_k = field.fixed_mul(key)
+def _horner(mul_k, blocks: list[int]) -> int:
+    """sum of blocks[i] * k^i, Horner on the reversed blocks; mul_k(a) = k*a."""
     acc = 0
     for block in reversed(blocks):
         acc = mul_k(acc) ^ block
     return acc
 
 
+def poly_hash(key: int, value: int, msg_bits: int, degree: int, *, mul_k=None) -> int:
+    """Digest of one message under one key.
+
+    mul_k, if given, is GF2.get(degree).fixed_mul(key): a caller that
+    multiplies by the key again (the MAC) builds the key's window once."""
+    if mul_k is None:
+        mul_k = GF2.get(degree).fixed_mul(key)  # rejects a key outside the field
+    return _horner(mul_k, chunk_blocks(value, msg_bits, degree))
+
+
 class VectorHasher:
-    """All-keys digest vector in one streaming pass over the message.
+    """All-keys digest vector over a message's blocks.
 
-    update() consumes blocks front to back; digests() finalizes. The state
-    is O(l) per key regardless of message length. hash_vector uses it only
-    for small inputs and for degrees above 27 (see the module docstring);
-    it stays because there a Python loop beats numpy's fixed cost per call,
-    and the window multiply covers any degree.
-
-    Up to the field's log-table degree (16), each key is held as log k and
-    update(b_i) XORs exp[log b_i + (i * log k mod (2^l - 1))] into the
-    accumulator of every nonzero key: no field multiply, and a zero block
-    costs nothing. A zero key's digest is the first block. Above degree 16
-    each key keeps a running power k^i and its fixed_mul closure, and
-    update(b_i) builds b_i's window once, then makes two window multiplies
-    per key.
+    update() checks a block and stores it, front block first, so the state
+    is the message's blocks; digests() runs poly_hash's Horner loop once per
+    key. hash_vector uses it only for small inputs and for degrees above 27
+    (see the module docstring): there a Python loop beats numpy's fixed
+    cost per call, and the field's scalar multiply covers any degree.
     """
 
     def __init__(self, degree: int, keys: list[int]):
@@ -170,48 +164,19 @@ class VectorHasher:
         self.degree = degree
         _check_keys(self.field, keys)
         self.keys = list(keys)
-        self._tables = self.field.log_tables()
-        if self._tables is None:
-            self._acc = [0] * len(keys)
-            self._kpow = [1] * len(keys)
-            self._mul_k = [self.field.fixed_mul(k) for k in keys]
-        else:
-            log = self._tables[1]
-            self._logk = [log[k] for k in keys if k]
-            self._acc = [0] * len(self._logk)
-            self._first = 0
-            self._index = 0
+        self._blocks: list[int] = []
         self._done = False
 
     def update(self, block: int) -> None:
         if self._done:
             raise ParameterError("hasher already finalized")
-        if self._tables is None:
-            acc, kpow = self._acc, self._kpow
-            mul_b = self.field.fixed_mul(block)  # rejects a block outside the field
-            for j, mul_k in enumerate(self._mul_k):
-                acc[j] ^= mul_b(kpow[j])
-                kpow[j] = mul_k(kpow[j])
-            return
         if block < 0 or block >= self.field.order:
             raise ParameterError("block outside the field")
-        i = self._index
-        self._index = i + 1
-        if not block:
-            return
-        if not i:
-            self._first = block
-        exp, log = self._tables
-        n = self.field.order - 1
-        lb, i = log[block], i % n
-        self._acc = [a ^ exp[lb + i * lk % n] for a, lk in zip(self._acc, self._logk)]
+        self._blocks.append(block)
 
     def digests(self) -> list[int]:
         self._done = True
-        if self._tables is None:
-            return list(self._acc)
-        nonzero = iter(self._acc)
-        return [next(nonzero) if k else self._first for k in self.keys]
+        return [_horner(self.field._multiplier(k), self._blocks) for k in self.keys]
 
 
 def _log_digests(field: GF2, keys, blocks):

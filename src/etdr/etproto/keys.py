@@ -128,14 +128,9 @@ class TtpSecret:
 
 
 def _draw_mac(rng, tag_bits: int) -> MacMaterial:
-    return MacMaterial(
-        et_hash_key=rng.getrandbits(2 * tag_bits),
-        et_submit_pad=rng.getrandbits(tag_bits),
-        et_announce_pad=rng.getrandbits(tag_bits),
-        dr_hash_key=rng.getrandbits(2 * tag_bits),
-        dr_claim_pad=rng.getrandbits(tag_bits),
-        dr_announce_pad=rng.getrandbits(tag_bits),
-    )
+    # one draw per field in storage order: seeded keys depend on the order
+    fields = MacMaterial.field_bits(tag_bits)
+    return MacMaterial(**{name: rng.getrandbits(width) for name, width in fields})
 
 
 def deal_subkeys(

@@ -284,14 +284,9 @@ def _search_reduction_poly(degree: int) -> int:
     raise AssertionError("unreachable: some irreducible of each degree exists")
 
 
-def gf_mul(a: int, b: int, degree: int, poly: int | None = None) -> int:
-    """Product of a and b in GF(2^degree): 4-bit window, then sparse reduction."""
-    if poly is None:
-        poly = reduction_poly(degree)
-    mask = (1 << degree) - 1
-    if a < 0 or b < 0 or a > mask or b > mask:
-        raise ParameterError("operand outside the field")
-    return _mul_by(b, degree, _taps(poly, degree))(a)
+def gf_mul(a: int, b: int, degree: int) -> int:
+    """Product of a and b in GF(2^degree)."""
+    return GF2.get(degree).mul(a, b)
 
 
 def _log_tables(degree: int, poly: int) -> tuple[list[int], list[int]]:
@@ -316,11 +311,11 @@ def _log_tables(degree: int, poly: int) -> tuple[list[int], list[int]]:
 class GF2:
     """Multiplication context for one degree.
 
-    Degrees up to _MUL_TABLE_MAX_DEGREE multiply through log/antilog tables
-    (built lazily, shared per process): a*b = exp[log a + log b], and
-    fixed_mul(k) adds log k to log a. Larger degrees multiply as gf_mul
-    does, through a 4-bit window of 16 unreduced multiples of one operand
-    and a sparse reduction; fixed_mul(k), which the MAC uses, keeps k's.
+    Every scalar product goes through fixed_mul(k), the closure for k*a:
+    up to _MUL_TABLE_MAX_DEGREE it adds log k to log a in log/antilog
+    tables (built lazily, shared per process); larger degrees multiply
+    through a 4-bit window of 16 unreduced multiples of k and a sparse
+    reduction. mul(a, b) is fixed_mul(b)(a).
     """
 
     _instances: dict[int, "GF2"] = {}
@@ -398,15 +393,8 @@ class GF2:
             raise ParameterError("operand outside the field")
 
     def mul(self, a: int, b: int) -> int:
-        tables = self.log_tables()
-        if tables is None:
-            return gf_mul(a, b, self.degree, self.poly)
         self._check(a)
-        self._check(b)
-        if not (a and b):
-            return 0
-        exp, log = tables
-        return exp[log[a] + log[b]]
+        return self.fixed_mul(b)(a)
 
     def fixed_mul(self, k: int):
         """A closure computing k*a: two lookups per call up to the table
@@ -417,11 +405,18 @@ class GF2:
         element, because its callers pass field elements: it is the
         innermost loop of every digest."""
         self._check(k)
+        return self._multiplier(k)
+
+    def _multiplier(self, k: int):
+        """fixed_mul's closure for a field element k, unchecked: the one
+        place that picks between the log tables and _mul_by's window.
+        VectorHasher, which checks its keys itself, takes its per-key
+        closures here."""
         tables = self.log_tables()
         if tables is None:
             return _mul_by(k, self.degree, self._taps)
-        exp, log = tables
         if not k:
             return lambda a: 0
+        exp, log = tables
         lk = log[k]
         return lambda a: exp[log[a] + lk] if a else 0

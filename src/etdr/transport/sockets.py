@@ -4,9 +4,11 @@ The referee serves both parties concurrently. A connection is bound to a
 party's role once the runner has recorded a payload it delivered as that
 party's (submission and claim types name their sender, and the runner
 records only authentic payloads); until then the referee's frames for
-that role wait unsent. All runner calls are serialized under one lock,
-so the protocol logic stays single-threaded and the per-channel byte
-streams match the in-process carrier exactly.
+that role wait unsent. A connection that ends, or that a send fails on,
+loses its role; the referee's frames for that role then wait again until
+the party reconnects and resends its payload. All runner calls are
+serialized under one lock, so the protocol logic stays single-threaded
+and the per-channel byte streams match the in-process carrier exactly.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class SocketTtpServer:
         self._listener.settimeout(0.1)
         self.address = self._listener.getsockname()
         self.logs = {ROLE_ALICE: ChannelLog(), ROLE_BOB: ChannelLog()}
-        self._conns: dict[int, socket.socket] = {}
+        self._conns: dict[int, socket.socket] = {}  # role -> bound connection
+        self._open: set[socket.socket] = set()  # every accepted connection not yet ended
         self._pending: dict[int, list[bytes]] = {ROLE_ALICE: [], ROLE_BOB: []}
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
@@ -75,10 +78,10 @@ class SocketTtpServer:
         self._stop.set()
         self._listener.close()
         with self._lock:
-            conns = list(self._conns.values())
-        for conn in conns:
+            conns = list(self._open)
+        for conn in conns:  # wake each serve thread's recv, bound or idle
             try:
-                conn.close()
+                conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
         for t in self._threads:
@@ -92,6 +95,8 @@ class SocketTtpServer:
                 continue
             except OSError:
                 return
+            with self._lock:
+                self._open.add(conn)
             t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
             t.start()
             self._threads.append(t)
@@ -114,6 +119,10 @@ class SocketTtpServer:
                 for frame in frames:
                     self._handle(conn, frame)
         finally:
+            with self._lock:
+                self._open.discard(conn)
+                for role in [r for r, c in self._conns.items() if c is conn]:
+                    del self._conns[role]
             conn.close()
 
     def _handle(self, conn: socket.socket, frame: Frame) -> None:
@@ -129,18 +138,26 @@ class SocketTtpServer:
                 field_name = PHASE_OF[frame.msg_type].payload_fields[role]
                 if self.runner.record.get(field_name) == frame.payload:
                     self._conns[role] = conn
-                    for queued in self._pending[role]:
-                        conn.sendall(queued)
-                    self._pending[role].clear()
+                    queued, self._pending[role] = self._pending[role], []
+                    for out_raw in queued:
+                        self._send(role, out_raw)
             for dst, out in replies:
                 out_raw = encode_frame(out)
                 self.logs[dst].from_ttp.append(out_raw)
-                sink = self._conns.get(dst)
-                if sink is not None:
-                    sink.sendall(out_raw)
-                else:
-                    self._pending[dst].append(out_raw)
+                self._send(dst, out_raw)
             self._sent.notify_all()
+
+    def _send(self, role: int, raw: bytes) -> None:
+        """Send to the role's bound connection, or queue the frame until one
+        binds; a failed send unbinds the role. Called under the lock."""
+        conn = self._conns.get(role)
+        if conn is not None:
+            try:
+                conn.sendall(raw)
+                return
+            except OSError:
+                del self._conns[role]
+        self._pending[role].append(raw)
 
 
 def run_party_session(

@@ -5,6 +5,7 @@ import hashlib
 import random
 import socket
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from etdr.transport import (
     TtpRunner,
     run_session,
 )
-from etdr.transport.frames import PHASES, encode_frame
+from etdr.transport.frames import PHASES, FrameReader, encode_frame
 from etdr.transport.runners import ERR_FRAME, ERR_MAC, ERR_STATE, _sign
 from etdr.transport.sockets import SocketTtpServer, run_party_session
 
@@ -571,3 +572,52 @@ def test_socket_impostor_connecting_first_receives_nothing():
         assert isinstance(result, FrameError) or result.et_outcome in (None, ET_EQUAL)
     # the referee queued its error reports for Alice and Bob and sent none
     assert [len(server._pending[role]) for role in (ROLE_ALICE, ROLE_BOB)] == [1, 1]
+
+
+def _wait_for(cond, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not cond():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.01)
+
+
+def test_socket_party_reconnects_and_resends_after_a_dropped_connection():
+    # Alice submits and drops her connection, then reconnects and resends
+    # the same frame; the referee must announce to the new connection, and
+    # Bob's session must end with the outcome rather than a closed stream
+    sec = generate_keys(PARAMS, seed=504)
+    m, _ = messages(19)
+    alice = PartyRunner(sec.alice, m)
+    submit = encode_frame(alice.et_submit_frame())
+    with SocketTtpServer(sec, timeout=5.0) as server:
+        first = socket.create_connection(server.address, timeout=5.0)
+        first.sendall(submit)
+        assert server.wait_until(lambda r: r.record.has("et_blob_a"), timeout=5.0)
+        first.close()
+        _wait_for(lambda: ROLE_ALICE not in server._conns)  # the referee saw it end
+        with socket.create_connection(server.address, timeout=5.0) as second:
+            second.sendall(submit)
+            _wait_for(lambda: ROLE_ALICE in server._conns)  # rebound before Bob submits
+            bob, _ = run_party_session(sec.bob, m, server.address, timeout=5.0)
+            reader, received = FrameReader(), []
+            while alice.state != "et_done" and alice.frozen is None:
+                data = second.recv(65536)
+                assert data, "referee closed Alice's second connection"
+                for frame in reader.feed(data):
+                    received.append(frame.msg_type)
+                    alice.on_frame(encode_frame(frame))
+    assert received == [MsgType.ET_ANNOUNCE]
+    assert alice.frozen is None and bob.frozen is None
+    assert alice.et_outcome == bob.et_outcome == ET_EQUAL
+
+
+def test_socket_close_does_not_wait_out_an_idle_client():
+    sec = generate_keys(PARAMS, seed=505)
+    with SocketTtpServer(sec, timeout=3.0) as server, socket.create_connection(
+        server.address, timeout=3.0
+    ) as idle:
+        _wait_for(lambda: len(server._threads) == 2)  # accepted: a serve thread is in recv
+        start = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - start < 0.5
+        assert idle.recv(65536) == b""  # the referee ended the connection
