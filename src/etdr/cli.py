@@ -527,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dispute", action="store_true",
                     help="stay up through the dispute phase")
     sp.add_argument("--timeout", type=float, default=10.0,
-                    help="per-connection timeout")
+                    help="seconds a connection may stay silent before it is "
+                    "dropped; also the limit on one send")
     sp.add_argument("--wait", type=float, default=30.0,
                     help="overall session deadline")
     sp.add_argument("--port-file", default=None,

@@ -35,6 +35,7 @@ from pathlib import Path
 from ..bits import bits_to_bytes, bytes_to_bits
 from ..errors import KeyMaterialError, ParameterError
 from ..params import Params
+from .core import pack_vector, unpack_vector
 
 MAGIC = b"ETDR"
 FORMAT_VERSION = 1
@@ -262,11 +263,8 @@ def _decode_params(reader: _Reader) -> tuple[Params, bytes]:
 
 def _encode_party_body(pk: PartyKeys) -> bytes:
     p = pk.params
-    packed_subkeys = 0
-    for j, k in enumerate(pk.subkeys):
-        packed_subkeys |= k << (j * p.subkey_bits)
     out = [
-        bits_to_bytes(packed_subkeys, p.digest_vector_bits),
+        bits_to_bytes(pack_vector(p, pk.subkeys), p.digest_vector_bits),
         bits_to_bytes(pk.otp_bits, p.digest_vector_bits),
     ]
     for name, width in pk.mac.field_bits(p.tag_bits):
@@ -277,12 +275,7 @@ def _encode_party_body(pk: PartyKeys) -> bytes:
 def _decode_party_body(
     reader: _Reader, params: Params, session_id: bytes, role: int
 ) -> PartyKeys:
-    packed = _packed_bits(reader, params.digest_vector_bits)
-    mask = (1 << params.subkey_bits) - 1
-    subkeys = tuple(
-        (packed >> (j * params.subkey_bits)) & mask
-        for j in range(params.subkey_count)
-    )
+    subkeys = unpack_vector(params, _packed_bits(reader, params.digest_vector_bits))
     otp = _packed_bits(reader, params.digest_vector_bits)
     fields = {}
     for name, width in MacMaterial.field_bits(params.tag_bits):

@@ -1,20 +1,24 @@
 """TCP carrier: the same runners over real connections.
 
-The referee serves both parties concurrently. A connection is bound to a
-party's role once the runner has recorded a payload it delivered as that
-party's (submission and claim types name their sender, and the runner
-records only authentic payloads); until then the referee's frames for
-that role wait unsent. A connection that ends, or that a send fails on,
-loses its role; the referee's frames for that role then wait again until
-the party reconnects and resends its payload. All runner calls are
-serialized under one lock, so the protocol logic stays single-threaded
-and the per-channel byte streams match the in-process carrier exactly.
+One thread serves every connection: a `selectors` loop accepts, reads
+frames, calls the runner and sends its replies, so runner calls never
+overlap and each channel's byte stream matches the in-process carrier.
+A connection is bound to a party's role once the runner has recorded a
+payload it delivered as that party's (submission and claim types name
+their sender, and the runner records only authentic payloads); until
+then the referee's frames for that role wait unsent. A connection that
+ends, stays silent for `timeout` seconds or fails a send loses its
+role, and its frames wait again until the party reconnects and resends.
+`close()` or a runner exception ends the loop and every connection.
 """
 
 from __future__ import annotations
 
+import functools
+import selectors
 import socket
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,23 +50,23 @@ class SocketTtpServer:
         port: int = 0,
     ):
         self.runner = TtpRunner(secret, store=store)
-        self.timeout = timeout
-        self._lock = threading.Lock()
-        self._sent = threading.Condition(self._lock)  # notified after each batch
+        self.timeout = timeout  # the longest silence, and the longest send
+        self._sent = threading.Condition()  # held by the loop over each batch
         self._listener = socket.create_server((host, port))
-        self._listener.settimeout(0.1)
+        self._listener.setblocking(False)
         self.address = self._listener.getsockname()
+        self._wake, self._waker = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ, self._accept)
+        self._selector.register(self._wake, selectors.EVENT_READ)
+        self._loop = threading.Thread(target=self._run, daemon=True)
         self.logs = {ROLE_ALICE: ChannelLog(), ROLE_BOB: ChannelLog()}
         self._conns: dict[int, socket.socket] = {}  # role -> bound connection
-        self._open: set[socket.socket] = set()  # every accepted connection not yet ended
+        self._deadlines: dict[socket.socket, float] = {}  # open connection -> drop time
         self._pending: dict[int, list[bytes]] = {ROLE_ALICE: [], ROLE_BOB: []}
-        self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
 
     def __enter__(self) -> "SocketTtpServer":
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
+        self._loop.start()
         return self
 
     def __exit__(self, *exc) -> None:
@@ -75,59 +79,50 @@ class SocketTtpServer:
             return self._sent.wait_for(lambda: pred(self.runner), timeout)
 
     def close(self) -> None:
-        self._stop.set()
-        self._listener.close()
-        with self._lock:
-            conns = list(self._open)
-        for conn in conns:  # wake each serve thread's recv, bound or idle
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        for t in self._threads:
-            t.join(timeout=self.timeout)
+        self._waker.close()  # the loop reads EOF on its end of the pair
+        if self._loop.is_alive():
+            self._loop.join()
+        for sock in (self._listener, self._wake, self._selector):
+            sock.close()
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            with self._lock:
-                self._open.add(conn)
-            t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def _serve(self, conn: socket.socket) -> None:
-        conn.settimeout(self.timeout)
-        reader = FrameReader()
+    def _run(self) -> None:
         try:
-            while not self._stop.is_set():
-                try:
-                    data = conn.recv(65536)
-                except (socket.timeout, OSError):
-                    return
-                if not data:
-                    return
-                try:
-                    frames = reader.feed(data)
-                except FrameError:
-                    return  # unparseable stream; drop the connection
-                for frame in frames:
-                    self._handle(conn, frame)
+            while True:
+                waits = [t - time.monotonic() for t in self._deadlines.values()]
+                ready = self._selector.select(min(waits, default=None))
+                with self._sent:
+                    for key, _ in ready:
+                        if key.fileobj is self._wake:
+                            return
+                        key.data(key.fileobj)  # _accept or _serve
+                    now = time.monotonic()  # end connections silent for `timeout`
+                    self._drop(*[c for c, t in self._deadlines.items() if t <= now])
+                    self._sent.notify_all()
         finally:
-            with self._lock:
-                self._open.discard(conn)
-                for role in [r for r, c in self._conns.items() if c is conn]:
-                    del self._conns[role]
-            conn.close()
+            self._drop(*self._deadlines)
 
-    def _handle(self, conn: socket.socket, frame: Frame) -> None:
-        raw = encode_frame(frame)
-        with self._lock:
+    def _accept(self, listener: socket.socket) -> None:
+        try:
+            conn, _ = listener.accept()
+        except OSError:  # reset before accept, or a pending network error
+            return
+        conn.settimeout(self.timeout)  # bounds each blocking send
+        serve = functools.partial(self._serve, reader=FrameReader())
+        self._selector.register(conn, selectors.EVENT_READ, serve)
+        self._deadlines[conn] = time.monotonic() + self.timeout
+
+    def _serve(self, conn: socket.socket, reader: FrameReader) -> None:
+        try:
+            data = conn.recv(65536)
+            frames = reader.feed(data)
+        except (OSError, FrameError):  # a reset, or an unparseable stream
+            data = b""
+        if not data:
+            self._drop(conn)
+            return
+        self._deadlines[conn] = time.monotonic() + self.timeout
+        for frame in frames:
+            raw = encode_frame(frame)
             role = SENDER_OF.get(frame.msg_type)
             if role is not None:
                 self.logs[role].to_ttp.append(raw)
@@ -145,11 +140,17 @@ class SocketTtpServer:
                 out_raw = encode_frame(out)
                 self.logs[dst].from_ttp.append(out_raw)
                 self._send(dst, out_raw)
-            self._sent.notify_all()
+
+    def _drop(self, *conns: socket.socket) -> None:
+        for conn in conns:
+            self._selector.unregister(conn)
+            del self._deadlines[conn]
+            self._conns = {r: c for r, c in self._conns.items() if c is not conn}
+            conn.close()
 
     def _send(self, role: int, raw: bytes) -> None:
         """Send to the role's bound connection, or queue the frame until one
-        binds; a failed send unbinds the role. Called under the lock."""
+        binds; a failed send unbinds the role."""
         conn = self._conns.get(role)
         if conn is not None:
             try:
@@ -174,7 +175,6 @@ def run_party_session(
     runner = PartyRunner(keys, message)
     log = ChannelLog()
     with socket.create_connection(address, timeout=timeout) as sock:
-        sock.settimeout(timeout)
         reader = FrameReader()
 
         def send(frame: Frame) -> None:

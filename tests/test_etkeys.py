@@ -1,5 +1,6 @@
 """Key generation, the overlap distribution, and key-file round-trips."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -191,3 +192,29 @@ def test_file_size_matches_accounting(tmp_path):
     assert (
         tmp_path / "t.key"
     ).stat().st_size == header + 4 * p.shared_count + 2 * body
+
+
+# SHA-256 of the key files that generate_keys(params, seed=7) saves: a
+# round trip cannot catch an encoding change that save and load make alike
+PINNED_KEY_FILES = {
+    Fraction(1, 16): {
+        "ttp": (400, "44c85c4c3e152068dad5ed8ee52a3e2062a383d30d85da18be188b730e583257"),
+        "alice": (176, "0de15e30359bbe92b6757df55ff17c3ff07dbed81882487a36a9c656d8da2d40"),
+        "bob": (176, "225da48357156eec0c5882dd699aca87e48250ffd9cbeb30e87765b875bb97ac"),
+    },
+    Fraction(1, 2**40): {
+        "ttp": (1921, "26fa9bff846f7034e038ba8e6ff0899ca4a33ac210a71768a770d51ebf81b81e"),
+        "alice": (723, "05e0485ba52f51506a433363e2b94dd5e905e15fb73bb7709379e15db3883c84"),
+        "bob": (723, "449ad183441135a45dd231c61178600d79af901a032e689e59d9ec8aaffb95ee"),
+    },
+}
+
+
+@pytest.mark.parametrize("epsilon", sorted(PINNED_KEY_FILES, reverse=True))
+def test_seeded_key_files_match_the_pinned_digests(tmp_path, epsilon):
+    sec = K.generate_keys(derive_params(256, epsilon), seed=7)
+    for name, material in (("ttp", sec), ("alice", sec.alice), ("bob", sec.bob)):
+        path = tmp_path / f"{name}.key"
+        K.save_keys(path, material)
+        blob = path.read_bytes()
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == PINNED_KEY_FILES[epsilon][name]

@@ -1,11 +1,13 @@
 """End-to-end sessions over both carriers, fault injection, restarts."""
 
 import copy
+import gc
 import hashlib
 import random
 import socket
 import threading
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -616,8 +618,101 @@ def test_socket_close_does_not_wait_out_an_idle_client():
     with SocketTtpServer(sec, timeout=3.0) as server, socket.create_connection(
         server.address, timeout=3.0
     ) as idle:
-        _wait_for(lambda: len(server._threads) == 2)  # accepted: a serve thread is in recv
+        _wait_for(lambda: len(server._deadlines) == 1)  # accepted: the loop reads it
         start = time.perf_counter()
         server.close()
         assert time.perf_counter() - start < 0.5
         assert idle.recv(65536) == b""  # the referee ended the connection
+
+
+def test_socket_close_is_prompt_with_a_bound_and_an_idle_client():
+    # Alice's session has finished on a connection she keeps open, and a
+    # second client has sent nothing; close() ends both at once
+    sec = generate_keys(PARAMS, seed=506)
+    m, _ = messages(20)
+    alice = PartyRunner(sec.alice, m)
+    with SocketTtpServer(sec, timeout=3.0) as server, socket.create_connection(
+        server.address, timeout=3.0
+    ) as bound, socket.create_connection(server.address, timeout=3.0) as idle:
+        bound.sendall(encode_frame(alice.et_submit_frame()))
+        run_party_session(sec.bob, m, server.address, timeout=3.0)
+        reader = FrameReader()
+        while alice.state != "et_done":
+            data = bound.recv(65536)
+            assert data, "referee closed Alice's connection"
+            for frame in reader.feed(data):
+                alice.on_frame(encode_frame(frame))
+        _wait_for(lambda: len(server._deadlines) == 2)  # Bob's connection ended
+        assert ROLE_ALICE in server._conns
+        start = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - start < 0.02
+        assert bound.recv(65536) == b"" and idle.recv(65536) == b""
+    assert alice.et_outcome == ET_EQUAL
+
+
+def test_socket_close_without_enter_releases_its_sockets():
+    def build_and_close():
+        server = SocketTtpServer(generate_keys(PARAMS, seed=507))
+        server.close()
+        server.close()  # a second close is harmless
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_and_close()
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_socket_silent_connection_is_dropped_and_unbound():
+    sec = generate_keys(PARAMS, seed=509)
+    m, _ = messages(22)
+    submit = encode_frame(PartyRunner(sec.alice, m).et_submit_frame())
+    with SocketTtpServer(sec, timeout=0.3) as server, socket.create_connection(
+        server.address, timeout=3.0
+    ) as alice:
+        start = time.perf_counter()
+        alice.sendall(submit)
+        _wait_for(lambda: ROLE_ALICE in server._conns)  # bound, then silent
+        assert alice.recv(65536) == b""  # the referee ended the connection
+        assert 0.29 <= time.perf_counter() - start < 2.0
+        assert ROLE_ALICE not in server._conns and not server._deadlines
+
+
+class FailingStore(SessionStore):
+    def save(self, rec):
+        raise OSError("store unavailable")
+
+
+def test_socket_runner_exception_ends_both_sessions(tmp_path):
+    # the referee's store fails when it saves the comparison outcome; both
+    # parties must learn at once that the referee is gone, not wait out
+    # their timeout
+    sec = generate_keys(PARAMS, seed=508)
+    m, _ = messages(21)
+    referee_errors, results = [], {}
+    hook, threading.excepthook = threading.excepthook, referee_errors.append
+    try:
+        with SocketTtpServer(sec, store=FailingStore(tmp_path), timeout=4.0) as server:
+            def drive(name, keys):
+                start = time.perf_counter()
+                try:
+                    run_party_session(keys, m, server.address, timeout=4.0)
+                except FrameError as exc:
+                    results[name] = (exc, time.perf_counter() - start)
+
+            threads = [
+                threading.Thread(target=drive, args=("alice", sec.alice)),
+                threading.Thread(target=drive, args=("bob", sec.bob)),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+    finally:
+        threading.excepthook = hook
+    assert not any(t.is_alive() for t in threads)
+    assert [args.exc_type for args in referee_errors] == [OSError]
+    assert set(results) == {"alice", "bob"}
+    for exc, elapsed in results.values():
+        assert elapsed < 1.0, (exc, elapsed)
