@@ -54,6 +54,8 @@ WILSON_Z99 = 2.5758293035489004
 
 # exact machinery enumerates difference space, so keep it small
 MAX_EXACT_DATA_BITS = 20
+# views the exact game scores per numpy batch
+_VIEW_CHUNK = 1024
 # The game reads its digest vectors from a (messages x keys) table of at
 # most 2^16 entries, which covers every tiny game; wider games, which only
 # `etdr attack` with chosen widths plays, hash each vector.
@@ -205,7 +207,6 @@ def exact_game_value(
     *,
     sample: int | None = None,
     seed: int = 0,
-    chunk: int = 1024,
 ) -> ExactReport:
     """Per-view exact optimum aggregated over the view space: every subkey
     tuple when small enough, otherwise `sample` seeded draws. The honest
@@ -224,8 +225,8 @@ def exact_game_value(
         exhaustive = True
 
         def views():
-            for base in range(0, space, chunk):
-                idx = np.arange(base, min(base + chunk, space), dtype=np.int64)
+            for base in range(0, space, _VIEW_CHUNK):
+                idx = np.arange(base, min(base + _VIEW_CHUNK, space), dtype=np.int64)
                 keys = np.empty((len(idx), big_n), dtype=np.int64)
                 v = idx.copy()
                 for j in range(big_n):
@@ -241,7 +242,7 @@ def exact_game_value(
         def views():
             left = sample
             while left > 0:
-                take = min(chunk, left)
+                take = min(_VIEW_CHUNK, left)
                 left -= take
                 yield rng.integers(0, n_keys, size=(take, big_n), dtype=np.int64)
 
@@ -431,9 +432,9 @@ def play_round(
     return verdict != core.Verdict.BOB_CORRECT
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = WILSON_Z99
-) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The 99% Wilson score interval of a success rate."""
+    z = WILSON_Z99
     if trials <= 0:
         raise ParameterError("need at least one trial")
     phat = successes / trials

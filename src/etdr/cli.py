@@ -124,10 +124,11 @@ def _params_from_args(args) -> Params:
     return derive_params(args.data_bits, parse_epsilon(args.epsilon))
 
 
-def _host_port(text: str, default_port: int = 0) -> tuple[str, int]:
+def _host_port(text: str) -> tuple[str, int]:
+    """HOST:PORT, or a bare HOST on port 0 (any free port)."""
     host, sep, port = text.rpartition(":")
     if not sep:
-        return text, default_port
+        return text, 0
     try:
         return host, int(port)
     except ValueError:
@@ -481,17 +482,15 @@ def cmd_selftest(args) -> int:
 # --------------------------------------------------------------- parser
 
 
-def _add_sizing(sub, epsilon_required: bool) -> None:
+def _add_sizing(sub) -> None:
     sub.add_argument("--data-bits", type=int, required=True,
                      help="size of each party's data in bits")
-    sub.add_argument("--epsilon", default="" if not epsilon_required else None,
-                     required=epsilon_required,
+    sub.add_argument("--epsilon", default="",
                      help="cheating risk bound (1/16, 2^-10, 0.001)")
-    if not epsilon_required:
-        sub.add_argument("--shared-count", type=int, default=None,
-                         help="experimental: size of the secret index overlap")
-        sub.add_argument("--subkey-bits", type=int, default=None,
-                         help="experimental: digest width per subkey")
+    sub.add_argument("--shared-count", type=int, default=None,
+                     help="experimental: size of the secret index overlap")
+    sub.add_argument("--subkey-bits", type=int, default=None,
+                     help="experimental: digest width per subkey")
 
 
 def _add_format(sub) -> None:
@@ -507,12 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("params", help="derive protocol parameters")
-    _add_sizing(sp, epsilon_required=False)
+    _add_sizing(sp)
     _add_format(sp)
     sp.set_defaults(func=cmd_params)
 
     sp = subs.add_parser("keygen", help="deal key files for one session")
-    _add_sizing(sp, epsilon_required=False)
+    _add_sizing(sp)
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--seed", type=int, default=None,
                     help="deterministic keys; test use only")
@@ -600,12 +599,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EtdrError as exc:
+    except (EtdrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_KEYS
 
 
 if __name__ == "__main__":

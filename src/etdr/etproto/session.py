@@ -3,9 +3,9 @@
 One record file per session under the store root, each integrity-tagged
 with HMAC-SHA256 under a store-local key so offline edits are caught on
 load. Fields are write-once: replays carrying the identical value are
-absorbed silently, anything conflicting freezes the session. A store
-reopened over the same directory sees exactly what was saved, so the
-referee can rule on a dispute after a restart.
+absorbed silently, anything conflicting freezes the session. Every
+lookup reads the record file, so any store over the same directory
+sees exactly what was saved, and the referee can rule after a restart.
 """
 
 from __future__ import annotations
@@ -108,31 +108,27 @@ class SessionStore:
                 os.write(fd, self._key)
             finally:
                 os.close(fd)
-        self._cache: dict[bytes, SessionRecord] = {}
 
     def _path_for(self, session_id: bytes) -> Path:
         return self.root / (session_id.hex() + ".rec")
 
     def record(self, session_id: bytes) -> SessionRecord:
+        """The session's record as last saved, or a fresh one."""
         if len(session_id) != 16:
             raise ProtocolStateError("session id must be 16 bytes")
-        if session_id in self._cache:
-            return self._cache[session_id]
-        path = self._path_for(session_id)
-        if path.exists():
-            blob = path.read_bytes()
-            if len(blob) < _TAG_BYTES:
-                raise StoreIntegrityError("record file shorter than its tag")
-            body, tag = blob[:-_TAG_BYTES], blob[-_TAG_BYTES:]
-            want = hmac.new(self._key, body, hashlib.sha256).digest()
-            if not hmac.compare_digest(tag, want):
-                raise StoreIntegrityError("record file failed integrity check")
-            rec = SessionRecord.decode(body)
-            if rec.session_id != session_id:
-                raise StoreIntegrityError("record file for a different session")
-        else:
-            rec = SessionRecord(session_id)
-        self._cache[session_id] = rec
+        try:
+            blob = self._path_for(session_id).read_bytes()
+        except FileNotFoundError:
+            return SessionRecord(session_id)
+        if len(blob) < _TAG_BYTES:
+            raise StoreIntegrityError("record file shorter than its tag")
+        body, tag = blob[:-_TAG_BYTES], blob[-_TAG_BYTES:]
+        want = hmac.new(self._key, body, hashlib.sha256).digest()
+        if not hmac.compare_digest(tag, want):
+            raise StoreIntegrityError("record file failed integrity check")
+        rec = SessionRecord.decode(body)
+        if rec.session_id != session_id:
+            raise StoreIntegrityError("record file for a different session")
         return rec
 
     def save(self, rec: SessionRecord) -> None:
@@ -142,4 +138,3 @@ class SessionStore:
         tmp = path.with_suffix(".tmp")
         tmp.write_bytes(body + tag)
         os.replace(tmp, path)
-        self._cache[rec.session_id] = rec

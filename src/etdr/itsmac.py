@@ -45,10 +45,6 @@ class MacKey:
         self.tag_bits = tag_bits
         self._consumed = False
 
-    @property
-    def consumed(self) -> bool:
-        return self._consumed
-
     def _burn(self) -> None:
         if self._consumed:
             raise KeyMaterialError("MacKey already used; a pad authenticates one message")

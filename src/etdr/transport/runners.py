@@ -5,7 +5,9 @@ carrier just moves bytes. Both phases run from the phase table in
 frames: each party sends one payload, and the referee records both,
 decides and announces. Anything wrong with an incoming frame freezes
 the runner: it records why, emits one error frame where an unused
-authenticator pad remains, and ignores everything afterwards. Local API
+authenticator pad remains, and acts on nothing afterwards; a frozen
+referee only still names who signed each frame, so that its carrier can
+deliver the error report. Local API
 misuse (submitting twice, disputing before the comparison finished)
 raises ProtocolStateError instead, since that is a programming error and
 not an attack.
@@ -258,6 +260,9 @@ class TtpRunner(_Runner):
     role = ROLE_TTP
     _to_referee = False
     _error_detail = "error report from {name} (code {code})"
+    # the party whose MAC key verified the tag of the frame just handled, or
+    # None; a carrier binds a connection to a party's role by this alone
+    signer: int | None = None
 
     def __init__(self, secret: TtpSecret, store: SessionStore | None = None):
         links = {ROLE_ALICE: secret.alice.mac, ROLE_BOB: secret.bob.mac}
@@ -275,7 +280,20 @@ class TtpRunner(_Runner):
     # -- inbound --------------------------------------------------------
 
     def on_frame(self, raw: bytes) -> list[tuple[int, Frame]]:
-        return self._receive(raw)
+        self.signer = None
+        if self.frozen is None:
+            return self._receive(raw)
+        # frozen: check an inbound payload's tag against the sender it
+        # declares, so the carrier can deliver the error report; record
+        # nothing and sign nothing
+        try:
+            frame = decode_frame(raw)
+        except FrameError:
+            return []
+        sender = SENDER_OF.get(frame.msg_type)
+        if sender is not None and self._authentic(frame, sender, PHASE_OF[frame.msg_type]):
+            self.signer = sender
+        return []
 
     def _accept(self, frame: Frame) -> list[tuple[int, Frame]]:
         sender = SENDER_OF.get(frame.msg_type)
@@ -290,6 +308,7 @@ class TtpRunner(_Runner):
             return self._freeze(ERR_FRAME, f"{noun} has the wrong size")
         if not self._authentic(frame, sender, phase):
             return self._freeze(ERR_MAC, f"bad authenticator on a {noun}")
+        self.signer = sender
         if phase is DR and not self.record.has(ET.result_field):
             return self._freeze(ERR_STATE, "dispute before the comparison finished")
         try:

@@ -3,12 +3,13 @@
 One thread serves every connection: a `selectors` loop accepts, reads
 frames, calls the runner and sends its replies, so runner calls never
 overlap and each channel's byte stream matches the in-process carrier.
-A connection is bound to a party's role once the runner has recorded a
-payload it delivered as that party's (submission and claim types name
-their sender, and the runner records only authentic payloads); until
-then the referee's frames for that role wait unsent. A connection that
-ends, stays silent for `timeout` seconds or fails a send loses its
-role, and its frames wait again until the party reconnects and resends.
+A connection is bound to a party's role once a frame it sent verifies
+under that party's MAC key, as the runner's `signer` names it; until
+then the referee's frames for that role wait unsent. A frozen referee
+still names the signer, so its error report reaches each party that
+sends an authentic frame. A connection that ends, stays silent for
+`timeout` seconds or fails a send loses its role, and its frames wait
+again until the party reconnects and resends.
 `close()` or a runner exception ends the loop and every connection.
 """
 
@@ -26,7 +27,7 @@ from ..bits import Message
 from ..errors import FrameError
 from ..etproto.keys import ROLE_ALICE, ROLE_BOB, PartyKeys, TtpSecret
 from ..etproto.session import SessionStore
-from .frames import PHASE_OF, SENDER_OF, Frame, FrameReader, encode_frame
+from .frames import SENDER_OF, Frame, FrameReader, encode_frame
 from .runners import PartyRunner, TtpRunner
 
 
@@ -127,15 +128,14 @@ class SocketTtpServer:
             if role is not None:
                 self.logs[role].to_ttp.append(raw)
             replies = self.runner.on_frame(raw)
-            # bind only a connection whose payload the runner recorded as
-            # the sender's, so an impostor never receives a party's frames
-            if role is not None and role not in self._conns:
-                field_name = PHASE_OF[frame.msg_type].payload_fields[role]
-                if self.runner.record.get(field_name) == frame.payload:
-                    self._conns[role] = conn
-                    queued, self._pending[role] = self._pending[role], []
-                    for out_raw in queued:
-                        self._send(role, out_raw)
+            # bind only a connection that sent a frame verified under the
+            # party's key, so an impostor never receives a party's frames
+            signer = self.runner.signer
+            if signer is not None and signer not in self._conns:
+                self._conns[signer] = conn
+                queued, self._pending[signer] = self._pending[signer], []
+                for out_raw in queued:
+                    self._send(signer, out_raw)
             for dst, out in replies:
                 out_raw = encode_frame(out)
                 self.logs[dst].from_ttp.append(out_raw)

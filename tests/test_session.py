@@ -40,6 +40,16 @@ def test_survives_restart(tmp_path):
     assert third.record(SID).get("et_blob_b") == b"B" * 48
 
 
+def test_lookup_reads_what_another_store_saved_since(tmp_path):
+    reader = SessionStore(tmp_path)
+    assert not reader.record(SID).has("et_outcome")
+    writer = SessionStore(tmp_path)
+    rec = writer.record(SID)
+    rec.set("et_outcome", b"\x01")
+    writer.save(rec)
+    assert reader.record(SID).get("et_outcome") == b"\x01"
+
+
 def test_append_only_across_restart(tmp_path):
     store = SessionStore(tmp_path)
     rec = store.record(SID)

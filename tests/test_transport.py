@@ -351,6 +351,22 @@ def test_premature_claim_freezes_session():
     assert not res.frozen["alice"].local
 
 
+def test_frozen_referee_names_an_authentic_signer_and_records_nothing():
+    sec = generate_keys(PARAMS, seed=321)
+    m, _ = messages(24)
+    submit = PartyRunner(sec.alice, m).et_submit_frame()
+    forged = Frame(submit.msg_type, submit.session_id, submit.payload, bytes(len(submit.tag)))
+    ttp = TtpRunner(sec)
+    assert len(ttp.on_frame(encode_frame(forged))) == 2  # one error report per party
+    assert ttp.signer is None and ttp.frozen.reason == ERR_MAC
+    record, spent = ttp.record.encode(), set(ttp._spent)
+    assert ttp.on_frame(encode_frame(submit)) == []
+    assert ttp.signer == ROLE_ALICE
+    assert ttp.record.encode() == record and ttp._spent == spent
+    for raw in (encode_frame(forged), b"not a frame"):  # cleared on every frame
+        assert ttp.on_frame(raw) == [] and ttp.signer is None
+
+
 def test_party_api_misuse_raises():
     sec = generate_keys(PARAMS, seed=305)
     m, _ = messages(12)
@@ -572,8 +588,11 @@ def test_socket_impostor_connecting_first_receives_nothing():
     assert set(results) == {"alice", "bob"}
     for result in results.values():  # a timeout, or a runner with no wrong outcome
         assert isinstance(result, FrameError) or result.et_outcome in (None, ET_EQUAL)
-    # the referee queued its error reports for Alice and Bob and sent none
-    assert [len(server._pending[role]) for role in (ROLE_ALICE, ROLE_BOB)] == [1, 1]
+    # each party's authentic submission bound its connection to the frozen
+    # referee, which then sent its queued error report there
+    assert [len(server._pending[role]) for role in (ROLE_ALICE, ROLE_BOB)] == [0, 0]
+    for result in results.values():
+        assert result.frozen is not None and not result.frozen.local
 
 
 def _wait_for(cond, timeout=5.0):
@@ -581,6 +600,42 @@ def _wait_for(cond, timeout=5.0):
     while not cond():
         assert time.monotonic() < deadline, "condition not reached"
         time.sleep(0.01)
+
+
+def test_socket_forged_tag_on_a_recorded_payload_binds_nothing():
+    # Alice submits and drops her connection; a new connection then sends
+    # her recorded payload under an all-zero tag. The referee freezes, but
+    # that connection is not Alice's and receives nothing; Alice's own
+    # resent submission then binds her new connection to the error report
+    sec = generate_keys(PARAMS, seed=510)
+    m, _ = messages(23)
+    alice = PartyRunner(sec.alice, m)
+    submit = alice.et_submit_frame()
+    forged = Frame(submit.msg_type, submit.session_id, submit.payload, bytes(len(submit.tag)))
+    with SocketTtpServer(sec, timeout=5.0) as server:
+        with socket.create_connection(server.address, timeout=5.0) as first:
+            first.sendall(encode_frame(submit))
+            assert server.wait_until(lambda r: r.record.has("et_blob_a"), timeout=5.0)
+        _wait_for(lambda: ROLE_ALICE not in server._conns)  # the referee saw it end
+        with socket.create_connection(server.address, timeout=5.0) as impostor:
+            impostor.sendall(encode_frame(forged))
+            assert server.wait_until(lambda r: r.frozen is not None, timeout=5.0)
+            assert server.runner.frozen.reason == ERR_MAC
+            assert ROLE_ALICE not in server._conns
+            assert len(server._pending[ROLE_ALICE]) == 1
+            impostor.settimeout(0.5)
+            with pytest.raises(socket.timeout):
+                impostor.recv(65536)
+            with socket.create_connection(server.address, timeout=5.0) as second:
+                second.sendall(encode_frame(submit))
+                reader = FrameReader()
+                while alice.frozen is None:
+                    data = second.recv(65536)
+                    assert data, "referee closed Alice's second connection"
+                    for frame in reader.feed(data):
+                        alice.on_frame(encode_frame(frame))
+    assert alice.frozen.reason == ERR_MAC and not alice.frozen.local
+    assert alice.et_outcome is None
 
 
 def test_socket_party_reconnects_and_resends_after_a_dropped_connection():
