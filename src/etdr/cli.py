@@ -218,13 +218,16 @@ def cmd_ttp(args) -> int:
             Path(args.port_file).write_text(f"{bound_host} {bound_port}\n")
         runner = server.runner
         last = "dr_verdict" if args.dispute else "et_outcome"
-        # the announces have been sent once the record holds the last result
-        done = server.wait_until(
-            lambda r: r.frozen is not None or r.record.has(last), args.wait
+        # serve until the last result, or a freeze's error report, has been
+        # sent to both parties: a party that binds only after the freeze
+        # still gets the report
+        server.wait_until(
+            lambda r: (r.frozen is not None or r.record.has(last)) and server.delivered,
+            args.wait,
         )
         if runner.frozen is not None:
             return _freeze_exit("ttp", runner.frozen)
-        if not done:
+        if not runner.record.has(last):
             raise FrameError(f"session did not complete within {args.wait}s")
         print(f"outcome: {_outcome_name(runner.record.get('et_outcome')[0])}")
         if args.dispute:
@@ -529,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seconds a connection may stay silent before it is "
                     "dropped; also the limit on one send")
     sp.add_argument("--wait", type=float, default=30.0,
-                    help="overall session deadline")
+                    help="overall session deadline, also for delivering a "
+                    "frozen session's error reports")
     sp.add_argument("--port-file", default=None,
                     help="write the bound address here once listening")
     sp.set_defaults(func=cmd_ttp)

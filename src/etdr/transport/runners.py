@@ -5,12 +5,12 @@ carrier just moves bytes. Both phases run from the phase table in
 frames: each party sends one payload, and the referee records both,
 decides and announces. Anything wrong with an incoming frame freezes
 the runner: it records why, emits one error frame where an unused
-authenticator pad remains, and acts on nothing afterwards; a frozen
-referee only still names who signed each frame, so that its carrier can
-deliver the error report. Local API
-misuse (submitting twice, disputing before the comparison finished)
-raises ProtocolStateError instead, since that is a programming error and
-not an attack.
+authenticator pad remains, and acts on nothing afterwards. A frozen
+referee still checks the tag of the first submission or claim per pad
+and names its signer, so that its carrier can deliver the error report.
+Local API misuse (submitting twice, disputing before the comparison
+finished) raises ProtocolStateError instead, since that is a programming
+error and not an attack.
 """
 
 from __future__ import annotations
@@ -128,8 +128,6 @@ class _Runner:
     # -- inbound --------------------------------------------------------
 
     def _receive(self, raw: bytes) -> list[tuple[int, Frame]]:
-        if self.frozen is not None:
-            return []
         try:
             frame = decode_frame(raw)
         except FrameError as exc:
@@ -141,6 +139,8 @@ class _Runner:
         return self._accept(frame)
 
     def _on_error(self, frame: Frame) -> list[tuple[int, Frame]]:
+        if self.frozen is not None:
+            return []
         # the peer's reason code counts only under one of its own pads
         senders = (p for p in self._links if any(self._authentic(frame, p, ph) for ph in PHASES))
         sender = next(senders, None)
@@ -155,7 +155,10 @@ class _Runner:
 
     def _freeze(self, reason: int, detail: str) -> list[tuple[int, Frame]]:
         """Freeze and report to every peer, signed with the link's first
-        unspent outbound pad; unsigned once the link has none left."""
+        unspent outbound pad; unsigned once the link has none left. Does
+        nothing once frozen."""
+        if self.frozen is not None:
+            return []
         self.frozen = FreezeInfo(reason, detail, local=True)
         err = Frame(MsgType.ERROR, self.session_id, bytes([reason]), b"")
         out = []
@@ -218,6 +221,8 @@ class PartyRunner(_Runner):
     # -- inbound --------------------------------------------------------
 
     def on_frame(self, raw: bytes) -> list[Frame]:
+        if self.frozen is not None:
+            return []
         return [frame for _, frame in self._receive(raw)]
 
     def _accept(self, frame: Frame) -> list[tuple[int, Frame]]:
@@ -272,6 +277,8 @@ class TtpRunner(_Runner):
         self.record: SessionRecord = (
             store.record(secret.session_id) if store else SessionRecord(secret.session_id)
         )
+        # (sender, phase name) whose pad a frozen referee has checked a tag under
+        self._frozen_checks: set[tuple[int, str]] = set()
         # announce pads spent in an earlier process stay spent
         for phase in PHASES:
             if self.record.has(phase.result_field):
@@ -281,19 +288,7 @@ class TtpRunner(_Runner):
 
     def on_frame(self, raw: bytes) -> list[tuple[int, Frame]]:
         self.signer = None
-        if self.frozen is None:
-            return self._receive(raw)
-        # frozen: check an inbound payload's tag against the sender it
-        # declares, so the carrier can deliver the error report; record
-        # nothing and sign nothing
-        try:
-            frame = decode_frame(raw)
-        except FrameError:
-            return []
-        sender = SENDER_OF.get(frame.msg_type)
-        if sender is not None and self._authentic(frame, sender, PHASE_OF[frame.msg_type]):
-            self.signer = sender
-        return []
+        return self._receive(raw)
 
     def _accept(self, frame: Frame) -> list[tuple[int, Frame]]:
         sender = SENDER_OF.get(frame.msg_type)
@@ -306,9 +301,18 @@ class TtpRunner(_Runner):
         bits = phase.payload_bits(self.params)
         if len(frame.payload) != (bits + 7) // 8:
             return self._freeze(ERR_FRAME, f"{noun} has the wrong size")
+        if self.frozen is not None:
+            # whether a tag verified shows from outside (the carrier binds and
+            # delivers), so a frozen referee checks one frame per pad and is
+            # no oracle for guessing tags
+            if (sender, phase.name) in self._frozen_checks:
+                return []
+            self._frozen_checks.add((sender, phase.name))
         if not self._authentic(frame, sender, phase):
             return self._freeze(ERR_MAC, f"bad authenticator on a {noun}")
         self.signer = sender
+        if self.frozen is not None:
+            return []  # named the signer, so its report can be delivered; acts on nothing
         if phase is DR and not self.record.has(ET.result_field):
             return self._freeze(ERR_STATE, "dispute before the comparison finished")
         try:

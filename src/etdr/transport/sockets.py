@@ -6,8 +6,9 @@ overlap and each channel's byte stream matches the in-process carrier.
 A connection is bound to a party's role once a frame it sent verifies
 under that party's MAC key, as the runner's `signer` names it; until
 then the referee's frames for that role wait unsent. A frozen referee
-still names the signer, so its error report reaches each party that
-sends an authentic frame. A connection that ends, stays silent for
+still names the signer of the first submission or claim per pad, so its
+error report reaches each party that sends an authentic frame; serve
+until `delivered` to let it. A connection that ends, stays silent for
 `timeout` seconds or fails a send loses its role, and its frames wait
 again until the party reconnects and resends.
 `close()` or a runner exception ends the loop and every connection.
@@ -78,6 +79,12 @@ class SocketTtpServer:
         answered so far sent or queued; False if `timeout` seconds pass."""
         with self._sent:
             return self._sent.wait_for(lambda: pred(self.runner), timeout)
+
+    @property
+    def delivered(self) -> bool:
+        """Whether every frame the runner has answered so far was sent to a
+        bound connection, with none waiting for a role to bind."""
+        return not any(self._pending.values())
 
     def close(self) -> None:
         self._waker.close()  # the loop reads EOF on its end of the pair

@@ -5,6 +5,7 @@ import csv
 import io
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -13,9 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from etdr.bits import Message
 from etdr.cli import _freeze_exit, main
 from etdr.etproto.keys import load_party_keys, load_ttp_secret
-from etdr.transport.sockets import SocketTtpServer
+from etdr.transport.frames import Frame, MsgType, encode_frame
+from etdr.transport.runners import ERR_MAC
+from etdr.transport.sockets import SocketTtpServer, run_party_session
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -447,6 +451,50 @@ def test_socket_flow_three_processes(keydir, tmp_path):
     assert len(records) == 1
 
 
+def test_socket_frozen_ttp_serves_its_report_to_a_party_that_connects_later(keydir, tmp_path):
+    # an impostor's forged ET_SUBMIT_B freezes `etdr ttp` before Bob has
+    # connected; the referee keeps serving, so Bob's authentic submission
+    # binds his connection and he sees the freeze, not a closed socket
+    secret = load_ttp_secret(keydir / "ttp.key")
+    p = secret.params
+    port_file = tmp_path / "port.txt"
+    env = child_env()
+    ttp = subprocess.Popen(
+        [sys.executable, "-m", "etdr.cli", "ttp", "--keys", str(keydir / "ttp.key"),
+         "--port-file", str(port_file), "--wait", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        deadline = time.monotonic() + 10
+        while not port_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        host, port = port_file.read_text().split()
+        tag = bytes((p.tag_bits + 7) // 8)
+        forged = Frame(MsgType.ET_SUBMIT_B, secret.session_id,
+                       bytes(p.digest_vector_bits // 8), tag)
+        with socket.create_connection((host, int(port)), timeout=10) as impostor:
+            impostor.sendall(encode_frame(forged))
+            # Alice returns only once the referee has frozen and reported to her
+            alice, _ = run_party_session(
+                load_party_keys(keydir / "alice.key"), Message(1, p.data_bits),
+                (host, int(port)), timeout=10)
+        assert alice.frozen.reason == ERR_MAC and not alice.frozen.local
+        bob = subprocess.run(
+            [sys.executable, "-m", "etdr.cli", "party", "--carrier", "socket",
+             "--keys", str(keydir / "bob.key"), "--connect", f"{host}:{port}",
+             "--message", "1", "--timeout", "10"],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        ttp_out, _ = ttp.communicate(timeout=20)
+    finally:
+        if ttp.poll() is None:
+            ttp.kill()
+    assert bob.returncode == 4, bob.stderr
+    assert "frozen party: mac (reported by peer)" in bob.stdout
+    assert ttp.returncode == 4
+    assert "frozen ttp: mac (detected locally)" in ttp_out
+
+
 def test_console_script_installed():
     """The ``etdr`` console script declared in pyproject.toml starts in its
     own process, dispatches to its entry point and exits with that entry
@@ -502,7 +550,7 @@ def test_runtime_needs_numpy_only():
 
 
 def test_mac_freeze_exits_4(capsys):
-    from etdr.transport.runners import ERR_MAC, FreezeInfo
+    from etdr.transport.runners import FreezeInfo
 
     info = FreezeInfo(ERR_MAC, "bad tag", local=True)
     assert _freeze_exit("party", info) == 4

@@ -367,6 +367,32 @@ def test_frozen_referee_names_an_authentic_signer_and_records_nothing():
         assert ttp.on_frame(raw) == [] and ttp.signer is None
 
 
+def test_frozen_referee_checks_one_frame_per_pad():
+    # a frozen referee's binding shows from outside whether a tag verified,
+    # so it checks only the first submission per pad: a second attempt
+    # under the same pad names no signer, even with the authentic tag
+    sec = generate_keys(PARAMS, seed=322)
+    m, _ = messages(25)
+    submits = {
+        role: PartyRunner(keys, m).et_submit_frame()
+        for role, keys in ((ROLE_ALICE, sec.alice), (ROLE_BOB, sec.bob))
+    }
+    forged = {
+        role: Frame(f.msg_type, f.session_id, f.payload, bytes(len(f.tag)))
+        for role, f in submits.items()
+    }
+    ttp = TtpRunner(sec)
+    ttp.on_frame(encode_frame(forged[ROLE_BOB]))  # freezes, live
+    assert ttp.frozen.reason == ERR_MAC
+    record, spent = ttp.record.encode(), set(ttp._spent)
+    assert ttp.on_frame(encode_frame(forged[ROLE_ALICE])) == [] and ttp.signer is None
+    assert ttp.on_frame(encode_frame(submits[ROLE_ALICE])) == [] and ttp.signer is None
+    # the pad whose forged frame froze the runner live still gets one check
+    assert ttp.on_frame(encode_frame(submits[ROLE_BOB])) == [] and ttp.signer == ROLE_BOB
+    assert ttp.on_frame(encode_frame(submits[ROLE_BOB])) == [] and ttp.signer is None
+    assert ttp.record.encode() == record and ttp._spent == spent
+
+
 def test_party_api_misuse_raises():
     sec = generate_keys(PARAMS, seed=305)
     m, _ = messages(12)
