@@ -34,10 +34,19 @@ session's work, and it takes one of three paths by input size:
 Both numpy paths chunk the message with one to_bytes and a gather of one
 8-byte word per block (_block_array); the first of them in a process
 imports numpy (about 0.17 s).
+
+The log-table path splits the keys into even groups (96 keys at 342
+blocks run as 48 + 48) and gathers each group into scratch space that
+every thread allocates on its first call and keeps: 2 x 128 kB a thread.
+Allocated per call, buffers that size were handed back to the OS on free
+(glibc trims freed heap above 128 kB) and faulted in again on the next
+call. Only a message with over 2^15 nonzero blocks, which no session
+sends, allocates per call.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -62,7 +71,12 @@ _VECTOR_MAX_DEGREE = 27
 # Entries in one log-table gather for a group of keys: 2^15 uint32 entries
 # are 128 kB a buffer, so both buffers stay in cache. At r = 2^12 with 264
 # keys 2^15 took 0.33 ms and 2^16 0.88 ms (2-CPU Xeon); at r = 2^16 they tie.
+# Each thread keeps both buffers (2 x 128 kB) in _scratch for good: glibc
+# trims freed heap above 128 kB back to the OS, so buffers allocated per
+# call were faulted in again on every call. Keys are split into even
+# groups, so each gather is as small as the number of groups allows.
 _TABLE_ENTRIES = 1 << 15
+_scratch = threading.local()
 # The carry-less path's slices (blocks sharing one window table of key
 # powers) and groups (slices weighted in one array multiply), powers of
 # two so that doubling ends on k^s and k^(s g).
@@ -126,9 +140,8 @@ def collision_bound(msg_bits: int, degree: int) -> Fraction:
 
 
 def _check_keys(field: GF2, keys) -> None:
-    for k in keys:
-        if k < 0 or k >= field.order:
-            raise ParameterError("key outside the field")
+    if keys and (min(keys) < 0 or max(keys) >= field.order):
+        raise ParameterError("key outside the field")
 
 
 def _horner(mul_k, blocks: list[int]) -> int:
@@ -181,8 +194,8 @@ class VectorHasher:
 
 def _log_digests(field: GF2, keys, blocks):
     """Degrees <= 16: the digest for key k != 0 XORs exp[log b_i + i log k]
-    over the nonzero blocks b_i. Keys go in groups whose gather stays near
-    _TABLE_ENTRIES, through two buffers reused for every group. i log k <
+    over the nonzero blocks b_i. Keys go in even groups whose gather fits
+    _TABLE_ENTRIES, through the thread's scratch buffers. i log k <
     2^(2l) is reduced mod 2^l - 1 by adding its high half to its low half;
     with log b_i the index stays below 3(2^l - 1), the length of exp3."""
     import numpy as np
@@ -194,9 +207,18 @@ def _log_digests(field: GF2, keys, blocks):
     index = (nonzero % int(n)).astype(np.uint32)
     log_k = log[keys]
     out = np.empty(len(keys), np.uint32)
-    group = min(len(keys), max(1, _TABLE_ENTRIES // max(1, len(index))))
-    e_buf = np.empty((group, len(index)), np.uint32)
-    hi_buf = np.empty_like(e_buf)
+    group_max = max(1, _TABLE_ENTRIES // max(1, len(index)))
+    group = -(-len(keys) // -(-len(keys) // group_max))  # 96 keys: 48 + 48, not 95 + 1
+    size = group * len(index)
+    scratch = getattr(_scratch, "buffer", None)
+    if scratch is None:
+        scratch = _scratch.buffer = np.empty(2 * _TABLE_ENTRIES, np.uint32)
+    if size > _TABLE_ENTRIES:  # over 2^15 nonzero blocks: one key a group
+        scratch = np.empty(2 * size, np.uint32)
+    # e_buf and hi_buf side by side: 128 kB apart, a multiple of the 4 kB
+    # page, they slowed r = 256 gathers by about 3 us a call (2-CPU x86)
+    e_buf = scratch[:size].reshape(group, len(index))
+    hi_buf = scratch[size : 2 * size].reshape(group, len(index))
     for first in range(0, len(keys), group):
         lk = log_k[first : first + group]
         e, hi = e_buf[: len(lk)], hi_buf[: len(lk)]

@@ -90,7 +90,7 @@ class PartyKeys:
             raise KeyMaterialError("session id must be 16 bytes")
         if len(self.subkeys) != p.subkey_count:
             raise KeyMaterialError("wrong number of hash subkeys")
-        if any(not 0 <= k < (1 << p.subkey_bits) for k in self.subkeys):
+        if self.subkeys and (min(self.subkeys) < 0 or max(self.subkeys) >= 1 << p.subkey_bits):
             raise KeyMaterialError("hash subkey outside the field")
         if not 0 <= self.otp_bits < (1 << p.digest_vector_bits):
             raise KeyMaterialError("one-time pad outside its width")

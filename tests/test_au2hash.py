@@ -1,6 +1,8 @@
 """Hash layer tests: worked examples, exhaustive collision bounds, linearity."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -202,3 +204,87 @@ def test_hash_vector_rejects_keys_outside_the_field(degree, n_blocks):
     for bad in (-1, -(1 << degree), 1 << degree, (1 << degree) + 1, 1 << 64):
         with pytest.raises(ParameterError):
             hash_vector([1, 2, bad, 3], 12345, bits, degree)
+
+
+def test_hash_vector_in_two_threads_matches_one_thread():
+    # every thread gathers into its own scratch buffers, so threads that
+    # hash at once (the TCP referee and both clients in one process) never
+    # read each other's entries
+    rng = random.Random(310)
+    degree, bits = 12, 1 << 12
+    jobs = [
+        ([rng.randrange(1 << degree) for _ in range(n_keys)], rng.getrandbits(bits))
+        for n_keys in (48, 96)
+    ]
+    want = [hash_vector(keys, v, bits, degree) for keys, v in jobs]
+    assert want == [[poly_hash(k, v, bits, degree) for k in keys] for keys, v in jobs]
+    results = [[], []]
+
+    def work(i):
+        keys, v = jobs[i]
+        for _ in range(50):
+            results[i].append(hash_vector(keys, v, bits, degree))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(2):
+        assert results[i] == [want[i]] * 50
+
+
+@pytest.mark.parametrize("n_keys", [95, 96, 97])
+def test_hash_vector_in_even_key_groups(n_keys):
+    # 342 blocks: 95 keys fill one gather group; 96 and 97 run as two
+    degree, bits = 12, 1 << 12
+    assert au2hash._TABLE_ENTRIES // block_count(bits, degree) == 95
+    rng = random.Random(311 + n_keys)
+    keys = [0, 1, (1 << degree) - 1] + [rng.randrange(1 << degree) for _ in range(n_keys - 3)]
+    v = rng.getrandbits(bits)
+    assert hash_vector(keys, v, bits, degree) == [poly_hash(k, v, bits, degree) for k in keys]
+
+
+def test_hash_vector_over_the_scratch_buffers():
+    # over 2^15 nonzero blocks one key's gather outgrows the scratch
+    # buffers, and that call allocates its own
+    degree = 8
+    c = au2hash._TABLE_ENTRIES + 5
+    rng = random.Random(312)
+    v = int.from_bytes(bytes(rng.randrange(1, 256) for _ in range(c)), "little")
+    keys = [0, 1, 255, rng.randrange(256)]
+    bits = c * degree - 3
+    assert len(keys) * bits >= au2hash._LIST_PATH_MAX_WORK * degree  # the numpy path
+    assert sum(1 for b in chunk_blocks(v, bits, degree) if b) > au2hash._TABLE_ENTRIES
+    assert hash_vector(keys, v, bits, degree) == [horner_oracle(k, v, bits, degree) for k in keys]
+
+
+def test_digest_vectors_do_not_alias_the_scratch_buffers():
+    import numpy as np
+
+    degree, bits = 12, 1 << 12
+    field = GF2.get(degree)
+    rng = random.Random(313)
+    keys = [rng.randrange(1 << degree) for _ in range(96)]
+    v1, v2 = rng.getrandbits(bits), rng.getrandbits(bits)
+    keys_array = np.array(keys, np.int64)
+    first = hash_vector(keys, v1, bits, degree)
+    raw = au2hash._log_digests(field, keys_array, au2hash._block_array(v1, bits, degree))
+    kept = raw.copy()
+    hash_vector(keys, v2, bits, degree)
+    au2hash._log_digests(field, keys_array, au2hash._block_array(v2, bits, degree))
+    assert first == [poly_hash(k, v1, bits, degree) for k in keys]
+    assert (raw == kept).all() and raw.tolist() == first
+
+
+def test_hash_vector_rejects_a_key_too_wide_for_int64():
+    # the range check runs before the keys become an int64 array, so a key
+    # of 2^63 is a ParameterError, not numpy's OverflowError
+    with pytest.raises(ParameterError):
+        hash_vector([1, 2, 1 << 63, 3], 12345, 100 * 12, 12)

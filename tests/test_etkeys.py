@@ -1,5 +1,6 @@
 """Key generation, the overlap distribution, and key-file round-trips."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -175,6 +176,15 @@ def test_ttp_secret_validates_overlap_agreement():
     )
     with pytest.raises(KeyMaterialError):
         K.TtpSecret(sec.params, sec.session_id, sec.shared_indices, sec.alice, bad_bob)
+
+
+def test_party_keys_reject_subkeys_outside_the_field():
+    alice = K.generate_keys(TINY, seed=3).alice
+    q = 1 << TINY.subkey_bits
+    for bad in (-1, q, 1 << 63):
+        with pytest.raises(KeyMaterialError, match="hash subkey outside the field"):
+            dataclasses.replace(alice, subkeys=(bad,) + alice.subkeys[1:])
+    dataclasses.replace(alice, subkeys=(0, q - 1) + alice.subkeys[2:])
 
 
 def test_file_size_matches_accounting(tmp_path):
