@@ -22,7 +22,10 @@ the per-view calculators below evaluate.
 Digests are linear over GF(2) in the message, so T depends only on the
 XOR difference d between claim and honest data, and the entire view
 value depends only on the cheater's subkeys. The exact enumerators
-exploit this: they walk difference space, not message space.
+exploit this: they walk difference space, not message space. Two helpers
+score it, and only they bar difference 0: `_exact_ranks` for
+`per_view_exact_optimum` and `exact_game_value`, `_most_collisions` for
+`BestCollide` and `OverlapGuess`.
 
 One cached table per (data bits, subkey bits) holds the digest of every
 message under every key, filled by the same linearity: doubling over the
@@ -167,18 +170,33 @@ def _win_prob_ranks(data_bits: int, subkey_bits: int, subkey_count: int):
     return ordered, rank_table
 
 
+def _exact_ranks(params: Params, keys: np.ndarray) -> np.ndarray:
+    """ranks[d, v]: the rank in _win_prob_ranks of the exact win probability
+    of difference d for view v, one view per row of `keys`. Difference zero
+    means claiming the honest data, so it is barred with rank -1."""
+    roots, counts = _difference_tables(params.data_bits, params.subkey_bits)
+    _, rank_table = _win_prob_ranks(
+        params.data_bits, params.subkey_bits, params.subkey_count
+    )
+    # (diffs, views), summed in the narrowest type that holds subkey_count:
+    # an int64 array per chunk is freed and faulted in again by the next
+    t_sizes = roots[:, keys].sum(
+        axis=2, dtype=np.min_scalar_type(params.subkey_count)
+    )
+    ranks = rank_table[t_sizes, counts[:, None]]  # int32, so -1 cannot wrap
+    ranks[0] = -1
+    return ranks
+
+
 def per_view_exact_optimum(
     params: Params, subkeys: tuple[int, ...]
 ) -> tuple[Fraction, int]:
     """Best exact win probability over every allowed claim for this view,
     with the smallest optimal difference. Independent of the honest data."""
-    roots, counts = _difference_tables(params.data_bits, params.subkey_bits)
-    ordered, rank_table = _win_prob_ranks(
+    ordered, _ = _win_prob_ranks(
         params.data_bits, params.subkey_bits, params.subkey_count
     )
-    t_sizes = roots[:, list(subkeys)].sum(axis=1)
-    ranks = rank_table[t_sizes, counts]
-    ranks[0] = -1  # difference zero means claiming the honest data: barred
+    ranks = _exact_ranks(params, np.array([subkeys]))[:, 0]
     best_d = int(np.argmax(ranks))
     return ordered[ranks[best_d]], best_d
 
@@ -209,49 +227,30 @@ def exact_game_value(
     seed: int = 0,
 ) -> ExactReport:
     """Per-view exact optimum aggregated over the view space: every subkey
-    tuple when small enough, otherwise `sample` seeded draws. The honest
+    tuple, or `sample` seeded draws when `sample` is given. The honest
     message does not enter (see module docstring), so a view is just the
     cheater's subkey tuple."""
-    roots, counts = _difference_tables(params.data_bits, params.subkey_bits)
-    ordered, rank_table = _win_prob_ranks(
+    ordered, _ = _win_prob_ranks(
         params.data_bits, params.subkey_bits, params.subkey_count
     )
     n_keys = 1 << params.subkey_bits
     big_n = params.subkey_count
-    space = n_keys**big_n
-
-    if sample is None:
-        total = space
-        exhaustive = True
-
-        def views():
-            for base in range(0, space, _VIEW_CHUNK):
-                idx = np.arange(base, min(base + _VIEW_CHUNK, space), dtype=np.int64)
-                keys = np.empty((len(idx), big_n), dtype=np.int64)
-                v = idx.copy()
-                for j in range(big_n):
-                    keys[:, j] = v % n_keys
-                    v //= n_keys
-                yield keys
-
-    else:
-        total = sample
-        exhaustive = False
-        rng = np.random.default_rng(seed)
-
-        def views():
-            left = sample
-            while left > 0:
-                take = min(_VIEW_CHUNK, left)
-                left -= take
-                yield rng.integers(0, n_keys, size=(take, big_n), dtype=np.int64)
+    exhaustive = sample is None
+    total = n_keys**big_n if exhaustive else sample
+    rng = np.random.default_rng(seed)  # drawn from in sampled mode only
 
     rank_counts = np.zeros(len(ordered), dtype=np.int64)
-    for keys in views():
-        t_sizes = roots[:, keys].sum(axis=2)  # (diffs, views)
-        ranks = rank_table[t_sizes, counts[:, None]]
-        ranks[0, :] = -1
-        best = ranks.max(axis=0)
+    for base in range(0, total, _VIEW_CHUNK):
+        take = min(_VIEW_CHUNK, total - base)
+        if exhaustive:  # view number base + i, written in base n_keys
+            v = np.arange(base, base + take, dtype=np.int64)
+            keys = np.empty((take, big_n), dtype=np.int64)
+            for j in range(big_n):
+                keys[:, j] = v % n_keys
+                v //= n_keys
+        else:
+            keys = rng.integers(0, n_keys, size=(take, big_n), dtype=np.int64)
+        best = _exact_ranks(params, keys).max(axis=0)
         rank_counts += np.bincount(best, minlength=len(ordered))
 
     mean = sum(
@@ -272,16 +271,17 @@ def exact_game_value(
 
 
 class Strategy:
-    """Picks a claim (and optionally a submission) from the cheater's view.
+    """Picks a claim from the cheater's view.
 
-    The default submission is the digest vector of the claim, the collapse
-    every sensible strategy uses; the sanity strategy overrides it.
+    The submission is the digest vector of the claim, the collapse every
+    sensible strategy uses; the sanity strategy submits the honest data's.
     """
 
     name = "abstract"
     # whether choose() reads the difference tables, which cap the game at
     # MAX_EXACT_DATA_BITS data bits
     enumerates_differences = False
+    submits_honest_vector = False
 
     def choose(self, view: CheaterView, rng: random.Random) -> int:
         raise NotImplementedError
@@ -292,7 +292,17 @@ class Strategy:
         p = view.params
         claim = Message(self.choose(view, rng), p.data_bits)
         rows = _digest_rows(p.data_bits, p.subkey_bits)
-        return _digest_vector(p, rows, view.subkeys, claim), claim
+        submitted = view.honest_message if self.submits_honest_vector else claim
+        return _digest_vector(p, rows, view.subkeys, submitted), claim
+
+
+def _most_collisions(view: CheaterView, subkeys: list[int]) -> int:
+    """The claim, never the honest data, that the most of `subkeys` hash
+    alike to the honest data; ties go to the smallest difference."""
+    roots, _ = _difference_tables(view.params.data_bits, view.params.subkey_bits)
+    covered = roots[:, subkeys].sum(axis=1)
+    covered[0] = -1
+    return view.honest_message.value ^ int(np.argmax(covered))
 
 
 class RandomClaim(Strategy):
@@ -326,12 +336,7 @@ class BestCollide(Strategy):
     enumerates_differences = True
 
     def choose(self, view, rng):
-        roots, _ = _difference_tables(
-            view.params.data_bits, view.params.subkey_bits
-        )
-        t_sizes = roots[:, list(view.subkeys)].sum(axis=1)
-        t_sizes[0] = -1
-        return view.honest_message.value ^ int(np.argmax(t_sizes))
+        return _most_collisions(view, list(view.subkeys))
 
 
 class ExactBest(Strategy):
@@ -354,10 +359,7 @@ class OverlapGuess(Strategy):
     def choose(self, view, rng):
         p = view.params
         guess = rng.sample(range(p.subkey_count), p.shared_count)
-        roots, _ = _difference_tables(p.data_bits, p.subkey_bits)
-        covered = roots[:, [view.subkeys[j] for j in guess]].sum(axis=1)
-        covered[0] = -1
-        return view.honest_message.value ^ int(np.argmax(covered))
+        return _most_collisions(view, [view.subkeys[j] for j in guess])
 
 
 class CopyHonestVector(Strategy):
@@ -367,12 +369,7 @@ class CopyHonestVector(Strategy):
 
     name = "copy-honest-vector"
     choose = RandomClaim.choose
-
-    def play(self, view, rng):
-        p = view.params
-        claim = Message(self.choose(view, rng), p.data_bits)
-        rows = _digest_rows(p.data_bits, p.subkey_bits)
-        return _digest_vector(p, rows, view.subkeys, view.honest_message), claim
+    submits_honest_vector = True
 
 
 ALL_STRATEGIES: tuple[Strategy, ...] = (

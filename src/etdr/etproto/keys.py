@@ -327,14 +327,10 @@ def load_keys(path: str | Path) -> PartyKeys | TtpSecret:
     raise KeyMaterialError(f"unknown role byte {role}")
 
 
-def load_party_keys(path: str | Path, role: int | None = None) -> PartyKeys:
+def load_party_keys(path: str | Path) -> PartyKeys:
     material = load_keys(path)
     if not isinstance(material, PartyKeys):
         raise KeyMaterialError("expected a party key file, got the dealer's")
-    if role is not None and material.role != role:
-        raise KeyMaterialError(
-            f"key file is for {ROLE_NAMES[material.role]}, not {ROLE_NAMES[role]}"
-        )
     return material
 
 

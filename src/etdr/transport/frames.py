@@ -125,24 +125,26 @@ def encode_frame(frame: Frame) -> bytes:
 
 def decode_frame(buf: bytes) -> Frame:
     """Parse one complete frame; the buffer must hold exactly one."""
-    frame, used = _parse(buf)
-    if frame is None:
+    total = _frame_length(buf)
+    if total is None or len(buf) < total:
         raise FrameError("frame truncated")
-    if used != len(buf):
+    if len(buf) > total:
         raise FrameError("trailing bytes after frame")
-    return frame
+    tag_start = total - buf[22]
+    payload = buf[HEADER_BYTES:tag_start]
+    return Frame(MsgType(buf[1]), buf[2:18], payload, buf[tag_start:])
 
 
-def _parse(buf: bytes | bytearray) -> tuple[Frame | None, int]:
-    """(frame, bytes consumed), or (None, 0) if more bytes are needed.
-    The header is read in place; only a complete frame is copied out."""
+def _frame_length(buf: bytes | bytearray) -> int | None:
+    """The length of the frame whose header starts `buf`, or None until the
+    whole header is there. The header is checked in place."""
     if len(buf) < HEADER_BYTES:
-        return None, 0
+        return None
     version, raw_type = buf[0], buf[1]
     if version != FRAME_VERSION:
         raise FrameError(f"unsupported frame version {version}")
     try:
-        msg_type = MsgType(raw_type)
+        MsgType(raw_type)
     except ValueError as exc:
         raise FrameError(f"unknown message type {raw_type}") from exc
     (payload_len,) = struct.unpack_from(">I", buf, 18)
@@ -151,27 +153,23 @@ def _parse(buf: bytes | bytearray) -> tuple[Frame | None, int]:
         raise FrameError("declared payload length too large")
     if tag_len > MAX_TAG_BYTES:
         raise FrameError("declared tag length too large")
-    total = HEADER_BYTES + payload_len + tag_len
-    if len(buf) < total:
-        return None, 0
-    session_id = bytes(buf[2:18])
-    payload = bytes(buf[HEADER_BYTES : HEADER_BYTES + payload_len])
-    tag = bytes(buf[HEADER_BYTES + payload_len : total])
-    return Frame(msg_type, session_id, payload, tag), total
+    return HEADER_BYTES + payload_len + tag_len
 
 
 class FrameReader:
-    """Incremental parser for stream carriers."""
+    """Cuts whole wire frames from a stream carrier's bytes. It checks each
+    header, so a poisoned stream raises FrameError, and leaves the parsing
+    to `decode_frame` in the runner that receives the frame."""
 
     def __init__(self) -> None:
         self._buf = bytearray()
 
-    def feed(self, data: bytes) -> list[Frame]:
+    def feed(self, data: bytes) -> list[bytes]:
         self._buf.extend(data)
-        frames = []
+        raws = []
         while True:
-            frame, used = _parse(self._buf)
-            if frame is None:
-                return frames
-            del self._buf[:used]
-            frames.append(frame)
+            total = _frame_length(self._buf)
+            if total is None or len(self._buf) < total:
+                return raws
+            raws.append(bytes(self._buf[:total]))
+            del self._buf[:total]

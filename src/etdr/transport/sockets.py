@@ -1,8 +1,9 @@
 """TCP carrier: the same runners over real connections.
 
-One thread serves every connection: a `selectors` loop accepts, reads
-frames, calls the runner and sends its replies, so runner calls never
-overlap and each channel's byte stream matches the in-process carrier.
+One thread serves every connection: a `selectors` loop accepts, cuts
+whole frames from each byte stream, hands them as received to the runner,
+which parses them, and sends its replies, so runner calls never overlap
+and each channel's byte stream matches the in-process carrier.
 A connection is bound to a party's role once a frame it sent verifies
 under that party's MAC key, as the runner's `signer` names it; until
 then the referee's frames for that role wait unsent. A frozen referee
@@ -122,16 +123,15 @@ class SocketTtpServer:
     def _serve(self, conn: socket.socket, reader: FrameReader) -> None:
         try:
             data = conn.recv(65536)
-            frames = reader.feed(data)
+            raws = reader.feed(data)
         except (OSError, FrameError):  # a reset, or an unparseable stream
             data = b""
         if not data:
             self._drop(conn)
             return
         self._deadlines[conn] = time.monotonic() + self.timeout
-        for frame in frames:
-            raw = encode_frame(frame)
-            role = SENDER_OF.get(frame.msg_type)
+        for raw in raws:
+            role = SENDER_OF.get(raw[1])
             if role is not None:
                 self.logs[role].to_ttp.append(raw)
             replies = self.runner.on_frame(raw)
@@ -197,8 +197,7 @@ def run_party_session(
                     raise FrameError("timed out waiting for the referee") from exc
                 if not data:
                     raise FrameError("referee closed the connection mid-session")
-                for frame in reader.feed(data):
-                    raw = encode_frame(frame)
+                for raw in reader.feed(data):
                     log.from_ttp.append(raw)
                     for out in runner.on_frame(raw):
                         send(out)

@@ -9,7 +9,7 @@ in 2(r + 4n + 4l + 2); the meter checks both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ProtocolStateError
 from ..params import Params
@@ -35,7 +35,6 @@ class TrafficMeter:
     et_bits: int = 0
     dr_bits: int = 0
     claim_bits: int = 0
-    counts: dict = field(default_factory=dict)
 
     def note(self, frame: Frame) -> None:
         if frame.msg_type == MsgType.ERROR:
@@ -47,7 +46,6 @@ class TrafficMeter:
             self.dr_bits += bits
         if frame.msg_type in DR.inbound.values():
             self.claim_bits += bits - self.params.tag_bits
-        self.counts[frame.msg_type] = self.counts.get(frame.msg_type, 0) + 1
 
     @property
     def et_within_budget(self) -> bool:

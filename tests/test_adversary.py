@@ -4,6 +4,7 @@ Monte-Carlo strategy suite, and mirror symmetry."""
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -185,6 +186,21 @@ def test_exact_game_value_sampled_mode():
     assert r1.within_bound
 
 
+@pytest.mark.parametrize(
+    "params", [c for c, _ in TINY_CONFIGS[:3]],
+    ids=lambda p: f"{p.data_bits}-{p.shared_count}-{p.subkey_bits}",
+)
+def test_exhaustive_game_value_aggregates_the_per_view_optimum(params):
+    # both readers of the exact ranks agree: the game value is the mean and
+    # max of the per-view optimum over every subkey tuple
+    views = list(product(range(1 << params.subkey_bits), repeat=params.subkey_count))
+    values = [adv.per_view_exact_optimum(params, keys)[0] for keys in views]
+    report = adv.exact_game_value(params)
+    assert report.exhaustive and report.views == len(views)
+    assert report.mean_value == sum(values) / len(views)
+    assert report.max_value == max(values)
+
+
 # ------------------------------------------------------- world dealing
 
 
@@ -272,6 +288,37 @@ def test_wide_games_play_through_the_shipped_digest():
             )
             assert got == want
         assert adv.play_game(params, strategy, 200, seed=4).within_bound
+
+
+@lru_cache(maxsize=None)
+def zero_differences(k, r, l):
+    """zero_differences(k, r, l)[d]: key k hashes difference d to zero."""
+    return tuple(poly_hash(k, d, r, l) == 0 for d in range(1 << r))
+
+
+def most_collisions_oracle(params, keys, honest):
+    """The honest data XOR the smallest nonzero difference that the most of
+    `keys` hash to zero, read from poly_hash directly."""
+    r, l = params.data_bits, params.subkey_bits
+    hits = [
+        sum(zero_differences(k, r, l)[d] for k in keys) for d in range(1 << r)
+    ]
+    return honest ^ hits.index(max(hits[1:]), 1)
+
+
+@pytest.mark.parametrize("config", [(6, 3, 2), (9, 3, 3)], ids=["6-3-2", "9-3-3"])
+def test_collision_strategies_pick_the_oracle_claim(config):
+    params = experimental_params(*config)
+    big_n, n = params.subkey_count, params.shared_count
+    for seed in range(200):
+        world = adv.draw_world(params, random.Random(seed))
+        view = adv.CheaterView(params, world.honest_message, world.cheater_subkeys)
+        keys, honest = view.subkeys, world.honest_message.value
+        got = adv.BestCollide().choose(view, random.Random(seed))
+        assert got == most_collisions_oracle(params, keys, honest)
+        guess = random.Random(seed).sample(range(big_n), n)
+        want = most_collisions_oracle(params, [keys[j] for j in guess], honest)
+        assert adv.OverlapGuess().choose(view, random.Random(seed)) == want
 
 
 def test_claim_matching_honest_data_is_rejected():

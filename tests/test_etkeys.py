@@ -119,9 +119,6 @@ def test_role_confusion_rejected(tmp_path):
         K.load_party_keys(tmp_path / "ttp.key")
     with pytest.raises(KeyMaterialError):
         K.load_ttp_secret(tmp_path / "alice.key")
-    with pytest.raises(KeyMaterialError):
-        K.load_party_keys(tmp_path / "alice.key", role=K.ROLE_BOB)
-    assert K.load_party_keys(tmp_path / "alice.key", role=K.ROLE_ALICE) == sec.alice
 
 
 def test_corrupt_files_rejected(tmp_path):

@@ -82,13 +82,15 @@ def test_reader_reassembles_byte_dribble():
         Frame(MsgType.ET_ANNOUNCE, SID, b"\x00", b"\x03\x04"),
         Frame(MsgType.ERROR, SID, b"\x01", b""),
     ]
-    stream = b"".join(encode_frame(f) for f in frames)
+    raws = [encode_frame(f) for f in frames]
+    stream = b"".join(raws)
     reader = FrameReader()
     got = []
     for k in range(len(stream)):
         got.extend(reader.feed(stream[k : k + 1]))
-    assert got == frames
-    assert reader.feed(stream) == frames  # nothing left over from the first pass
+    assert got == raws
+    assert [decode_frame(raw) for raw in got] == frames
+    assert reader.feed(stream) == raws  # nothing left over from the first pass
 
 
 def test_reader_raises_on_poisoned_stream():
@@ -99,14 +101,14 @@ def test_reader_raises_on_poisoned_stream():
 
 def test_reader_reassembles_a_large_frame_from_chunks():
     # a 1 MiB payload in 64 KiB reads: nothing until the last chunk, then
-    # exactly that frame, its fields plain bytes
+    # exactly that frame as plain bytes, which parses to its fields
     frame = Frame(MsgType.DR_CLAIM_A, SID, bytes(range(256)) * 4096, b"\x05\x06")
     stream = encode_frame(frame)
     chunk = 64 * 1024
     reader = FrameReader()
     got = [reader.feed(stream[k : k + chunk]) for k in range(0, len(stream), chunk)]
     assert all(batch == [] for batch in got[:-1])
-    assert got[-1] == [frame]
-    out = got[-1][0]
-    assert all(type(v) is bytes for v in (out.session_id, out.payload, out.tag))
+    assert got[-1] == [stream]
+    assert type(got[-1][0]) is bytes
+    assert decode_frame(got[-1][0]) == frame
     assert reader.feed(b"") == []

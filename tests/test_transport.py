@@ -304,7 +304,8 @@ def test_duplicate_submission_is_absorbed():
     res = net.result()
     assert res.clean
     assert res.et_outcome_a == res.et_outcome_b == ET_EQUAL
-    assert res.meter.counts[MsgType.ET_ANNOUNCE] == 4
+    announces = [raw for _, _, raw in res.transcript if raw[1] == MsgType.ET_ANNOUNCE]
+    assert len(announces) == 4
 
 
 def test_cross_session_frame_freezes():
@@ -658,8 +659,8 @@ def test_socket_forged_tag_on_a_recorded_payload_binds_nothing():
                 while alice.frozen is None:
                     data = second.recv(65536)
                     assert data, "referee closed Alice's second connection"
-                    for frame in reader.feed(data):
-                        alice.on_frame(encode_frame(frame))
+                    for raw in reader.feed(data):
+                        alice.on_frame(raw)
     assert alice.frozen.reason == ERR_MAC and not alice.frozen.local
     assert alice.et_outcome is None
 
@@ -686,9 +687,9 @@ def test_socket_party_reconnects_and_resends_after_a_dropped_connection():
             while alice.state != "et_done" and alice.frozen is None:
                 data = second.recv(65536)
                 assert data, "referee closed Alice's second connection"
-                for frame in reader.feed(data):
-                    received.append(frame.msg_type)
-                    alice.on_frame(encode_frame(frame))
+                for raw in reader.feed(data):
+                    received.append(raw[1])
+                    alice.on_frame(raw)
     assert received == [MsgType.ET_ANNOUNCE]
     assert alice.frozen is None and bob.frozen is None
     assert alice.et_outcome == bob.et_outcome == ET_EQUAL
@@ -721,8 +722,8 @@ def test_socket_close_is_prompt_with_a_bound_and_an_idle_client():
         while alice.state != "et_done":
             data = bound.recv(65536)
             assert data, "referee closed Alice's connection"
-            for frame in reader.feed(data):
-                alice.on_frame(encode_frame(frame))
+            for raw in reader.feed(data):
+                alice.on_frame(raw)
         _wait_for(lambda: len(server._deadlines) == 2)  # Bob's connection ended
         assert ROLE_ALICE in server._conns
         start = time.perf_counter()
