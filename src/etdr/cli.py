@@ -4,8 +4,8 @@ Subcommands
 -----------
 params    derive and print the protocol parameters for a data size / risk pair
 keygen    deal the three key files for one session
-ttp       serve the referee for one session over TCP
-party     run the comparison phase (in-process with all roles, or over TCP)
+ttp       serve the referee for one session over TCP, any dispute included
+party     run the comparison phase (all roles in-process, or one with --connect)
 dispute   run a session through the dispute phase
 bounds    security calculator: exact cheating bound and acceptance verdict
 attack    adversarial game: Monte-Carlo strategies and exact per-view optima
@@ -108,6 +108,12 @@ def _parse_message(text: str, params: Params) -> Message:
     return Message(value, params.data_bits)
 
 
+def _claim(args, name: str, params: Params) -> Message | None:
+    """The claim option `name`, parsed; None where it is unset or absent."""
+    text = getattr(args, name, None)
+    return _parse_message(text, params) if text else None
+
+
 def _params_from_args(args) -> Params:
     experimental = args.shared_count is not None or args.subkey_bits is not None
     if experimental:
@@ -125,12 +131,13 @@ def _params_from_args(args) -> Params:
 
 
 def _host_port(text: str) -> tuple[str, int]:
-    """HOST:PORT, or a bare HOST on port 0 (any free port)."""
+    """HOST:PORT or [HOST]:PORT, or a bare HOST on port 0 (any free port);
+    a bare IPv6 host needs no brackets."""
     host, sep, port = text.rpartition(":")
-    if not sep:
+    if not sep or ":" in host and not host.startswith("["):
         return text, 0
     try:
-        return host, int(port)
+        return host.strip("[]"), int(port)
     except ValueError:
         raise ParameterError(f"bad address {text!r}, expected HOST:PORT")
 
@@ -195,10 +202,16 @@ def _freeze_exit(tag: str, info) -> int:
     return exits.get(info.reason, EXIT_SOFTWARE)
 
 
-def _outcome_name(code: int) -> str:
-    from .etproto.core import ET_DISTINCT, ET_EQUAL
+def _report(tag: str, frozen, outcome: int | None, verdict) -> int:
+    """Print a session's freeze, or its outcome and any verdict."""
+    from .etproto.core import ET_EQUAL
 
-    return {ET_EQUAL: "equal", ET_DISTINCT: "distinct"}[code]
+    if frozen is not None:
+        return _freeze_exit(tag, frozen)
+    print(f"outcome: {'equal' if outcome == ET_EQUAL else 'distinct'}")
+    if verdict is not None:
+        print(f"verdict: {verdict.name}")
+    return EXIT_OK
 
 
 def cmd_ttp(args) -> int:
@@ -212,30 +225,16 @@ def cmd_ttp(args) -> int:
     with SocketTtpServer(
         secret, store=store, host=host, port=port, timeout=args.timeout
     ) as server:
-        bound_host, bound_port = server.address
-        print(f"listening {bound_host} {bound_port}", flush=True)
+        host, port = server.address[:2]
+        print(f"listening {host} {port}", flush=True)
         if args.port_file:
-            Path(args.port_file).write_text(f"{bound_host} {bound_port}\n")
+            Path(args.port_file).write_text(f"{host} {port}\n")
+        server.wait_until(lambda r: server.finished, args.wait)
         runner = server.runner
-        last = "dr_verdict" if args.dispute else "et_outcome"
-        # serve until the last result, or a freeze's error report, has been
-        # sent to both parties: a party that binds only after the freeze
-        # still gets the report
-        server.wait_until(
-            lambda r: (r.frozen is not None or r.record.has(last)) and server.delivered,
-            args.wait,
-        )
-        if runner.frozen is not None:
-            return _freeze_exit("ttp", runner.frozen)
-        if not runner.record.has(last):
+        dispute_open = runner.disputed and runner.verdict is None
+        if runner.frozen is None and (runner.et_outcome is None or dispute_open):
             raise FrameError(f"session did not complete within {args.wait}s")
-        print(f"outcome: {_outcome_name(runner.record.get('et_outcome')[0])}")
-        if args.dispute:
-            from .etproto.core import Verdict
-
-            verdict = Verdict(runner.record.get("dr_verdict")[0])
-            print(f"verdict: {verdict.name}")
-    return EXIT_OK
+        return _report("ttp", runner.frozen, runner.et_outcome, runner.verdict)
 
 
 def _run_memory(args, dispute: bool) -> int:
@@ -246,70 +245,49 @@ def _run_memory(args, dispute: bool) -> int:
     secret = load_ttp_secret(args.keys)
     params = secret.params
     if args.message_a is None or args.message_b is None:
-        raise ParameterError("memory carrier needs --message-a and --message-b")
-    kwargs = {}
-    if dispute:
-        kwargs["dispute"] = True
-        if args.claim_a:
-            kwargs["claim_a"] = _parse_message(args.claim_a, params)
-        if args.claim_b:
-            kwargs["claim_b"] = _parse_message(args.claim_b, params)
+        raise ParameterError("need --message-a and --message-b, or --connect")
+    claims = {name: _claim(args, name, params) for name in ("claim_a", "claim_b")}
     store = SessionStore(args.store) if args.store else None
     result = run_session(
         secret,
         _parse_message(args.message_a, params),
         _parse_message(args.message_b, params),
+        dispute=dispute,
         store=store,
-        **kwargs,
+        **claims,
     )
-    for tag, info in result.frozen.items():
-        return _freeze_exit(tag, info)
-    print(f"outcome: {_outcome_name(result.et_outcome_a)}")
-    if dispute:
-        print(f"verdict: {result.verdict_a.name}")
-    if args.traffic:
+    tag, frozen = next(iter(result.frozen.items()), ("party", None))
+    code = _report(tag, frozen, result.et_outcome_a, result.verdict_a)
+    if args.traffic and code == EXIT_OK:
         m = result.meter
         print(
             f"traffic: comparison={m.et_bits}/{params.et_comm_bits} "
             f"dispute={m.dr_bits}/{params.dr_comm_bits}"
         )
-    return EXIT_OK
+    return code
 
 
 def _run_socket(args, dispute: bool) -> int:
     from .etproto.keys import load_party_keys
     from .transport.sockets import run_party_session
 
-    if args.connect is None:
-        raise ParameterError("socket carrier needs --connect HOST:PORT")
     if args.message is None:
-        raise ParameterError("socket carrier needs --message")
+        raise ParameterError("--connect needs --message")
     host, port = _host_port(args.connect)
     if port <= 0:
         raise ParameterError("--connect needs an explicit port")
     keys = load_party_keys(args.keys)
     params = keys.params
     message = _parse_message(args.message, params)
-    claim_text = getattr(args, "claim", None)
-    claim = _parse_message(claim_text, params) if claim_text else None
+    claim = _claim(args, "claim", params)
     runner, _ = run_party_session(
-        keys,
-        message,
-        (host, port),
-        dispute=dispute,
-        claim=claim,
-        timeout=args.timeout,
+        keys, message, (host, port), dispute=dispute, claim=claim, timeout=args.timeout
     )
-    if runner.frozen is not None:
-        return _freeze_exit("party", runner.frozen)
-    print(f"outcome: {_outcome_name(runner.et_outcome)}")
-    if dispute:
-        print(f"verdict: {runner.verdict.name}")
-    return EXIT_OK
+    return _report("party", runner.frozen, runner.et_outcome, runner.verdict)
 
 
 def cmd_party(args, dispute: bool = False) -> int:
-    if args.carrier == "memory":
+    if args.connect is None:
         return _run_memory(args, dispute)
     return _run_socket(args, dispute)
 
@@ -524,16 +502,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("ttp", help="serve the referee over TCP")
     sp.add_argument("--keys", required=True, help="dealer key file")
-    sp.add_argument("--listen", default="127.0.0.1:0", help="HOST:PORT")
+    sp.add_argument("--listen", default="127.0.0.1:0",
+                    help="HOST:PORT or [HOST]:PORT")
     sp.add_argument("--store", default=None, help="session store directory")
-    sp.add_argument("--dispute", action="store_true",
-                    help="stay up through the dispute phase")
     sp.add_argument("--timeout", type=float, default=10.0,
                     help="seconds a connection may stay silent before it is "
                     "dropped; also the limit on one send")
     sp.add_argument("--wait", type=float, default=30.0,
-                    help="overall session deadline, also for delivering a "
-                    "frozen session's error reports")
+                    help="overall session deadline; the referee stops sooner "
+                    "once it has delivered a verdict, a freeze's error reports, "
+                    "or an outcome with no party left connected")
     sp.add_argument("--port-file", default=None,
                     help="write the bound address here once listening")
     sp.set_defaults(func=cmd_ttp)
@@ -543,30 +521,29 @@ def build_parser() -> argparse.ArgumentParser:
         ("dispute", cmd_dispute, "run comparison plus dispute"),
     ):
         sp = subs.add_parser(name, help=blurb)
-        sp.add_argument("--carrier", choices=("memory", "socket"),
-                        default="memory")
         sp.add_argument("--keys", required=True,
-                        help="dealer key file (memory) or party key file (socket)")
+                        help="dealer key file, or with --connect a party key file")
         sp.add_argument("--message-a", default=None,
-                        help="memory carrier: first party's data (@file or int)")
+                        help="in-process: first party's data (@file or int)")
         sp.add_argument("--message-b", default=None,
-                        help="memory carrier: second party's data")
+                        help="in-process: second party's data")
         sp.add_argument("--message", default=None,
-                        help="socket carrier: this party's data")
+                        help="with --connect: this party's data")
         sp.add_argument("--connect", default=None,
-                        help="socket carrier: referee HOST:PORT")
+                        help="referee HOST:PORT or [HOST]:PORT; without it all "
+                        "roles run in-process")
         sp.add_argument("--timeout", type=float, default=10.0)
         sp.add_argument("--store", default=None,
-                        help="memory carrier: session store directory")
+                        help="in-process: session store directory")
         sp.add_argument("--traffic", action="store_true",
-                        help="memory carrier: print measured traffic")
+                        help="in-process: print measured traffic")
         if name == "dispute":
             sp.add_argument("--claim-a", default=None,
-                            help="memory carrier: first party's revealed claim")
+                            help="in-process: first party's revealed claim")
             sp.add_argument("--claim-b", default=None,
-                            help="memory carrier: second party's revealed claim")
+                            help="in-process: second party's revealed claim")
             sp.add_argument("--claim", default=None,
-                            help="socket carrier: this party's revealed claim")
+                            help="with --connect: this party's revealed claim")
         sp.set_defaults(func=func)
 
     sp = subs.add_parser("bounds", help="security calculator")

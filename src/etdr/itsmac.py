@@ -11,8 +11,11 @@ low-bits truncation is GF(2)-linear, so for any two distinct inputs and any
 target difference the tag difference matches on at most
 ceil(input_bits / (2*tag_bits)) * 2^-tag_bits of the hash keys. The pad
 hides the digest completely, which is what lets one hash key serve several
-rounds as long as every round burns a fresh pad; MacKey enforces the
-single use of the pad structurally.
+rounds as long as every round uses a fresh pad. A MacKey refuses a second
+use of itself only: the runners build one per sign and verify, so a
+session's single use of each pad rests on the runners' ledger of spent
+outbound pads and on freezing at the first failed check of an inbound one
+(ROADMAP item 4).
 
 forgery_bound() is the coarser budget formula the rest of the suite quotes,
 ceil(msg_bits/tag_bits - 1) * 2^-tag_bits; the construction's own bound,
@@ -25,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import KeyMaterialError, ParameterError
-from .au2hash import poly_hash
+from .au2hash import block_count, collision_bound, poly_hash
 from .bits import bytes_to_bits
 from .gf2field import GF2
 
@@ -80,13 +83,9 @@ def mac_verify(key: MacKey, message: bytes, tag: int) -> bool:
 
 def forgery_bound(msg_bits: int, tag_bits: int) -> Fraction:
     """Budget formula quoted by the protocol: ceil(msg_bits/tag_bits - 1) * 2^-tag_bits."""
-    if msg_bits < 1 or tag_bits < 1:
-        raise ParameterError("message and tag must contain at least one bit")
-    return Fraction(max(-(-msg_bits // tag_bits) - 1, 0), 1 << tag_bits)
+    return collision_bound(msg_bits, tag_bits)
 
 
 def construction_forgery_bound(msg_bits: int, tag_bits: int) -> Fraction:
     """What the implemented construction actually guarantees per substitution."""
-    if msg_bits < 1 or tag_bits < 1:
-        raise ParameterError("message and tag must contain at least one bit")
-    return Fraction(-(-msg_bits // (2 * tag_bits)), 1 << tag_bits)
+    return Fraction(block_count(msg_bits, 2 * tag_bits), 1 << tag_bits)

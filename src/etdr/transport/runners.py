@@ -233,9 +233,10 @@ class PartyRunner(_Runner):
 
     def _on_announce(self, frame: Frame, phase: Phase) -> list[tuple[int, Frame]]:
         want_state, done_state = _TURNS[phase]
-        if self.state == done_state and self._announced.get(phase.name) == frame.payload:
+        # an identical authentic retransmit, also once a later phase began
+        if self._announced.get(phase.name) == frame.payload:
             if self._authentic(frame, ROLE_TTP, phase):
-                return []  # identical authentic retransmit
+                return []
         if self.state != want_state:
             return self._freeze(ERR_STATE, f"{frame.msg_type.name} in state {self.state}")
         if len(frame.payload) != 1:
@@ -283,6 +284,23 @@ class TtpRunner(_Runner):
         for phase in PHASES:
             if self.record.has(phase.result_field):
                 self._spent.update((role, phase.name) for role in PARTIES)
+
+    # -- recorded results, under a party's names -------------------------
+
+    @property
+    def et_outcome(self) -> int | None:
+        code = self.record.get(ET.result_field)
+        return None if code is None else code[0]
+
+    @property
+    def verdict(self) -> core.Verdict | None:
+        code = self.record.get(DR.result_field)
+        return None if code is None else core.Verdict(code[0])
+
+    @property
+    def disputed(self) -> bool:
+        """Whether either party's dispute claim is recorded."""
+        return any(self.record.has(name) for name in DR.payload_fields.values())
 
     # -- inbound --------------------------------------------------------
 

@@ -9,9 +9,9 @@ under that party's MAC key, as the runner's `signer` names it; until
 then the referee's frames for that role wait unsent. A frozen referee
 still names the signer of the first submission or claim per pad, so its
 error report reaches each party that sends an authentic frame; serve
-until `delivered` to let it. A connection that ends, stays silent for
-`timeout` seconds or fails a send loses its role, and its frames wait
-again until the party reconnects and resends.
+until `finished`, which waits for `delivered`, to let it. A connection
+that ends, stays silent for `timeout` seconds or fails a send loses its
+role, and its frames wait again until the party reconnects and resends.
 `close()` or a runner exception ends the loop and every connection.
 """
 
@@ -55,7 +55,8 @@ class SocketTtpServer:
         self.runner = TtpRunner(secret, store=store)
         self.timeout = timeout  # the longest silence, and the longest send
         self._sent = threading.Condition()  # held by the loop over each batch
-        self._listener = socket.create_server((host, port))
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, port), family=family)
         self._listener.setblocking(False)
         self.address = self._listener.getsockname()
         self._wake, self._waker = socket.socketpair()
@@ -65,6 +66,7 @@ class SocketTtpServer:
         self._loop = threading.Thread(target=self._run, daemon=True)
         self.logs = {ROLE_ALICE: ChannelLog(), ROLE_BOB: ChannelLog()}
         self._conns: dict[int, socket.socket] = {}  # role -> bound connection
+        self._bound = False  # whether any connection was ever bound to a role
         self._deadlines: dict[socket.socket, float] = {}  # open connection -> drop time
         self._pending: dict[int, list[bytes]] = {ROLE_ALICE: [], ROLE_BOB: []}
 
@@ -86,6 +88,16 @@ class SocketTtpServer:
         """Whether every frame the runner has answered so far was sent to a
         bound connection, with none waiting for a role to bind."""
         return not any(self._pending.values())
+
+    @property
+    def finished(self) -> bool:
+        """Whether the session is over here: everything answered is delivered,
+        and the runner froze, recorded the verdict, or recorded the outcome
+        after a party bound here, with no connection open (a disputing party
+        keeps its one; a referee restarted after the comparison waits)."""
+        r = self.runner
+        compared = r.et_outcome is not None and self._bound and not self._deadlines
+        return self.delivered and (r.frozen is not None or r.verdict is not None or compared)
 
     def close(self) -> None:
         self._waker.close()  # the loop reads EOF on its end of the pair
@@ -140,6 +152,7 @@ class SocketTtpServer:
             signer = self.runner.signer
             if signer is not None and signer not in self._conns:
                 self._conns[signer] = conn
+                self._bound = True
                 queued, self._pending[signer] = self._pending[signer], []
                 for out_raw in queued:
                     self._send(signer, out_raw)

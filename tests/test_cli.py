@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from etdr.bits import Message
-from etdr.cli import _freeze_exit, main
+from etdr.cli import _freeze_exit, _host_port, main
+from etdr.errors import ParameterError
 from etdr.etproto.keys import load_party_keys, load_ttp_secret
 from etdr.transport.frames import Frame, MsgType, encode_frame
 from etdr.transport.runners import ERR_MAC
@@ -381,7 +382,7 @@ def test_socket_party_times_out_without_peer(keydir, capsys):
         host, port = server.address
         capsys.readouterr()
         code, _, err = run_cli(
-            ["party", "--carrier", "socket", "--keys", str(keydir / "alice.key"),
+            ["party", "--keys", str(keydir / "alice.key"),
              "--connect", f"{host}:{port}", "--message", "1",
              "--timeout", "0.6"],
             capsys,
@@ -393,7 +394,7 @@ def test_socket_party_times_out_without_peer(keydir, capsys):
 def test_socket_connect_needs_port(keydir, capsys):
     capsys.readouterr()
     code, _, _ = run_cli(
-        ["party", "--carrier", "socket", "--keys", str(keydir / "alice.key"),
+        ["party", "--keys", str(keydir / "alice.key"),
          "--connect", "127.0.0.1", "--message", "1"],
         capsys,
     )
@@ -407,7 +408,7 @@ def test_socket_flow_three_processes(keydir, tmp_path):
     env = child_env()
     ttp = subprocess.Popen(
         [sys.executable, "-m", "etdr.cli", "ttp",
-         "--keys", f"{env_dir}/ttp.key", "--dispute",
+         "--keys", f"{env_dir}/ttp.key",
          "--store", str(store), "--port-file", str(port_file),
          "--wait", "20"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
@@ -421,7 +422,7 @@ def test_socket_flow_three_processes(keydir, tmp_path):
         def party(role, message, claim):
             return subprocess.run(
                 [sys.executable, "-m", "etdr.cli", "dispute",
-                 "--carrier", "socket", "--keys", f"{env_dir}/{role}.key",
+                 "--keys", f"{env_dir}/{role}.key",
                  "--connect", f"{host}:{port}", "--message", message,
                  "--claim", claim],
                 capture_output=True, text=True, timeout=20, env=env,
@@ -480,7 +481,7 @@ def test_socket_frozen_ttp_serves_its_report_to_a_party_that_connects_later(keyd
                 (host, int(port)), timeout=10)
         assert alice.frozen.reason == ERR_MAC and not alice.frozen.local
         bob = subprocess.run(
-            [sys.executable, "-m", "etdr.cli", "party", "--carrier", "socket",
+            [sys.executable, "-m", "etdr.cli", "party",
              "--keys", str(keydir / "bob.key"), "--connect", f"{host}:{port}",
              "--message", "1", "--timeout", "10"],
             capture_output=True, text=True, timeout=30, env=env,
@@ -493,6 +494,114 @@ def test_socket_frozen_ttp_serves_its_report_to_a_party_that_connects_later(keyd
     assert "frozen party: mac (reported by peer)" in bob.stdout
     assert ttp.returncode == 4
     assert "frozen ttp: mac (detected locally)" in ttp_out
+
+
+@pytest.fixture()
+def spawn():
+    """Start ``python -m etdr.cli ARGV...`` from this checkout, output piped;
+    a process still running at teardown is killed."""
+    procs = []
+
+    def start(*argv):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "etdr.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
+        )
+        procs.append(proc)
+        return proc
+
+    yield start
+    for proc in procs:
+        if proc.returncode is None:
+            proc.kill()
+            proc.communicate()
+
+
+def start_ttp(spawn, keydir, *extra):
+    """`etdr ttp` with short deadlines; returns it and its address as
+    --connect takes it."""
+    ttp = spawn("ttp", "--keys", str(keydir / "ttp.key"),
+                "--timeout", "5", "--wait", "30", *extra)
+    _, host, port = ttp.stdout.readline().split()
+    return ttp, f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+
+
+def start_party(spawn, keydir, command, role, address, message, *extra):
+    return spawn(command, "--keys", str(keydir / f"{role}.key"), "--connect", address,
+                 "--message", message, "--timeout", "10", *extra)
+
+
+def finish(*procs):
+    """Wait for each process; (exit code, stdout, stderr) per process."""
+    outputs = [p.communicate(timeout=60) for p in procs]
+    return [(p.returncode, *out) for p, out in zip(procs, outputs)]
+
+
+def test_socket_ttp_stops_once_comparing_parties_disconnect(keydir, spawn):
+    t0 = time.monotonic()
+    ttp, address = start_ttp(spawn, keydir)
+    alice = start_party(spawn, keydir, "party", "alice", address, "1")
+    bob = start_party(spawn, keydir, "party", "bob", address, "1")
+    results = finish(alice, bob, ttp)
+    # --wait is 30 s: the referee stopped on its own, not at the deadline
+    assert time.monotonic() - t0 < 15
+    for code, out, err in results:
+        assert code == 0, err
+        assert "outcome: equal" in out and "verdict" not in out
+
+
+def test_socket_ttp_exits_6_when_only_one_party_disputes(keydir, spawn):
+    ttp, address = start_ttp(spawn, keydir)
+    alice = start_party(spawn, keydir, "dispute", "alice", address, "1")
+    bob = start_party(spawn, keydir, "party", "bob", address, "2")
+    (_, _, _), (bob_code, bob_out, _), (ttp_code, _, ttp_err) = finish(alice, bob, ttp)
+    assert bob_code == 0 and "outcome: distinct" in bob_out
+    assert ttp_code == 6
+    assert "session did not complete" in ttp_err
+
+
+def test_socket_ttp_restarted_over_a_recorded_comparison_serves_the_dispute(
+    keydir, tmp_path, spawn
+):
+    store = str(tmp_path / "store")
+    ttp, address = start_ttp(spawn, keydir, "--store", store)
+    compared = finish(
+        start_party(spawn, keydir, "party", "alice", address, "1"),
+        start_party(spawn, keydir, "party", "bob", address, "2"),
+        ttp,
+    )
+    assert [code for code, _, _ in compared] == [0, 0, 0]
+    ttp, address = start_ttp(spawn, keydir, "--store", store)
+    alice = start_party(spawn, keydir, "dispute", "alice", address, "1")
+    bob = start_party(spawn, keydir, "dispute", "bob", address, "2", "--claim", "3")
+    for code, out, err in finish(alice, bob, ttp):
+        assert code == 0, err
+        assert "outcome: distinct" in out and "verdict: ALICE_CORRECT" in out
+
+
+def test_socket_flow_over_ipv6(keydir, spawn):
+    if not socket.has_ipv6:
+        pytest.skip("no IPv6 support")
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError as exc:
+        pytest.skip(f"cannot bind ::1: {exc}")
+    ttp, address = start_ttp(spawn, keydir, "--listen", "[::1]:0")
+    assert address.startswith("[::1]:")
+    alice = start_party(spawn, keydir, "party", "alice", address, "7")
+    bob = start_party(spawn, keydir, "party", "bob", address, "7")
+    for code, out, err in finish(alice, bob, ttp):
+        assert code == 0, err
+        assert "outcome: equal" in out
+
+
+def test_socket_address_parsing():
+    assert _host_port("127.0.0.1:80") == ("127.0.0.1", 80)
+    assert _host_port("localhost") == ("localhost", 0)
+    assert _host_port("[::1]:80") == ("::1", 80)
+    assert _host_port("::1") == ("::1", 0)
+    with pytest.raises(ParameterError):
+        _host_port("[::1]:http")
 
 
 def test_console_script_installed():

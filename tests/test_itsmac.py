@@ -112,14 +112,6 @@ def test_forgery_game_exhaustive_tag3():
         assert opt <= forgery_bound(msg_bits, 3), msg_bits
 
 
-def test_forgery_game_tag4_msg8_exact_optimum():
-    # the headline case: optimum must sit exactly at 2^-4
-    tagger = make_tagger(4)
-    keys = [(kh, p) for kh in range(256) for p in range(16)]
-    opt = forgery_game_optimum(tagger, keys, 8)
-    assert opt == Fraction(1, 16)
-
-
 def test_forgery_game_tag4_larger_messages_via_difference_classes():
     tagger = make_tagger(4)
     rng = random.Random(42)

@@ -438,6 +438,28 @@ def test_ttp_restart_preserves_session(tmp_path):
     assert out[0][1].payload == bytes([ET_DISTINCT])
 
 
+def test_party_disputing_absorbs_a_repeated_comparison_announce():
+    # a resubmitted comparison payload (from a party that reconnected, or
+    # one restarted against a restarted referee) makes the referee announce
+    # the recorded outcome again, also to a party that has already claimed
+    sec = generate_keys(PARAMS, seed=402)
+    m, other = messages(15)
+    alice, bob = PartyRunner(sec.alice, m), PartyRunner(sec.bob, other)
+    net = MemoryNetwork(TtpRunner(sec), alice, bob)
+    submit_b = bob.et_submit_frame()
+    net.post(ROLE_ALICE, ROLE_TTP, alice.et_submit_frame())
+    net.post(ROLE_BOB, ROLE_TTP, submit_b)
+    net.deliver_all()
+    net.post(ROLE_ALICE, ROLE_TTP, alice.dr_claim_frame())
+    net.post(ROLE_BOB, ROLE_TTP, submit_b)
+    net.deliver_all()
+    assert alice.state == "dr_wait" and alice.frozen is None
+    net.post(ROLE_BOB, ROLE_TTP, bob.dr_claim_frame())
+    net.deliver_all()
+    assert net.result().clean
+    assert alice.verdict == bob.verdict == run_session(sec, m, other, dispute=True).verdict_a
+
+
 def test_restart_verdict_matches_uninterrupted_run(tmp_path):
     sec = generate_keys(PARAMS, seed=401)
     m, other = messages(14)
