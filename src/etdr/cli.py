@@ -5,8 +5,9 @@ Subcommands
 params    derive and print the protocol parameters for a data size / risk pair
 keygen    deal the three key files for one session
 ttp       serve the referee for one session over TCP, any dispute included
-party     run the comparison phase (all roles in-process, or one with --connect)
-dispute   run a session through the dispute phase
+party     one party over TCP: the comparison phase
+dispute   one party over TCP: comparison, then the dispute
+demo      all three roles in one process from the dealer's key file
 bounds    security calculator: exact cheating bound and acceptance verdict
 attack    adversarial game: Monte-Carlo strategies and exact per-view optima
 selftest  quick end-to-end battery
@@ -108,10 +109,9 @@ def _parse_message(text: str, params: Params) -> Message:
     return Message(value, params.data_bits)
 
 
-def _claim(args, name: str, params: Params) -> Message | None:
-    """The claim option `name`, parsed; None where it is unset or absent."""
-    text = getattr(args, name, None)
-    return _parse_message(text, params) if text else None
+def _claim(text: str | None, params: Params) -> Message | None:
+    """A claim option, parsed; None where it is unset."""
+    return None if text is None else _parse_message(text, params)
 
 
 def _params_from_args(args) -> Params:
@@ -237,63 +237,51 @@ def cmd_ttp(args) -> int:
         return _report("ttp", runner.frozen, runner.et_outcome, runner.verdict)
 
 
-def _run_memory(args, dispute: bool) -> int:
-    from .etproto.keys import load_ttp_secret
-    from .etproto.session import SessionStore
-    from .transport.channel import run_session
-
-    secret = load_ttp_secret(args.keys)
-    params = secret.params
-    if args.message_a is None or args.message_b is None:
-        raise ParameterError("need --message-a and --message-b, or --connect")
-    claims = {name: _claim(args, name, params) for name in ("claim_a", "claim_b")}
-    store = SessionStore(args.store) if args.store else None
-    result = run_session(
-        secret,
-        _parse_message(args.message_a, params),
-        _parse_message(args.message_b, params),
-        dispute=dispute,
-        store=store,
-        **claims,
-    )
-    tag, frozen = next(iter(result.frozen.items()), ("party", None))
-    code = _report(tag, frozen, result.et_outcome_a, result.verdict_a)
-    if args.traffic and code == EXIT_OK:
-        m = result.meter
-        print(
-            f"traffic: comparison={m.et_bits}/{params.et_comm_bits} "
-            f"dispute={m.dr_bits}/{params.dr_comm_bits}"
-        )
-    return code
-
-
-def _run_socket(args, dispute: bool) -> int:
+def cmd_party(args) -> int:
+    """One party over TCP: the comparison and, for `etdr dispute`, the
+    dispute."""
     from .etproto.keys import load_party_keys
     from .transport.sockets import run_party_session
 
-    if args.message is None:
-        raise ParameterError("--connect needs --message")
     host, port = _host_port(args.connect)
     if port <= 0:
         raise ParameterError("--connect needs an explicit port")
     keys = load_party_keys(args.keys)
     params = keys.params
     message = _parse_message(args.message, params)
-    claim = _claim(args, "claim", params)
+    claim = _claim(args.claim, params)
     runner, _ = run_party_session(
-        keys, message, (host, port), dispute=dispute, claim=claim, timeout=args.timeout
+        keys, message, (host, port), dispute=args.dispute, claim=claim,
+        timeout=args.timeout,
     )
     return _report("party", runner.frozen, runner.et_outcome, runner.verdict)
 
 
-def cmd_party(args, dispute: bool = False) -> int:
-    if args.connect is None:
-        return _run_memory(args, dispute)
-    return _run_socket(args, dispute)
+def cmd_demo(args) -> int:
+    """All three roles in one process; a claim implies the dispute."""
+    from .etproto.keys import load_ttp_secret
+    from .transport.channel import run_session
 
-
-def cmd_dispute(args) -> int:
-    return cmd_party(args, dispute=True)
+    secret = load_ttp_secret(args.keys)
+    params = secret.params
+    claim_a, claim_b = (_claim(text, params) for text in (args.claim_a, args.claim_b))
+    result = run_session(
+        secret,
+        _parse_message(args.message_a, params),
+        _parse_message(args.message_b, params),
+        dispute=args.dispute or claim_a is not None or claim_b is not None,
+        claim_a=claim_a,
+        claim_b=claim_b,
+    )
+    tag, frozen = next(iter(result.frozen.items()), ("party", None))
+    code = _report(tag, frozen, result.et_outcome_a, result.verdict_a)
+    if code == EXIT_OK:
+        m = result.meter
+        print(
+            f"traffic: comparison={m.et_bits}/{params.et_comm_bits} "
+            f"dispute={m.dr_bits}/{params.dr_comm_bits}"
+        )
+    return code
 
 
 def cmd_bounds(args) -> int:
@@ -516,35 +504,35 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the bound address here once listening")
     sp.set_defaults(func=cmd_ttp)
 
-    for name, func, blurb in (
-        ("party", cmd_party, "run the comparison phase"),
-        ("dispute", cmd_dispute, "run comparison plus dispute"),
+    for name, blurb in (
+        ("party", "one party over TCP: the comparison phase"),
+        ("dispute", "one party over TCP: comparison plus dispute"),
     ):
         sp = subs.add_parser(name, help=blurb)
-        sp.add_argument("--keys", required=True,
-                        help="dealer key file, or with --connect a party key file")
-        sp.add_argument("--message-a", default=None,
-                        help="in-process: first party's data (@file or int)")
-        sp.add_argument("--message-b", default=None,
-                        help="in-process: second party's data")
-        sp.add_argument("--message", default=None,
-                        help="with --connect: this party's data")
-        sp.add_argument("--connect", default=None,
-                        help="referee HOST:PORT or [HOST]:PORT; without it all "
-                        "roles run in-process")
-        sp.add_argument("--timeout", type=float, default=10.0)
-        sp.add_argument("--store", default=None,
-                        help="in-process: session store directory")
-        sp.add_argument("--traffic", action="store_true",
-                        help="in-process: print measured traffic")
+        sp.add_argument("--keys", required=True, help="this party's key file")
+        sp.add_argument("--connect", required=True,
+                        help="referee HOST:PORT or [HOST]:PORT")
+        sp.add_argument("--message", required=True,
+                        help="this party's data (@file or int)")
+        sp.add_argument("--timeout", type=float, default=10.0,
+                        help="seconds to wait for the referee")
         if name == "dispute":
-            sp.add_argument("--claim-a", default=None,
-                            help="in-process: first party's revealed claim")
-            sp.add_argument("--claim-b", default=None,
-                            help="in-process: second party's revealed claim")
             sp.add_argument("--claim", default=None,
-                            help="with --connect: this party's revealed claim")
-        sp.set_defaults(func=func)
+                            help="this party's revealed claim; default its data")
+        sp.set_defaults(func=cmd_party, dispute=name == "dispute", claim=None)
+
+    sp = subs.add_parser("demo", help="run all three roles in one process")
+    sp.add_argument("--keys", required=True, help="dealer key file")
+    sp.add_argument("--message-a", required=True,
+                    help="first party's data (@file or int)")
+    sp.add_argument("--message-b", required=True, help="second party's data")
+    sp.add_argument("--dispute", action="store_true",
+                    help="run the dispute after the comparison")
+    sp.add_argument("--claim-a", default=None,
+                    help="first party's revealed claim; implies --dispute")
+    sp.add_argument("--claim-b", default=None,
+                    help="second party's revealed claim; implies --dispute")
+    sp.set_defaults(func=cmd_demo)
 
     sp = subs.add_parser("bounds", help="security calculator")
     sp.add_argument("--data-bits", type=int, required=True)

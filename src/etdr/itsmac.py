@@ -15,7 +15,7 @@ rounds as long as every round uses a fresh pad. A MacKey refuses a second
 use of itself only: the runners build one per sign and verify, so a
 session's single use of each pad rests on the runners' ledger of spent
 outbound pads and on freezing at the first failed check of an inbound one
-(ROADMAP item 4).
+(ROADMAP item 12).
 
 forgery_bound() is the coarser budget formula the rest of the suite quotes,
 ceil(msg_bits/tag_bits - 1) * 2^-tag_bits; the construction's own bound,

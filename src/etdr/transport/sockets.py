@@ -29,7 +29,7 @@ from ..bits import Message
 from ..errors import FrameError
 from ..etproto.keys import ROLE_ALICE, ROLE_BOB, PartyKeys, TtpSecret
 from ..etproto.session import SessionStore
-from .frames import SENDER_OF, Frame, FrameReader, encode_frame
+from .frames import Frame, FrameReader, encode_frame
 from .runners import PartyRunner, TtpRunner
 
 
@@ -64,7 +64,6 @@ class SocketTtpServer:
         self._selector.register(self._listener, selectors.EVENT_READ, self._accept)
         self._selector.register(self._wake, selectors.EVENT_READ)
         self._loop = threading.Thread(target=self._run, daemon=True)
-        self.logs = {ROLE_ALICE: ChannelLog(), ROLE_BOB: ChannelLog()}
         self._conns: dict[int, socket.socket] = {}  # role -> bound connection
         self._bound = False  # whether any connection was ever bound to a role
         self._deadlines: dict[socket.socket, float] = {}  # open connection -> drop time
@@ -143,9 +142,6 @@ class SocketTtpServer:
             return
         self._deadlines[conn] = time.monotonic() + self.timeout
         for raw in raws:
-            role = SENDER_OF.get(raw[1])
-            if role is not None:
-                self.logs[role].to_ttp.append(raw)
             replies = self.runner.on_frame(raw)
             # bind only a connection that sent a frame verified under the
             # party's key, so an impostor never receives a party's frames
@@ -157,9 +153,7 @@ class SocketTtpServer:
                 for out_raw in queued:
                     self._send(signer, out_raw)
             for dst, out in replies:
-                out_raw = encode_frame(out)
-                self.logs[dst].from_ttp.append(out_raw)
-                self._send(dst, out_raw)
+                self._send(dst, encode_frame(out))
 
     def _drop(self, *conns: socket.socket) -> None:
         for conn in conns:

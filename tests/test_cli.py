@@ -26,7 +26,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refused the command line
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -152,7 +155,7 @@ def test_keygen_refuses_overwrite(tmp_path, capsys):
     assert run_cli(args + ["--force"], capsys)[0] == 0
 
 
-# ---------------------------------------------------- memory carrier
+# -------------------------------------------- in-process carrier (demo)
 
 
 @pytest.fixture()
@@ -166,8 +169,8 @@ def keydir(tmp_path):
 def test_party_memory_equal(keydir, capsys):
     capsys.readouterr()
     code, out, _ = run_cli(
-        ["party", "--keys", str(keydir / "ttp.key"),
-         "--message-a", "0xabc", "--message-b", "0xabc", "--traffic"],
+        ["demo", "--keys", str(keydir / "ttp.key"),
+         "--message-a", "0xabc", "--message-b", "0xabc"],
         capsys,
     )
     assert code == 0
@@ -178,7 +181,7 @@ def test_party_memory_equal(keydir, capsys):
 def test_party_memory_distinct(keydir, capsys):
     capsys.readouterr()
     code, out, _ = run_cli(
-        ["party", "--keys", str(keydir / "ttp.key"),
+        ["demo", "--keys", str(keydir / "ttp.key"),
          "--message-a", "1", "--message-b", "2"],
         capsys,
     )
@@ -189,9 +192,8 @@ def test_party_memory_distinct(keydir, capsys):
 def test_dispute_memory_blames_liar(keydir, capsys):
     capsys.readouterr()
     code, out, _ = run_cli(
-        ["dispute", "--keys", str(keydir / "ttp.key"),
-         "--message-a", "1", "--message-b", "2", "--claim-b", "3",
-         "--traffic"],
+        ["demo", "--keys", str(keydir / "ttp.key"),
+         "--message-a", "1", "--message-b", "2", "--claim-b", "3"],
         capsys,
     )
     assert code == 0
@@ -202,8 +204,19 @@ def test_dispute_memory_blames_liar(keydir, capsys):
 def test_dispute_memory_matching_claims(keydir, capsys):
     capsys.readouterr()
     code, out, _ = run_cli(
-        ["dispute", "--keys", str(keydir / "ttp.key"),
+        ["demo", "--keys", str(keydir / "ttp.key"),
          "--message-a", "1", "--message-b", "2", "--claim-b", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert "verdict: BOTH_CONSISTENT" in out
+
+
+def test_demo_dispute_without_claims_reveals_each_partys_data(keydir, capsys):
+    capsys.readouterr()
+    code, out, _ = run_cli(
+        ["demo", "--keys", str(keydir / "ttp.key"),
+         "--dispute", "--message-a", "1", "--message-b", "1"],
         capsys,
     )
     assert code == 0
@@ -213,16 +226,41 @@ def test_dispute_memory_matching_claims(keydir, capsys):
 def test_party_memory_requires_both_messages(keydir, capsys):
     capsys.readouterr()
     code, _, err = run_cli(
-        ["party", "--keys", str(keydir / "ttp.key"), "--message-a", "1"],
+        ["demo", "--keys", str(keydir / "ttp.key"), "--message-a", "1"],
         capsys,
     )
     assert code == 2 and "message-b" in err
 
 
+@pytest.mark.parametrize(
+    "command, misplaced",
+    [(command, option)
+     for command in ("party", "dispute")
+     for option in (["--store", "x"], ["--traffic"], ["--message-a", "5"],
+                    ["--message-b", "5"], ["--claim-a", "5"], ["--claim-b", "5"])]
+    + [("demo", option)
+       for option in (["--message", "5"], ["--claim", "5"],
+                      ["--connect", "127.0.0.1:1"])],
+)
+def test_option_of_the_other_carrier_exits_2(keydir, capsys, command, misplaced):
+    # each command takes only its own carrier's options, so none is dropped
+    valid = {
+        "party": ["--keys", str(keydir / "alice.key"),
+                  "--connect", "127.0.0.1:1", "--message", "1"],
+        "demo": ["--keys", str(keydir / "ttp.key"),
+                 "--message-a", "1", "--message-b", "1"],
+    }
+    valid["dispute"] = valid["party"]
+    capsys.readouterr()
+    code, out, err = run_cli([command, *valid[command], *misplaced], capsys)
+    assert code == 2 and out == ""
+    assert misplaced[0] in err
+
+
 def test_party_rejects_party_keyfile_for_memory(keydir, capsys):
     capsys.readouterr()
     code, _, _ = run_cli(
-        ["party", "--keys", str(keydir / "alice.key"),
+        ["demo", "--keys", str(keydir / "alice.key"),
          "--message-a", "1", "--message-b", "1"],
         capsys,
     )
@@ -234,7 +272,7 @@ def test_message_file_input(keydir, tmp_path, capsys):
     blob = tmp_path / "m.bin"
     blob.write_bytes(bytes(range(32)))
     code, out, _ = run_cli(
-        ["party", "--keys", str(keydir / "ttp.key"),
+        ["demo", "--keys", str(keydir / "ttp.key"),
          "--message-a", f"@{blob}", "--message-b", f"@{blob}"],
         capsys,
     )
@@ -243,7 +281,7 @@ def test_message_file_input(keydir, tmp_path, capsys):
     short = tmp_path / "short.bin"
     short.write_bytes(b"xy")
     code, _, err = run_cli(
-        ["party", "--keys", str(keydir / "ttp.key"),
+        ["demo", "--keys", str(keydir / "ttp.key"),
          "--message-a", f"@{short}", "--message-b", "1"],
         capsys,
     )
@@ -253,7 +291,7 @@ def test_message_file_input(keydir, tmp_path, capsys):
 def test_message_must_be_integer_or_file(keydir, capsys):
     capsys.readouterr()
     code, _, _ = run_cli(
-        ["party", "--keys", str(keydir / "ttp.key"),
+        ["demo", "--keys", str(keydir / "ttp.key"),
          "--message-a", "hello", "--message-b", "1"],
         capsys,
     )
@@ -262,7 +300,7 @@ def test_message_must_be_integer_or_file(keydir, capsys):
 
 def test_missing_key_file(capsys):
     code, _, _ = run_cli(
-        ["party", "--keys", "/does/not/exist.key",
+        ["demo", "--keys", "/does/not/exist.key",
          "--message-a", "1", "--message-b", "1"],
         capsys,
     )

@@ -553,14 +553,13 @@ def _drive_socket_session(sec, m_a, m_b, *, dispute, store=None):
             t.start()
         for t in threads:
             t.join(timeout=30)
-        logs = {role: server.logs[role] for role in (ROLE_ALICE, ROLE_BOB)}
-    return results, logs
+    return results
 
 
 def test_socket_carrier_full_session():
     sec = generate_keys(PARAMS, seed=500)
     m, other = messages(15)
-    results, _ = _drive_socket_session(sec, m, other, dispute=True)
+    results = _drive_socket_session(sec, m, other, dispute=True)
     alice, _ = results["alice"]
     bob, _ = results["bob"]
     assert alice.frozen is None and bob.frozen is None
@@ -576,21 +575,19 @@ def test_socket_and_memory_transcripts_identical():
     def chan(src, dst):
         return b"".join(raw for s, d, raw in mem.transcript if (s, d) == (src, dst))
 
-    results, logs = _drive_socket_session(sec, m, other, dispute=True)
+    results = _drive_socket_session(sec, m, other, dispute=True)
     _, alice_log = results["alice"]
     _, bob_log = results["bob"]
     assert b"".join(alice_log.to_ttp) == chan(ROLE_ALICE, ROLE_TTP)
     assert b"".join(alice_log.from_ttp) == chan(ROLE_TTP, ROLE_ALICE)
     assert b"".join(bob_log.to_ttp) == chan(ROLE_BOB, ROLE_TTP)
     assert b"".join(bob_log.from_ttp) == chan(ROLE_TTP, ROLE_BOB)
-    assert b"".join(logs[ROLE_ALICE].to_ttp) == chan(ROLE_ALICE, ROLE_TTP)
-    assert b"".join(logs[ROLE_BOB].from_ttp) == chan(ROLE_TTP, ROLE_BOB)
 
 
 def test_socket_carrier_with_store(tmp_path):
     sec = generate_keys(PARAMS, seed=502)
     m, _ = messages(17)
-    results, _ = _drive_socket_session(
+    results = _drive_socket_session(
         sec, m, m, dispute=False, store=SessionStore(tmp_path)
     )
     alice, _ = results["alice"]
