@@ -172,18 +172,21 @@ def _win_prob_ranks(data_bits: int, subkey_bits: int, subkey_count: int):
 
 def _exact_ranks(params: Params, keys: np.ndarray) -> np.ndarray:
     """ranks[d, v]: the rank in _win_prob_ranks of the exact win probability
-    of difference d for view v, one view per row of `keys`. Difference zero
-    means claiming the honest data, so it is barred with rank -1."""
+    of difference d for view v, one view per row of `keys`; ranks[d] for
+    a single view given as 1-D `keys`. Difference zero means claiming the
+    honest data, so it is barred with rank -1."""
     roots, counts = _difference_tables(params.data_bits, params.subkey_bits)
     _, rank_table = _win_prob_ranks(
         params.data_bits, params.subkey_bits, params.subkey_count
     )
-    # (diffs, views), summed in the narrowest type that holds subkey_count:
-    # an int64 array per chunk is freed and faulted in again by the next
+    # (diffs, views) or (diffs,), summed in the narrowest type that holds
+    # subkey_count: an int64 array per chunk is freed and faulted in again
+    # by the next
     t_sizes = roots[:, keys].sum(
-        axis=2, dtype=np.min_scalar_type(params.subkey_count)
+        axis=-1, dtype=np.min_scalar_type(params.subkey_count)
     )
-    ranks = rank_table[t_sizes, counts[:, None]]  # int32, so -1 cannot wrap
+    # counts runs along diffs, the last axis of t_sizes.T whatever keys' shape
+    ranks = rank_table[t_sizes.T, counts].T  # int32, so -1 cannot wrap
     ranks[0] = -1
     return ranks
 
@@ -196,7 +199,7 @@ def per_view_exact_optimum(
     ordered, _ = _win_prob_ranks(
         params.data_bits, params.subkey_bits, params.subkey_count
     )
-    ranks = _exact_ranks(params, np.array([subkeys]))[:, 0]
+    ranks = _exact_ranks(params, np.array(subkeys))
     best_d = int(np.argmax(ranks))
     return ordered[ranks[best_d]], best_d
 

@@ -6,6 +6,8 @@ the two. The relative-entropy bound, a test oracle, is checked for
 dominance on the same grid the acceptance suite uses.
 """
 
+import dataclasses
+import hashlib
 import itertools
 from fractions import Fraction
 from math import comb
@@ -141,6 +143,25 @@ def test_attack_bound_monotone_in_q():
     assert values[-1] == 1
 
 
+def test_tail_column_against_pascal_oracle_at_edges():
+    # q = 0 and q = 1 (degenerate terms 0**0), an odd denominator, and
+    # N = n (a single threshold whose tail is certain)
+    for big_n, n, q in [
+        (8, 4, Fraction(0)), (9, 3, Fraction(0)),
+        (8, 4, Fraction(1)), (9, 3, Fraction(1)),
+        (8, 4, Fraction(1, 3)), (11, 4, Fraction(1, 3)),
+        (5, 5, Fraction(1, 3)), (1, 1, Fraction(0)), (3, 3, Fraction(1)),
+    ]:
+        rows = bounds.attack_rows(big_n, n, q)
+        assert [t for t, *_ in rows] == list(range(n, big_n + 1))
+        for t, _, tail, _ in rows:
+            want = binomial_tail_oracle(
+                big_n - n, q.numerator, q.denominator, t - n
+            )
+            assert tail == want
+            assert bounds.match_tail(t, big_n, n, q) == want
+
+
 def test_attack_rows_consistency():
     big_n, n, q = 16, 8, Fraction(31, 256)
     rows = bounds.attack_rows(big_n, n, q)
@@ -260,8 +281,90 @@ def test_verify_rows_match_bound():
     assert report.attack_bound == products[report.attack_argmax_t]
 
 
+def test_verify_flags_match_fraction_recount(monkeypatch):
+    # Each flag is recounted from the Fraction rows as the bounds read, on
+    # parameters moved off the derived ones: a larger collision bound, or
+    # an epsilon swapped in after derivation. 273/1024 and 8425/32768 put
+    # the largest tail above 3n/2 at n = 24 just above (squared ratio 1.5)
+    # and just below (0.75) the closed form; the swapped epsilons put the
+    # round target at the largest checked cover or at the attack bound,
+    # and a hair below either.
+    derive = bounds.derive_params
+    hair = 1 - Fraction(1, 2**20)
+    seen = set()
+    for eps in (Fraction(1, 16), Fraction(1, 2**9)):
+        for q in (Fraction(0), Fraction(31, 256), Fraction(8425, 32768),
+                  Fraction(273, 1024), Fraction(5, 7), Fraction(1)):
+            monkeypatch.setattr(bounds, "collision_bound", lambda *_, q=q: q)
+            monkeypatch.setattr(bounds, "derive_params", derive)
+            base = bounds.verify_security(256, eps)
+            n = base.params.shared_count
+            coeff = Fraction(n + 2, 2)
+            cover = max(c for t, c, _, _ in base.rows if 2 * t <= 3 * n)
+            swaps = [None, Fraction(1, 2), Fraction(1, 10**6)] + [
+                16 * v * k for v in (cover, base.attack_bound) for k in (1, hair)
+            ]
+            for swapped in swaps:
+                if swapped is not None and not 0 < swapped < 1:
+                    continue
+                monkeypatch.setattr(
+                    bounds, "derive_params",
+                    lambda *a, e=swapped: derive(*a) if e is None
+                    else dataclasses.replace(derive(*a), epsilon=e),
+                )
+                report = bounds.verify_security(256, eps)
+                target = report.round_target
+                flags = (report.attack_ok, report.cover_ok, report.chain_ok)
+                assert flags == (
+                    report.attack_bound <= target,
+                    all(c <= target for t, c, _, _ in report.rows if 2 * t <= 3 * n),
+                    all(bounds.le_scaled_half_power(m, coeff, n)
+                        for t, _, m, _ in report.rows if 2 * t > 3 * n)
+                    and bounds.le_scaled_half_power(coeff, target * 2**n, n),
+                )
+                assert (report.attack_bound, report.attack_argmax_t) == (
+                    base.attack_bound, base.attack_argmax_t
+                )
+                seen.add(flags)
+    assert {(True, True, True), (True, True, False), (False, True, False),
+            (True, False, False), (False, False, False)} <= seen
+
+
 def test_verify_rejects_out_of_domain():
     with pytest.raises(ParameterError):
         bounds.verify_security(255, Fraction(1, 16))
     with pytest.raises(ParameterError):
         bounds.verify_security(256, Fraction(1, 8))
+
+
+# SHA-256 of repr(report.rows) and of str(report.attack_bound), pinned from
+# the calculator that summed one Fraction term per binomial term; every
+# check passes at each of these inputs
+PINNED_REPORTS = [
+    (256, Fraction(1, 2**4), 32,
+     "166f72afcad52759d7a5de784ad19fac2c80c74ed8d4a7c92240b1d371553eac",
+     "fa07af1cc9d9a1659761b5446a58538ca63a2a5f086619e7b0a90a88c75bf8c1"),
+    (256, Fraction(1, 2**40), 177,
+     "2967dff877daaf728a7cf324ce6c1df1f9061899726228fb6d33356799ad6a51",
+     "62699368727e1d7522a976525b552775d1176534c82a41545ff9173f3b6efc55"),
+    (256, Fraction(1, 2**64), 274,
+     "c4a24076c2b226854deac12671ba97bc682cefaad074245c783b27ab36eee60c",
+     "c592dae201aea0c5c292c1d6891bfe62d7c6c45682786a2201954aceaec1a59e"),
+    (2**20, Fraction(1, 2**40), 161,
+     "3aab3944b28ca42861b5b0021d9df6bb8cadfc14c2acd80845139578b216609c",
+     "23ac83ac399b9eb79cdcc530c78b62bf172fd4cbfdc8175356aa816f564f1c34"),
+    (2**50, Fraction(1, 10**12), 150,
+     "da90c881096155dfafce1d115adf336d42e51765a5c3a77086a10a181ea2d9cc",
+     "6fb26a1e0b3fdcd8f494b6bc59e7fe43dfb1327ac3f2fe935a784d9ad6024ef6"),
+]
+
+
+@pytest.mark.parametrize(
+    "data_bits, epsilon, argmax_t, rows_sha, bound_sha", PINNED_REPORTS
+)
+def test_verify_pinned_outputs(data_bits, epsilon, argmax_t, rows_sha, bound_sha):
+    report = bounds.verify_security(data_bits, epsilon)
+    assert hashlib.sha256(repr(report.rows).encode()).hexdigest() == rows_sha
+    assert hashlib.sha256(str(report.attack_bound).encode()).hexdigest() == bound_sha
+    assert report.attack_argmax_t == argmax_t
+    assert (report.attack_ok, report.cover_ok, report.chain_ok) == (True, True, True)

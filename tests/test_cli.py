@@ -2,6 +2,7 @@
 multi-process socket flow."""
 
 import csv
+import hashlib
 import io
 import os
 import re
@@ -333,6 +334,21 @@ def test_bounds_rows_csv(capsys):
     assert rows[0] == ["threshold", "cover", "tail", "product"]
     assert len(rows) - 1 == 25  # thresholds n..N inclusive
     assert rows[1][0] == "24" and rows[-1][0] == "48"
+
+
+@pytest.mark.parametrize("extra, want", [
+    (["--rows", "--format", "csv"],
+     "76a86517cc38a937f5124cc2beb5354a1445173cf9c7c80e2c1c8b5863130861"),
+    ([], "2459b24405dfc67652996581fc72806c6c00983682f07e41591e2b9f83c90a42"),
+])
+def test_bounds_output_pinned(extra, want, capsys):
+    # SHA-256 of the stdout of `etdr bounds` at 256 / 2^-40, pinned from
+    # the calculator that summed one Fraction term per binomial term
+    code, out, _ = run_cli(
+        ["bounds", "--data-bits", "256", "--epsilon", "2^-40", *extra], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 # ------------------------------------------------------------ attack
