@@ -440,3 +440,51 @@ def test_within_bound_flags_a_break():
     )
     assert honest.within_bound
     assert not broken.within_bound
+
+
+# ------------------------------------------------ regression pins
+# taken from the game before views were scored once per subkey multiset;
+# the sampled values depend on every draw of default_rng(seed)
+
+
+@pytest.mark.parametrize(
+    "seed, want",
+    [
+        (1, (Fraction(325553, 4000000), Fraction(37, 320))),
+        (2, (Fraction(650147, 8000000), Fraction(37, 320))),
+        (3, (Fraction(40693, 500000), Fraction(37, 320))),
+    ],
+)
+def test_sampled_game_value_pinned_9_3_3(seed, want):
+    report = adv.exact_game_value(experimental_params(9, 3, 3), sample=50000, seed=seed)
+    assert not report.exhaustive and report.views == 50000
+    assert (report.mean_value, report.max_value) == want
+
+
+def test_sampled_game_value_pinned_12_4_3():
+    report = adv.exact_game_value(experimental_params(12, 4, 3), sample=1500, seed=5)
+    assert (report.mean_value, report.max_value) == (
+        Fraction(17796707, 215040000),
+        Fraction(5913, 57344),
+    )
+
+
+# (wins, outcome_digest) per strategy at (6,3,2), 1000 trials, seed 41
+OUTCOMES_6_3_2 = {
+    "random-claim": (23, "32280bb1a63a1d864d743a775149a840de72b88c4e397c31c1967351e04d2ca5"),
+    "single-bit-flip": (4, "1ab705b109e84e6a7b37ad587c39d0ab2882bb8c8f3b8a3e1c80e5a83c1cd500"),
+    "best-collide": (213, "e653a9f7f1b2d14b71d400e0dd5c51d0230e87d0e8d5171a386a4ea9064f28f2"),
+    "exact-best": (213, "5474c9b273695f20be7e37f2b88a928f1e7296a6906d23e56defe7934462b17e"),
+    "overlap-guess": (155, "bde93cf0685f3089015a377d2577d673c5b53209e73f5cfa31c04a0400b438dc"),
+    "copy-honest-vector": (1, "c18a3d40e64cd29916edd8b774fa04ba51a430002d3d00f4e355694e22171bca"),
+}
+
+
+@pytest.mark.parametrize("cheater", ["bob", "alice"])
+def test_strategy_outcomes_pinned_6_3_2(cheater):
+    params = experimental_params(6, 3, 2)
+    got = {}
+    for strategy in adv.ALL_STRATEGIES:
+        g = adv.play_game(params, strategy, 1000, seed=41, cheater=cheater)
+        got[strategy.name] = (g.wins, g.outcome_digest)
+    assert got == OUTCOMES_6_3_2
