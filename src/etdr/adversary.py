@@ -27,6 +27,13 @@ score it, and only they bar difference 0: `_exact_ranks` for
 `per_view_exact_optimum` and `exact_game_value`, `_most_collisions` for
 `BestCollide` and `OverlapGuess`.
 
+|T| sums over positions, so a view's value and its best claims depend
+only on the multiset of its subkeys, and each multiset is scored once:
+`exact_game_value` scores the sorted, deduplicated rows of its views
+with their multiplicities as weights (the multinomial count of each
+multiset in exhaustive mode, the number of draws of it when sampled),
+and the per-view readers cache their answer under the sorted subkeys.
+
 One cached table per (data bits, subkey bits) holds the digest of every
 message under every key, filled by the same linearity: doubling over the
 bit basis. The difference tables are its zeros, and the game reads each
@@ -42,6 +49,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement, groupby, islice
+from math import factorial, prod
 
 import numpy as np
 
@@ -57,8 +66,17 @@ WILSON_Z99 = 2.5758293035489004
 
 # exact machinery enumerates difference space, so keep it small
 MAX_EXACT_DATA_BITS = 20
-# views the exact game scores per numpy batch
+# views the sampled exact game draws per call; the sample depends on it
 _VIEW_CHUNK = 1024
+# sampled draws deduplicated together; also the most distinct multisets
+# held before they are scored, which bounds memory whatever the sample
+_SAMPLE_BLOCK = 4 * _VIEW_CHUNK
+# subkey multisets the exact game scores per numpy batch; a batch holds a
+# (differences x multisets x subkeys) array, so a small one keeps the
+# process's peak memory where scoring every view once held it
+_SCORE_CHUNK = 256
+# subkey multisets whose best claims the strategies keep
+_VIEW_CACHE = 4096
 # The game reads its digest vectors from a (messages x keys) table of at
 # most 2^16 entries, which covers every tiny game; wider games, which only
 # `etdr attack` with chosen widths plays, hash each vector.
@@ -195,13 +213,81 @@ def per_view_exact_optimum(
     params: Params, subkeys: tuple[int, ...]
 ) -> tuple[Fraction, int]:
     """Best exact win probability over every allowed claim for this view,
-    with the smallest optimal difference. Independent of the honest data."""
+    with the smallest optimal difference. Independent of the honest data
+    and of the order of the subkeys."""
+    return _multiset_optimum(params, tuple(sorted(subkeys)))
+
+
+@lru_cache(maxsize=_VIEW_CACHE)
+def _multiset_optimum(params: Params, multiset: tuple[int, ...]) -> tuple[Fraction, int]:
+    """per_view_exact_optimum of the sorted subkeys, the cache's key."""
     ordered, _ = _win_prob_ranks(
         params.data_bits, params.subkey_bits, params.subkey_count
     )
-    ranks = _exact_ranks(params, np.array(subkeys))
+    ranks = _exact_ranks(params, np.array(multiset))
     best_d = int(np.argmax(ranks))
     return ordered[ranks[best_d]], best_d
+
+
+def _distinct_multisets(
+    rows: np.ndarray, weights: np.ndarray, subkey_bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `rows`, each row sorted already, with the summed
+    weights of their copies. Rows are packed into int64 words of at most
+    62 bits and lexsorted on the words, so one sort serves every width."""
+    count, width = rows.shape
+    per_word = 62 // subkey_bits
+    words = np.zeros((count, -(-width // per_word)), dtype=np.int64)
+    for j in range(width):
+        words[:, j // per_word] |= rows[:, j] << (subkey_bits * (j % per_word))
+    order = np.lexsort(words.T)
+    words = words[order]
+    first = np.ones(count, dtype=bool)
+    np.any(words[1:] != words[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    return rows[order[starts]], np.add.reduceat(weights[order], starts)
+
+
+def _exhaustive_multisets(subkey_bits: int, big_n: int):
+    """(rows, weights) chunks over every multiset of `big_n` subkeys: the
+    sorted rows, and how many subkey tuples order each (Python ints, as
+    they can pass 2^63)."""
+    tuples = combinations_with_replacement(range(1 << subkey_bits), big_n)
+    orderings = factorial(big_n)
+    while chunk := list(islice(tuples, _SCORE_CHUNK)):
+        weights = [
+            orderings // prod(factorial(len(list(run))) for _, run in groupby(keys))
+            for keys in chunk
+        ]
+        yield np.array(chunk, dtype=np.int64), weights
+
+
+def _sampled_multisets(subkey_bits: int, big_n: int, sample: int, seed: int):
+    """(rows, weights) chunks over the distinct sorted rows of `sample`
+    seeded draws, weighted by how often each was drawn. Draws are made
+    _VIEW_CHUNK rows at a time, deduplicated a block at a time and merged
+    into the rows not yet scored, which are given out when they outgrow a
+    block and at the end."""
+    rng = np.random.default_rng(seed)
+    n_keys = 1 << subkey_bits
+    nothing = np.empty((0, big_n), dtype=np.int64), np.empty(0, dtype=np.int64)
+    rows, weights = nothing
+    for block in range(0, sample, _SAMPLE_BLOCK):
+        drawn = np.sort(np.concatenate([
+            rng.integers(0, n_keys, size=(min(_VIEW_CHUNK, sample - base), big_n),
+                         dtype=np.int64)
+            for base in range(block, min(sample, block + _SAMPLE_BLOCK), _VIEW_CHUNK)
+        ]), axis=1)
+        rows, weights = _distinct_multisets(
+            np.concatenate([rows, drawn]),
+            np.concatenate([weights, np.ones(len(drawn), dtype=np.int64)]),
+            subkey_bits,
+        )
+        if len(rows) > _SAMPLE_BLOCK:
+            yield rows, weights.tolist()
+            rows, weights = nothing
+    if len(rows):
+        yield rows, weights.tolist()
 
 
 @dataclass(frozen=True)
@@ -232,33 +318,29 @@ def exact_game_value(
     """Per-view exact optimum aggregated over the view space: every subkey
     tuple, or `sample` seeded draws when `sample` is given. The honest
     message does not enter (see module docstring), so a view is just the
-    cheater's subkey tuple."""
+    cheater's subkey tuple, scored once per distinct multiset."""
     ordered, _ = _win_prob_ranks(
         params.data_bits, params.subkey_bits, params.subkey_count
     )
-    n_keys = 1 << params.subkey_bits
-    big_n = params.subkey_count
+    l, big_n = params.subkey_bits, params.subkey_count
     exhaustive = sample is None
-    total = n_keys**big_n if exhaustive else sample
-    rng = np.random.default_rng(seed)  # drawn from in sampled mode only
+    if exhaustive:
+        total = (1 << l) ** big_n
+        multisets = _exhaustive_multisets(l, big_n)
+    else:
+        if sample < 1:
+            raise ParameterError(f"need at least one sampled view, got {sample}")
+        total = sample
+        multisets = _sampled_multisets(l, big_n, sample, seed)
 
-    rank_counts = np.zeros(len(ordered), dtype=np.int64)
-    for base in range(0, total, _VIEW_CHUNK):
-        take = min(_VIEW_CHUNK, total - base)
-        if exhaustive:  # view number base + i, written in base n_keys
-            v = np.arange(base, base + take, dtype=np.int64)
-            keys = np.empty((take, big_n), dtype=np.int64)
-            for j in range(big_n):
-                keys[:, j] = v % n_keys
-                v //= n_keys
-        else:
-            keys = rng.integers(0, n_keys, size=(take, big_n), dtype=np.int64)
-        best = _exact_ranks(params, keys).max(axis=0)
-        rank_counts += np.bincount(best, minlength=len(ordered))
+    rank_counts = [0] * len(ordered)
+    for rows, weights in multisets:
+        for base in range(0, len(rows), _SCORE_CHUNK):
+            best = _exact_ranks(params, rows[base : base + _SCORE_CHUNK]).max(axis=0)
+            for rank, weight in zip(best.tolist(), weights[base : base + _SCORE_CHUNK]):
+                rank_counts[rank] += weight
 
-    mean = sum(
-        ordered[i] * int(c) for i, c in enumerate(rank_counts) if c
-    ) / Fraction(total)
+    mean = sum(ordered[i] * c for i, c in enumerate(rank_counts) if c) / Fraction(total)
     max_rank = max(i for i, c in enumerate(rank_counts) if c)
     return ExactReport(
         params=params,
@@ -299,13 +381,22 @@ class Strategy:
         return _digest_vector(p, rows, view.subkeys, submitted), claim
 
 
-def _most_collisions(view: CheaterView, subkeys: list[int]) -> int:
+def _collision_claim(view: CheaterView, subkeys: tuple[int, ...] | list[int]) -> int:
     """The claim, never the honest data, that the most of `subkeys` hash
     alike to the honest data; ties go to the smallest difference."""
-    roots, _ = _difference_tables(view.params.data_bits, view.params.subkey_bits)
-    covered = roots[:, subkeys].sum(axis=1)
+    p = view.params
+    d = _most_collisions(p.data_bits, p.subkey_bits, tuple(sorted(subkeys)))
+    return view.honest_message.value ^ d
+
+
+@lru_cache(maxsize=_VIEW_CACHE)
+def _most_collisions(data_bits: int, subkey_bits: int, multiset: tuple[int, ...]) -> int:
+    """The nonzero difference that the most of `multiset` hash to zero,
+    the smallest of any tie."""
+    roots, _ = _difference_tables(data_bits, subkey_bits)
+    covered = roots[:, list(multiset)].sum(axis=1)
     covered[0] = -1
-    return view.honest_message.value ^ int(np.argmax(covered))
+    return int(np.argmax(covered))
 
 
 class RandomClaim(Strategy):
@@ -339,7 +430,7 @@ class BestCollide(Strategy):
     enumerates_differences = True
 
     def choose(self, view, rng):
-        return _most_collisions(view, list(view.subkeys))
+        return _collision_claim(view, view.subkeys)
 
 
 class ExactBest(Strategy):
@@ -362,7 +453,7 @@ class OverlapGuess(Strategy):
     def choose(self, view, rng):
         p = view.params
         guess = rng.sample(range(p.subkey_count), p.shared_count)
-        return _most_collisions(view, [view.subkeys[j] for j in guess])
+        return _collision_claim(view, [view.subkeys[j] for j in guess])
 
 
 class CopyHonestVector(Strategy):

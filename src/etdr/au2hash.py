@@ -145,9 +145,11 @@ def _check_keys(field: GF2, keys) -> None:
 
 
 def _horner(mul_k, blocks: list[int]) -> int:
-    """sum of blocks[i] * k^i, Horner on the reversed blocks; mul_k(a) = k*a."""
-    acc = 0
-    for block in reversed(blocks):
+    """sum of blocks[i] * k^i, Horner on the reversed blocks; mul_k(a) = k*a.
+    The last block starts the sum, so no multiply is spent on zero."""
+    rest = reversed(blocks)
+    acc = next(rest, 0)
+    for block in rest:
         acc = mul_k(acc) ^ block
     return acc
 

@@ -333,6 +333,13 @@ def cmd_attack(args) -> int:
                 f"data bits play only {', '.join(playable)}"
             )
 
+    report = None
+    if args.exact:
+        # before any game, so that a refused sample size is refused at once
+        space = (1 << params.subkey_bits) ** params.subkey_count
+        sample = None if space <= (1 << 20) else args.exact_sample
+        report = adv.exact_game_value(params, sample=sample, seed=args.seed)
+
     header = [
         "strategy", "cheater", "trials", "wins", "rate",
         "wilson99_low", "wilson99_high", "cheat_bound", "within_bound",
@@ -350,10 +357,7 @@ def cmd_attack(args) -> int:
         ])
     _emit_table(header, rows, args.format)
 
-    if args.exact:
-        space = (1 << params.subkey_bits) ** params.subkey_count
-        sample = None if space <= (1 << 20) else args.exact_sample
-        report = adv.exact_game_value(params, sample=sample, seed=args.seed)
+    if report is not None:
         scope = "all views" if report.exhaustive else f"{report.views} sampled views"
         print(f"exact ({scope}): mean={report.mean_value} "
               f"max={report.max_value} cheat_bound={report.cheat_bound} "

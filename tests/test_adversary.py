@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -199,6 +200,66 @@ def test_exhaustive_game_value_aggregates_the_per_view_optimum(params):
     assert report.exhaustive and report.views == len(views)
     assert report.mean_value == sum(values) / len(views)
     assert report.max_value == max(values)
+
+
+@pytest.mark.parametrize("sample", [0, -3])
+def test_exact_game_value_refuses_an_empty_sample(sample):
+    with pytest.raises(ParameterError):
+        adv.exact_game_value(TINY, sample=sample)
+
+
+def direct_optimum(params, keys):
+    """The per-view optimum scored from _exact_ranks on the view as given,
+    past every cache."""
+    ordered, _ = adv._win_prob_ranks(
+        params.data_bits, params.subkey_bits, params.subkey_count
+    )
+    ranks = adv._exact_ranks(params, np.array(keys))
+    best_d = int(np.argmax(ranks))
+    return ordered[ranks[best_d]], best_d
+
+
+def test_view_readers_ignore_the_order_of_the_subkeys():
+    # every view of (6,3,2) is some ordering of a multiset; whichever
+    # ordering filled the cache, each reads the answer its own scoring gives
+    params = experimental_params(6, 3, 2)
+    roots, _ = adv._difference_tables(params.data_bits, params.subkey_bits)
+    honest = Message(0b101101, params.data_bits)
+    for keys in product(range(1 << params.subkey_bits), repeat=params.subkey_count):
+        assert adv.per_view_exact_optimum(params, keys) == direct_optimum(params, keys)
+        covered = roots[:, list(keys)].sum(axis=1)
+        covered[0] = -1
+        view = adv.CheaterView(params, honest, keys)
+        claim = adv.BestCollide().choose(view, random.Random(0))
+        assert claim == honest.value ^ int(np.argmax(covered))
+
+
+def test_exhaustive_game_value_stays_exact_past_int64():
+    # 64 one-bit subkeys: 2^64 views, 65 multisets; the mean weighs each
+    # count of ones by its binomial coefficient
+    params = experimental_params(2, 32, 1)
+    report = adv.exact_game_value(params)
+    assert report.exhaustive and report.views == 2**64
+    want = sum(
+        comb(64, ones) * adv.per_view_exact_optimum(params, (0,) * (64 - ones) + (1,) * ones)[0]
+        for ones in range(65)
+    ) / 2**64
+    assert isinstance(report.mean_value, Fraction)
+    assert report.mean_value == want
+    assert report.max_value == report.cheat_bound
+
+
+def test_sampled_game_value_independent_of_the_dedup_block(monkeypatch):
+    # one-chunk blocks hold fewer rows than the (9,3,3) game has
+    # multisets, so the distinct rows are given out several times
+    params = experimental_params(9, 3, 3)
+    whole = adv.exact_game_value(params, sample=9000, seed=7)
+    monkeypatch.setattr(adv, "_SAMPLE_BLOCK", adv._VIEW_CHUNK)
+    chunks = list(adv._sampled_multisets(3, 6, 9000, 7))
+    assert len(chunks) > 1
+    assert sum(sum(weights) for _, weights in chunks) == 9000
+    blocked = adv.exact_game_value(params, sample=9000, seed=7)
+    assert (blocked.mean_value, blocked.max_value) == (whole.mean_value, whole.max_value)
 
 
 # ------------------------------------------------------- world dealing

@@ -80,6 +80,26 @@ def test_horner_matches_power_sum_oracle():
             assert poly_hash(k, v, bits, degree) == oracle_hash(k, v, bits, degree)
 
 
+def test_horner_spends_no_multiply_on_zero():
+    # one multiply per block after the last, the same sum as a loop from 0
+    f = GF2.get(8)
+    rng = random.Random(77)
+    for count in range(6):
+        blocks = [rng.getrandbits(8) for _ in range(count)]
+        k = rng.getrandbits(8)
+        calls = []
+
+        def mul_k(a):
+            calls.append(a)
+            return f.mul(k, a)
+
+        want = 0
+        for block in reversed(blocks):
+            want = f.mul(k, want) ^ block
+        assert au2hash._horner(mul_k, blocks) == want
+        assert len(calls) == max(0, count - 1)
+
+
 def test_linearity_in_the_message():
     # exhaustive at l=2, r=6; random at l=8
     for ma in range(64):

@@ -418,6 +418,18 @@ def test_attack_exact_report(capsys):
     assert "max=7/32" in out
 
 
+def test_attack_refuses_an_empty_exact_sample(capsys):
+    code, out, err = run_cli(
+        ["attack", "--data-bits", "12", "--shared-count", "4",
+         "--subkey-bits", "3", "--trials", "10", "--strategy", "random-claim",
+         "--exact", "--exact-sample", "0"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "sampled view" in err
+
+
 def test_attack_unknown_strategy(capsys):
     code, _, _ = run_cli(
         ["attack", "--data-bits", "4", "--shared-count", "2",
