@@ -305,7 +305,9 @@ class ExactReport:
 
 
 def proven_cheat_bound(params: Params) -> Fraction:
-    q = collision_bound(params.data_bits, params.subkey_bits)
+    # (blocks - 1) / 2^l passes 1 once blocks - 1 exceeds the 2^l keys
+    # (3/2 at 4 one-bit blocks); a probability stops at 1
+    q = min(collision_bound(params.data_bits, params.subkey_bits), Fraction(1))
     return attack_success_bound(params.subkey_count, params.shared_count, q)[0]
 
 

@@ -311,11 +311,13 @@ def _log_tables(degree: int, poly: int) -> tuple[list[int], list[int]]:
 class GF2:
     """Multiplication context for one degree.
 
-    Every scalar product goes through fixed_mul(k), the closure for k*a:
-    up to _MUL_TABLE_MAX_DEGREE it adds log k to log a in log/antilog
-    tables (built lazily, shared per process); larger degrees multiply
-    through a 4-bit window of 16 unreduced multiples of k and a sparse
-    reduction. mul(a, b) is fixed_mul(b)(a).
+    Scalar products go through fixed_mul(k), the closure for k*a: up to
+    _MUL_TABLE_MAX_DEGREE it adds log k to log a in log/antilog tables
+    (built lazily, shared per process); larger degrees multiply through
+    a 4-bit window of 16 unreduced multiples of k and a sparse
+    reduction. au2hash.poly_hash alone bypasses it from degree 17 to
+    255, where it multiplies bit-spread integers. mul(a, b) is
+    fixed_mul(b)(a).
     """
 
     _instances: dict[int, "GF2"] = {}
@@ -399,7 +401,10 @@ class GF2:
     def fixed_mul(self, k: int):
         """A closure computing k*a: two lookups per call up to the table
         degree; above it, k's 16-entry window is all the per-key setup, so a
-        one-time MAC key costs about as much as one multiply.
+        one-time MAC key costs about as much as one multiply. Digests under
+        one key (au2hash.poly_hash) use it at degrees up to 16 and from
+        256; in between they multiply one byte per bit in CPython's integer
+        multiply, exact while no byte of a product counts over 255 terms.
 
         k is checked here. The closure trusts its operand a to be a field
         element, because its callers pass field elements: it is the

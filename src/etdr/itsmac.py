@@ -17,6 +17,12 @@ session's single use of each pad rests on the runners' ledger of spent
 outbound pads and on freezing at the first failed check of an inbound one
 (ROADMAP item 12).
 
+kh * poly_hash(kh, m) is poly_hash over m with one zero block in front,
+so a tag is one poly_hash call, and its kernel follows the MAC field's
+degree (see au2hash): log tables for tag_bits up to 8, bit-spread
+integer products for 9 to 127 (degree 64 at eps = 2^-4), and the 4-bit
+window from 128 on (degree 280 at eps = 2^-40).
+
 forgery_bound() is the coarser budget formula the rest of the suite quotes,
 ceil(msg_bits/tag_bits - 1) * 2^-tag_bits; the construction's own bound,
 construction_forgery_bound(), is at least as small whenever
@@ -30,7 +36,6 @@ from fractions import Fraction
 from .errors import KeyMaterialError, ParameterError
 from .au2hash import block_count, collision_bound, poly_hash
 from .bits import bytes_to_bits
-from .gf2field import GF2
 
 
 class MacKey:
@@ -55,10 +60,10 @@ class MacKey:
 
 
 def _tag_core(key: MacKey, value: int, bit_len: int) -> int:
+    # kh * H(kh, m) is H over m with one zero block in front
     degree = 2 * key.tag_bits
-    mul_k = GF2.get(degree).fixed_mul(key.hash_key)  # one window for both products
-    digest = poly_hash(key.hash_key, value, bit_len, degree, mul_k=mul_k)
-    return (mul_k(digest) & ((1 << key.tag_bits) - 1)) ^ key.pad
+    digest = poly_hash(key.hash_key, value << degree, bit_len + degree, degree)
+    return (digest & ((1 << key.tag_bits) - 1)) ^ key.pad
 
 
 def mac_tag_bits(key: MacKey, value: int, bit_len: int) -> int:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from etdr import adversary as adv
-from etdr.au2hash import poly_hash
+from etdr.au2hash import collision_bound, poly_hash
 from etdr.bits import Message
 from etdr.errors import ParameterError
 from etdr.etproto import core
@@ -247,6 +247,17 @@ def test_exhaustive_game_value_stays_exact_past_int64():
     assert isinstance(report.mean_value, Fraction)
     assert report.mean_value == want
     assert report.max_value == report.cheat_bound
+
+
+def test_cheat_bound_clamps_a_collision_bound_past_one():
+    # 4 one-bit blocks: the digest difference has degree up to 3, so the
+    # count bound reads 3/2 of the 2 keys; every key collides, and the
+    # cheater wins every view
+    params = experimental_params(4, 32, 1)
+    assert collision_bound(4, 1) == Fraction(3, 2)
+    assert adv.proven_cheat_bound(params) == 1
+    report = adv.exact_game_value(params)
+    assert report.cheat_bound == report.mean_value == report.max_value == 1
 
 
 def test_sampled_game_value_independent_of_the_dedup_block(monkeypatch):

@@ -150,13 +150,21 @@ def test_vector_hasher_matches_scalar_path():
             assert vec == [horner_oracle(k, v, bits, degree) for k in keys], (degree, bits)
 
 
-@pytest.mark.parametrize("degree", [64, 280])  # the MAC fields at eps = 2^-4 and 2^-40
+# both sides of each kernel edge: log tables up to 16, bit-spread products
+# from 17 to 255, the 4-bit window from 256; 64 and 280 are the MAC fields
+# at eps = 2^-4 and 2^-40
+@pytest.mark.parametrize("degree", [16, 18, 64, 72, 254, 256, 280])
 def test_poly_hash_matches_oracle_in_mac_fields(degree):
     rng = random.Random(degree)
     for key in (0, 1, (1 << degree) - 1, rng.getrandbits(degree), rng.getrandbits(degree)):
-        for bits in (1, degree, 480, 960):
-            v = rng.getrandbits(bits)
-            assert poly_hash(key, v, bits, degree) == horner_oracle(key, v, bits, degree), (key, bits)
+        for bits in (1, degree, 2 * degree, 480, 960):
+            # at 2 * degree bits, all ones under the all-ones key: the first
+            # product's middle byte counts `degree` terms
+            for v in (rng.getrandbits(bits), (1 << bits) - 1):
+                assert poly_hash(key, v, bits, degree) == horner_oracle(key, v, bits, degree), (key, bits)
+    for key in (-1, 1 << degree):
+        with pytest.raises(ParameterError):
+            poly_hash(key, 1, degree, degree)
 
 
 def test_vector_hasher_finalize_is_terminal():

@@ -430,6 +430,18 @@ def test_attack_refuses_an_empty_exact_sample(capsys):
     assert err.startswith("error: ") and "sampled view" in err
 
 
+def test_attack_plays_a_game_whose_collision_bound_passes_one(capsys):
+    # 4 data bits in one-bit blocks: collision_bound is 3/2, clamped to 1
+    code, out, err = run_cli(
+        ["attack", "--data-bits", "4", "--shared-count", "1",
+         "--subkey-bits", "1", "--trials", "10", "--strategy", "random-claim"],
+        capsys,
+    )
+    assert code == 0, err
+    row = out.splitlines()[1].split()
+    assert row[0] == "random-claim" and row[-2:] == ["1", "True"]
+
+
 def test_attack_unknown_strategy(capsys):
     code, _, _ = run_cli(
         ["attack", "--data-bits", "4", "--shared-count", "2",

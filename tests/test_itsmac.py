@@ -15,7 +15,8 @@ from etdr.itsmac import (
     mac_verify,
     mac_verify_bits,
 )
-from oracles import forgery_game_optimum, forgery_game_optimum_xor
+from etdr.gf2field import reduction_poly
+from oracles import forgery_game_optimum, forgery_game_optimum_xor, horner_oracle, oracle_mul
 
 
 # ---------------------------------------------------------------- mac keys
@@ -67,6 +68,24 @@ def test_distinct_messages_get_distinct_tags():
     t1 = mac_tag(MacKey(kh, pad, 32), b"message a")
     t2 = mac_tag(MacKey(kh, pad, 32), b"message b")
     assert t1 != t2
+
+
+# 8 and 9 straddle the log tables' edge (degrees 16 and 18), 127 and 128
+# the bit-spread products' edge (254 and 256); 140 is the MAC at eps = 2^-40
+@pytest.mark.parametrize("tag_bits", [8, 9, 32, 36, 127, 128, 140])
+@pytest.mark.parametrize("blocks", [1, 4, 60])
+def test_tag_matches_its_definition(tag_bits, blocks):
+    # tag = low(kh * H(kh, m)) ^ pad, with H and the product on the list oracle
+    degree = 2 * tag_bits
+    poly, low = reduction_poly(degree), (1 << tag_bits) - 1
+    bits = blocks * degree
+    rng = random.Random(1000 * tag_bits + blocks)
+    for kh in ((1 << degree) - 1, rng.getrandbits(degree)):
+        for value in ((1 << bits) - 1, rng.getrandbits(bits)):
+            pad = rng.getrandbits(tag_bits)
+            digest = horner_oracle(kh, value, bits, degree)
+            want = oracle_mul(kh, digest, poly) & low ^ pad
+            assert mac_tag_bits(MacKey(kh, pad, tag_bits), value, bits) == want, (kh, value)
 
 
 # ---------------------------------------------------------------- bounds
