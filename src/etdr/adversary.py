@@ -332,6 +332,8 @@ def exact_game_value(
     else:
         if sample < 1:
             raise ParameterError(f"need at least one sampled view, got {sample}")
+        if seed < 0:
+            raise ParameterError(f"sampled views need a non-negative seed, got {seed}")
         total = sample
         multisets = _sampled_multisets(l, big_n, sample, seed)
 

@@ -11,11 +11,10 @@ low-bits truncation is GF(2)-linear, so for any two distinct inputs and any
 target difference the tag difference matches on at most
 ceil(input_bits / (2*tag_bits)) * 2^-tag_bits of the hash keys. The pad
 hides the digest completely, which is what lets one hash key serve several
-rounds as long as every round uses a fresh pad. A MacKey refuses a second
-use of itself only: the runners build one per sign and verify, so a
-session's single use of each pad rests on the runners' ledger of spent
-outbound pads and on freezing at the first failed check of an inbound one
-(ROADMAP item 12).
+rounds as long as every round uses a fresh pad. A MacKey is only the
+checked (hash key, pad, tag_bits) value: that each pad authenticates one
+message is kept by the runners' pad ledger (transport.runners), which
+lives in memory only (ROADMAP item 12).
 
 kh * poly_hash(kh, m) is poly_hash over m with one zero block in front,
 so a tag is one poly_hash call, and its kernel follows the MAC field's
@@ -23,23 +22,24 @@ degree (see au2hash): log tables for tag_bits up to 8, bit-spread
 integer products for 9 to 127 (degree 64 at eps = 2^-4), and the 4-bit
 window from 128 on (degree 280 at eps = 2^-40).
 
-forgery_bound() is the coarser budget formula the rest of the suite quotes,
-ceil(msg_bits/tag_bits - 1) * 2^-tag_bits; the construction's own bound,
-construction_forgery_bound(), is at least as small whenever
-msg_bits > tag_bits, and tests verify both against an exhaustive game.
+The budget formula the rest of the suite quotes is au2hash's
+collision_bound, ceil(msg_bits/tag_bits - 1) * 2^-tag_bits; the
+construction's own bound, construction_forgery_bound(), is at least as
+small whenever msg_bits > tag_bits, and tests verify both against an
+exhaustive game.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import KeyMaterialError, ParameterError
-from .au2hash import block_count, collision_bound, poly_hash
+from .errors import ParameterError
+from .au2hash import block_count, poly_hash
 from .bits import bytes_to_bits
 
 
 class MacKey:
-    """One round's authentication key: shared hash key plus a one-shot pad."""
+    """One round's authentication key: shared hash key plus a one-time pad."""
 
     def __init__(self, hash_key: int, pad: int, tag_bits: int):
         if tag_bits < 1:
@@ -51,31 +51,14 @@ class MacKey:
         self.hash_key = hash_key
         self.pad = pad
         self.tag_bits = tag_bits
-        self._consumed = False
-
-    def _burn(self) -> None:
-        if self._consumed:
-            raise KeyMaterialError("MacKey already used; a pad authenticates one message")
-        self._consumed = True
 
 
-def _tag_core(key: MacKey, value: int, bit_len: int) -> int:
+def mac_tag_bits(key: MacKey, value: int, bit_len: int) -> int:
+    """Tag for a raw bit-string."""
     # kh * H(kh, m) is H over m with one zero block in front
     degree = 2 * key.tag_bits
     digest = poly_hash(key.hash_key, value << degree, bit_len + degree, degree)
     return (digest & ((1 << key.tag_bits) - 1)) ^ key.pad
-
-
-def mac_tag_bits(key: MacKey, value: int, bit_len: int) -> int:
-    """Tag for a raw bit-string; consumes the key."""
-    key._burn()
-    return _tag_core(key, value, bit_len)
-
-
-def mac_verify_bits(key: MacKey, value: int, bit_len: int, tag: int) -> bool:
-    """Check a tag against a raw bit-string; consumes the key either way."""
-    key._burn()
-    return _tag_core(key, value, bit_len) == tag
 
 
 def mac_tag(key: MacKey, message: bytes) -> int:
@@ -83,12 +66,9 @@ def mac_tag(key: MacKey, message: bytes) -> int:
 
 
 def mac_verify(key: MacKey, message: bytes, tag: int) -> bool:
-    return mac_verify_bits(key, bytes_to_bits(message), 8 * len(message), tag)
-
-
-def forgery_bound(msg_bits: int, tag_bits: int) -> Fraction:
-    """Budget formula quoted by the protocol: ceil(msg_bits/tag_bits - 1) * 2^-tag_bits."""
-    return collision_bound(msg_bits, tag_bits)
+    # through mac_tag_bits, not mac_tag: perfbench wraps mac_tag, and a
+    # verify is not a tag
+    return mac_tag_bits(key, bytes_to_bits(message), 8 * len(message)) == tag
 
 
 def construction_forgery_bound(msg_bits: int, tag_bits: int) -> Fraction:

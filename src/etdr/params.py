@@ -21,7 +21,7 @@ MAC hash keys of 2(n+l) bits, four per-round MAC pads of n+l bits).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -51,19 +51,16 @@ def ceil_log2(x: Fraction | int) -> int:
 def parse_epsilon(text: str) -> Fraction:
     """Accepts forms like "1/16", "2^-40", "0.001", "1e-12"; exact always."""
     text = text.strip()
-    if "^" in text:
-        base, _, expo = text.partition("^")
-        try:
+    try:
+        if "^" in text:
+            base, _, expo = text.partition("^")
             return Fraction(int(base)) ** int(expo)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParameterError(f"cannot parse epsilon {text!r}") from exc
-    try:
-        return Fraction(text)
-    except ValueError:
-        pass
-    try:
-        return Fraction(Decimal(text))
-    except (InvalidOperation, ValueError) as exc:
+        try:
+            return Fraction(text)
+        except ValueError:
+            return Fraction(Decimal(text))
+    # ArithmeticError covers 1/0, an infinite Decimal and an unparsable one
+    except (ArithmeticError, ValueError) as exc:
         raise ParameterError(f"cannot parse epsilon {text!r}") from exc
 
 

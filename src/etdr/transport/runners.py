@@ -78,12 +78,17 @@ def _sign(frame: Frame, hash_key: int, pad: int, params: Params, role: int) -> F
 
 class _Runner:
     """State shared by both endpoint kinds: decoding, signing, freezing and
-    the ledger of spent outbound pads.
+    the pad ledger.
 
     A runner has one link per peer, keyed by the peer's role. On a link
     each phase has one pad per direction: parties sign with the phase's
     inbound pad, the referee with its announce pad. Subclasses handle a
     checked protocol frame (`_accept`).
+
+    The ledger maps (peer, phase name, outbound) to the payload that pad
+    passed: what this runner signed under an outbound pad, the announce a
+    party accepted, or the one frame a frozen referee checked. A live
+    referee's accepted payloads are in its SessionRecord instead.
     """
 
     role: int  # the role byte this runner signs as
@@ -95,8 +100,7 @@ class _Runner:
         self.session_id = session_id
         self._links = links  # peer role -> key material of the link
         self.frozen: FreezeInfo | None = None
-        # (peer, phase name) whose outbound pad has signed a frame
-        self._spent: set[tuple[int, str]] = set()
+        self._ledger: dict[tuple[int, str, bool], bytes] = {}
 
     def _require_live(self) -> None:
         if self.frozen is not None:
@@ -112,7 +116,7 @@ class _Runner:
         return getattr(mac, phase.hash_key), getattr(mac, pad)
 
     def _signed(self, frame: Frame, peer: int, phase: Phase) -> Frame:
-        self._spent.add((peer, phase.name))
+        self._ledger[peer, phase.name, True] = frame.payload
         return _sign(frame, *self._key(peer, phase, True), self.params, self.role)
 
     def _authentic(self, frame: Frame, peer: int, phase: Phase) -> bool:
@@ -163,7 +167,7 @@ class _Runner:
         err = Frame(MsgType.ERROR, self.session_id, bytes([reason]), b"")
         out = []
         for peer in self._links:
-            unspent = [phase for phase in PHASES if (peer, phase.name) not in self._spent]
+            unspent = [ph for ph in PHASES if (peer, ph.name, True) not in self._ledger]
             out.append((peer, self._signed(err, peer, unspent[0]) if unspent else err))
         return out
 
@@ -190,7 +194,6 @@ class PartyRunner(_Runner):
         self.state = "new"
         self.et_outcome: int | None = None
         self.verdict: core.Verdict | None = None
-        self._announced: dict[str, bytes] = {}  # phase name -> accepted announce payload
 
     # -- outbound -------------------------------------------------------
 
@@ -234,7 +237,7 @@ class PartyRunner(_Runner):
     def _on_announce(self, frame: Frame, phase: Phase) -> list[tuple[int, Frame]]:
         want_state, done_state = _TURNS[phase]
         # an identical authentic retransmit, also once a later phase began
-        if self._announced.get(phase.name) == frame.payload:
+        if self._ledger.get((ROLE_TTP, phase.name, False)) == frame.payload:
             if self._authentic(frame, ROLE_TTP, phase):
                 return []
         if self.state != want_state:
@@ -252,7 +255,7 @@ class PartyRunner(_Runner):
             if code > core.Verdict.UNDECIDABLE:
                 return self._freeze(ERR_STATE, f"invalid verdict code {code}")
             self.verdict = core.Verdict(code)
-        self._announced[phase.name] = frame.payload
+        self._ledger[ROLE_TTP, phase.name, False] = frame.payload
         self.state = done_state
         return []
 
@@ -278,12 +281,11 @@ class TtpRunner(_Runner):
         self.record: SessionRecord = (
             store.record(secret.session_id) if store else SessionRecord(secret.session_id)
         )
-        # (sender, phase name) whose pad a frozen referee has checked a tag under
-        self._frozen_checks: set[tuple[int, str]] = set()
         # announce pads spent in an earlier process stay spent
         for phase in PHASES:
-            if self.record.has(phase.result_field):
-                self._spent.update((role, phase.name) for role in PARTIES)
+            result = self.record.get(phase.result_field)
+            if result is not None:
+                self._ledger.update({(role, phase.name, True): result for role in PARTIES})
 
     # -- recorded results, under a party's names -------------------------
 
@@ -323,9 +325,9 @@ class TtpRunner(_Runner):
             # whether a tag verified shows from outside (the carrier binds and
             # delivers), so a frozen referee checks one frame per pad and is
             # no oracle for guessing tags
-            if (sender, phase.name) in self._frozen_checks:
+            if (sender, phase.name, False) in self._ledger:
                 return []
-            self._frozen_checks.add((sender, phase.name))
+            self._ledger[sender, phase.name, False] = frame.payload
         if not self._authentic(frame, sender, phase):
             return self._freeze(ERR_MAC, f"bad authenticator on a {noun}")
         self.signer = sender

@@ -22,7 +22,7 @@ from etdr import adversary as adv
 from etdr import bounds
 from etdr.au2hash import collision_bound
 from etdr.bits import Message
-from etdr.itsmac import MacKey, forgery_bound, mac_tag_bits
+from etdr.itsmac import MacKey, mac_tag_bits
 from etdr.params import derive_params, experimental_params
 from etdr.transport.channel import FaultPlan, run_session
 from etdr.etproto.core import Verdict
@@ -125,7 +125,7 @@ def test_c4_mac_forgery_game_exact_optimum():
 
     keys = [(kh, p) for kh in range(256) for p in range(16)]
     optimum = forgery_game_optimum(tagger, keys, 8)
-    assert optimum == Fraction(1, 16) == forgery_bound(8, 4)
+    assert optimum == Fraction(1, 16) == collision_bound(8, 4)
     assert time.perf_counter() - t0 < 60.0
 
 

@@ -117,6 +117,16 @@ def test_params_errors(capsys):
     )[0] == 2
 
 
+
+@pytest.mark.parametrize("epsilon", ["1/0", "inf"])
+@pytest.mark.parametrize("command", ["params", "bounds", "keygen"])
+def test_unparsable_epsilon_exits_2(command, epsilon, capsys, tmp_path):
+    extra = ["--out", str(tmp_path / "keys")] if command == "keygen" else []
+    argv = [command, "--data-bits", "256", "--epsilon", epsilon, *extra]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot parse epsilon {epsilon!r}\n"
+
 # ------------------------------------------------------------ keygen
 
 
@@ -429,6 +439,19 @@ def test_attack_refuses_an_empty_exact_sample(capsys):
     assert out == ""
     assert err.startswith("error: ") and "sampled view" in err
 
+
+
+def test_attack_refuses_a_negative_sampled_seed(capsys):
+    # 16^N views are too many to enumerate, so the exact game samples
+    code, out, err = run_cli(
+        ["attack", "--data-bits", "6", "--shared-count", "4",
+         "--subkey-bits", "4", "--trials", "10", "--strategy", "random-claim",
+         "--exact", "--seed", "-1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "non-negative seed" in err
 
 def test_attack_plays_a_game_whose_collision_bound_passes_one(capsys):
     # 4 data bits in one-bit blocks: collision_bound is 3/2, clamped to 1

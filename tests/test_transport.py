@@ -352,6 +352,11 @@ def test_premature_claim_freezes_session():
     assert not res.frozen["alice"].local
 
 
+def outbound_ledger(runner):
+    """The pads a runner has signed under, with what each one signed."""
+    return {key: payload for key, payload in runner._ledger.items() if key[2]}
+
+
 def test_frozen_referee_names_an_authentic_signer_and_records_nothing():
     sec = generate_keys(PARAMS, seed=321)
     m, _ = messages(24)
@@ -360,10 +365,10 @@ def test_frozen_referee_names_an_authentic_signer_and_records_nothing():
     ttp = TtpRunner(sec)
     assert len(ttp.on_frame(encode_frame(forged))) == 2  # one error report per party
     assert ttp.signer is None and ttp.frozen.reason == ERR_MAC
-    record, spent = ttp.record.encode(), set(ttp._spent)
+    record, spent = ttp.record.encode(), outbound_ledger(ttp)
     assert ttp.on_frame(encode_frame(submit)) == []
     assert ttp.signer == ROLE_ALICE
-    assert ttp.record.encode() == record and ttp._spent == spent
+    assert ttp.record.encode() == record and outbound_ledger(ttp) == spent
     for raw in (encode_frame(forged), b"not a frame"):  # cleared on every frame
         assert ttp.on_frame(raw) == [] and ttp.signer is None
 
@@ -385,13 +390,13 @@ def test_frozen_referee_checks_one_frame_per_pad():
     ttp = TtpRunner(sec)
     ttp.on_frame(encode_frame(forged[ROLE_BOB]))  # freezes, live
     assert ttp.frozen.reason == ERR_MAC
-    record, spent = ttp.record.encode(), set(ttp._spent)
+    record, spent = ttp.record.encode(), outbound_ledger(ttp)
     assert ttp.on_frame(encode_frame(forged[ROLE_ALICE])) == [] and ttp.signer is None
     assert ttp.on_frame(encode_frame(submits[ROLE_ALICE])) == [] and ttp.signer is None
     # the pad whose forged frame froze the runner live still gets one check
     assert ttp.on_frame(encode_frame(submits[ROLE_BOB])) == [] and ttp.signer == ROLE_BOB
     assert ttp.on_frame(encode_frame(submits[ROLE_BOB])) == [] and ttp.signer is None
-    assert ttp.record.encode() == record and ttp._spent == spent
+    assert ttp.record.encode() == record and outbound_ledger(ttp) == spent
 
 
 def test_party_api_misuse_raises():
