@@ -18,7 +18,7 @@ from etdr.etproto import ET_DISTINCT, ET_EQUAL, Verdict, generate_keys
 from etdr.etproto.keys import ROLE_ALICE, ROLE_BOB, ROLE_TTP, MacMaterial
 from etdr.etproto.session import _FIELDS as SESSION_FIELDS
 from etdr.etproto.session import SessionStore
-from etdr.params import derive_params
+from etdr.params import derive_params, experimental_params
 from etdr.transport import (
     FaultPlan,
     Frame,
@@ -34,6 +34,7 @@ from etdr.transport.sockets import SocketTtpServer, run_party_session
 
 PARAMS = derive_params(256, Fraction(1, 16))
 PINNED_TRANSCRIPT_DIGEST = "ed67ada13490f94d31c47a31e24902a58bd90c12cfda0a778ba89a628915daed"
+PINNED_NON_BYTE_LANE_DIGEST = "839bf8b6eacfa16e107e36f899739e7afba35e7b40715a5a9500086bc54af3dd"
 
 
 def messages(seed):
@@ -133,6 +134,41 @@ def test_seeded_transcripts_match_the_pinned_digest():
     # pinned with the per-key byte-table multiply the MAC used before the
     # 4-bit window; any changed tag or frame byte fails
     assert seeded_transcript_digest() == PINNED_TRANSCRIPT_DIGEST
+
+
+def non_byte_lane_digest():
+    """seeded_transcript_digest's hash at digest widths other than a byte:
+    l = 12 on the log-table path, l = 18 on the carry-less path, and l = 5
+    on the list path."""
+    h = hashlib.sha256()
+    for params in (
+        derive_params(4096, Fraction(1, 16)),
+        derive_params(2**18, Fraction(1, 16)),
+        experimental_params(64, 3, 5),
+    ):
+        r = params.data_bits
+        for seed in range(1, 3):
+            sec = generate_keys(params, seed=seed)
+            rng = random.Random(seed)
+            m = Message(rng.getrandbits(r), r)
+            other = Message(m.value ^ (1 << rng.randrange(r)), r)
+            lie = Message(m.value ^ (1 << rng.randrange(r)), r)
+            for res in (
+                run_session(sec, m, m),
+                run_session(sec, m, other, dispute=True),
+                run_session(sec, m, other, dispute=True, claim_b=lie),
+            ):
+                for src, dst, raw in res.transcript:
+                    h.update(bytes([src, dst]) + len(raw).to_bytes(4, "big") + raw)
+                ends = (res.et_outcome_a, res.et_outcome_b, res.verdict_a, res.verdict_b)
+                h.update(repr([None if x is None else int(x) for x in ends]).encode())
+    return h.hexdigest()
+
+
+def test_non_byte_lane_transcripts_match_the_pinned_digest():
+    # a digest packed or unpacked at the wrong lane offset changes a frame
+    # byte or a verdict at these widths even where l = 8 would hide it
+    assert non_byte_lane_digest() == PINNED_NON_BYTE_LANE_DIGEST
 
 
 # ------------------------------------------------------------ phase table
