@@ -55,7 +55,7 @@ from math import factorial, prod
 import numpy as np
 
 from .au2hash import collision_bound, poly_hash
-from .bits import Message
+from .bits import Message, pack_lanes
 from .bounds import attack_rows, attack_success_bound
 from .errors import ParameterError
 from .etproto import core
@@ -158,13 +158,13 @@ def _digest_vector(
     rows: list[list[int]] | None,
     subkeys: tuple[int, ...],
     message: Message,
-) -> tuple[int, ...]:
-    """The digest vector of `message` under `subkeys`: a row of the game's
-    table, or the shipped digest for games too wide to tabulate."""
+) -> int:
+    """The packed digest vector of `message` under `subkeys`: from a row of
+    the game's table, or the shipped digest for games too wide to tabulate."""
     if rows is None:
         return core.hash_vector_for(params, subkeys, message)
     row = rows[message.value]
-    return tuple([row[k] for k in subkeys])
+    return pack_lanes([row[k] for k in subkeys], params.subkey_bits)
 
 
 @lru_cache(maxsize=16)
@@ -377,7 +377,7 @@ class Strategy:
 
     def play(
         self, view: CheaterView, rng: random.Random
-    ) -> tuple[tuple[int, ...], Message]:
+    ) -> tuple[int, Message]:
         p = view.params
         claim = Message(self.choose(view, rng), p.data_bits)
         rows = _digest_rows(p.data_bits, p.subkey_bits)

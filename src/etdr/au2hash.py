@@ -30,7 +30,8 @@ table), runs Horner with one of three kernels, by degree alone:
     280 ran at 0.4x of the window's speed (2-CPU x86 host).
 
 hash_vector, the digests under all N subkeys, is nearly all of a
-session's work, and it takes one of three paths by input size:
+session's work. It returns them packed into one int (bits.pack_lanes's
+lanes), and it takes one of three paths by input size:
 
   * degrees up to 16 (the log-table degree), keys x blocks at least
     _LIST_PATH_MAX_WORK: numpy gathers exp[log b_i + i * log k] for groups
@@ -46,8 +47,9 @@ session's work, and it takes one of three paths by input size:
     `etdr attack` with chosen widths does.
 
 Both numpy paths chunk the message with one to_bytes and a gather of one
-8-byte word per block (_block_array); the first of them in a process
-imports numpy (about 0.17 s).
+8-byte word per block (_block_array), and pack their row of digests with
+one unpackbits and one packbits (_pack_digests); the first of them in a
+process imports numpy (about 0.17 s).
 
 The log-table path splits the keys into even groups (96 keys at 342
 blocks run as 48 + 48) and gathers each group into scratch space that
@@ -64,6 +66,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 
+from .bits import pack_lanes
 from .errors import ParameterError
 from .gf2field import _MUL_TABLE_MAX_DEGREE, GF2, _taps
 
@@ -236,7 +239,6 @@ class VectorHasher:
 
     def __init__(self, degree: int, keys: list[int]):
         self.field = GF2.get(degree)
-        self.degree = degree
         _check_keys(self.field, keys)
         self.keys = list(keys)
         self._blocks: list[int] = []
@@ -352,14 +354,24 @@ def _clmul_digests(field: GF2, keys, blocks):
     return acc
 
 
-def hash_vector(keys: list[int], value: int, msg_bits: int, degree: int) -> list[int]:
-    """Digests of one message under every key (see the module docstring
-    for which path serves which sizes)."""
+def _pack_digests(digests, degree: int) -> int:
+    """A numpy row of digests packed as pack_lanes packs them: the low
+    `degree` bits of each digest's 4 bytes, one digest after the other."""
+    import numpy as np
+
+    digest_bytes = digests.astype("<u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(digest_bytes, axis=1, count=degree, bitorder="little")
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def hash_vector(keys: list[int], value: int, msg_bits: int, degree: int) -> int:
+    """Digests of one message under every key, the one under keys[j] at bits
+    [j*degree, (j+1)*degree) (see the module docstring for the paths)."""
     if degree > _VECTOR_MAX_DEGREE or len(keys) * msg_bits < _LIST_PATH_MAX_WORK * degree:
         hasher = VectorHasher(degree, keys)
         for block in chunk_blocks(value, msg_bits, degree):
             hasher.update(block)
-        return hasher.digests()
+        return pack_lanes(hasher.digests(), degree)
     import numpy as np
 
     field = GF2.get(degree)
@@ -367,5 +379,5 @@ def hash_vector(keys: list[int], value: int, msg_bits: int, degree: int) -> list
     blocks = _block_array(value, msg_bits, degree)
     keys_array = np.array(keys, np.int64)
     if degree <= _MUL_TABLE_MAX_DEGREE:
-        return _log_digests(field, keys_array, blocks).tolist()
-    return _clmul_digests(field, keys_array, blocks).tolist()
+        return _pack_digests(_log_digests(field, keys_array, blocks), degree)
+    return _pack_digests(_clmul_digests(field, keys_array, blocks), degree)

@@ -26,6 +26,23 @@ def bytes_to_bits(data: bytes, bit_len: int | None = None) -> int:
     return value
 
 
+def pack_lanes(lanes, width: int) -> int:
+    """lanes[j] at bits [j*width, (j+1)*width): the layout of digest vectors,
+    their pads and a key file's subkeys. Callers pass lanes below 2^width."""
+    packed = 0
+    for lane in reversed(lanes):
+        packed = packed << width | lane
+    return packed
+
+
+def unpack_lanes(packed: int, width: int, count: int) -> tuple[int, ...]:
+    """The `count` lanes of `width` bits that pack_lanes packed."""
+    if packed >> count * width:  # a negative value shifts to -1
+        raise ParameterError(f"packed value wider than {count} lanes of {width} bits")
+    mask = (1 << width) - 1
+    return tuple(packed >> at & mask for at in range(0, count * width, width))
+
+
 @dataclass(frozen=True)
 class Message:
     """An input bit-string of explicit length (lengths need not be byte-aligned)."""

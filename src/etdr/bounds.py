@@ -4,7 +4,7 @@ A cheating party wins the dispute game by matching the referee's digest
 vector on at least t of the N positions, for some threshold t it gets to
 aim at. Its success probability at threshold t factors into
 
-    cover_prob(t)   chance the n hidden overlap positions all fall in
+    cover(t)        chance the n hidden overlap positions all fall in
                     the t matched ones: C(t, n) / C(N, n)
     match_tail(t)   chance at least t - n of the N - n non-overlap
                     positions also match, each independently with
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb
 from typing import NamedTuple
 
 from .au2hash import collision_bound
@@ -52,12 +51,6 @@ def _check_prob(q: Fraction) -> Fraction:
     if not 0 <= q <= 1:
         raise ParameterError("per-position probability must lie in [0, 1]")
     return q
-
-
-def cover_prob(t: int, subkey_count: int, shared_count: int) -> Fraction:
-    """Probability a uniform n-subset of [N] lands inside a fixed t-subset."""
-    _check_counts(t, subkey_count, shared_count)
-    return Fraction(comb(t, shared_count), comb(subkey_count, shared_count))
 
 
 class _Numerators(NamedTuple):
@@ -152,7 +145,7 @@ class BoundReport:
     attack_argmax_t: int
     round_target: Fraction  # epsilon / 16, the per-round allowance
     attack_ok: bool  # attack_bound <= round_target
-    cover_ok: bool  # cover_prob(t) <= round_target for all t <= 3n/2
+    cover_ok: bool  # cover(t) <= round_target for all t <= 3n/2
     chain_ok: bool  # tails above 3n/2 fit under (n/2 + 1) * 2**(-n/2)
     _kernel: _Numerators = field(repr=False)
 

@@ -18,8 +18,6 @@ from .core import (
     et_compare,
     hash_vector_for,
     match_count,
-    pack_vector,
-    unpack_vector,
 )
 from .keys import (
     ROLE_ALICE,
@@ -60,7 +58,5 @@ __all__ = [
     "load_party_keys",
     "load_ttp_secret",
     "match_count",
-    "pack_vector",
     "save_keys",
-    "unpack_vector",
 ]

@@ -1,5 +1,9 @@
 """Pure round logic: digest vectors, pad encryption, verdict rules.
 
+A digest vector is one int of N*l bits from the hasher to the verdict,
+digest j at bits [j*l, (j+1)*l) (bits.pack_lanes), and each check on it
+is integer arithmetic: an XOR with the pad, a mask, a zero-lane count.
+
 Nothing here touches the wire or any state; the transport runners and the
 adversarial harness both call into these functions so they cannot drift
 apart.
@@ -8,6 +12,7 @@ apart.
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import lru_cache
 
 from ..bits import Message
 from ..au2hash import hash_vector
@@ -35,81 +40,57 @@ def _check_message(params: Params, message: Message) -> None:
         )
 
 
-def hash_vector_for(
-    params: Params, subkeys: tuple[int, ...], message: Message
-) -> tuple[int, ...]:
-    """Digest of the message under every one of the party's N subkeys."""
+def hash_vector_for(params: Params, subkeys: tuple[int, ...], message: Message) -> int:
+    """The packed digests of the message under the party's N subkeys."""
     _check_message(params, message)
     if len(subkeys) != params.subkey_count:
         raise ParameterError("wrong number of subkeys")
-    return tuple(
-        hash_vector(list(subkeys), message.value, params.data_bits, params.subkey_bits)
-    )
+    return hash_vector(list(subkeys), message.value, params.data_bits, params.subkey_bits)
 
 
-def pack_vector(params: Params, vec: tuple[int, ...]) -> int:
-    """Digest j occupies bits [j*l, (j+1)*l) of the packed integer."""
-    l = params.subkey_bits
-    if len(vec) != params.subkey_count:
-        raise ParameterError("wrong vector length")
-    packed = 0
-    for j, digest in enumerate(vec):
-        if not 0 <= digest < (1 << l):
-            raise ParameterError("digest outside the field")
-        packed |= digest << (j * l)
-    return packed
+def _check_width(params: Params, value: int) -> None:
+    if value >> params.digest_vector_bits:  # a negative value shifts to -1
+        raise ParameterError("digest vector or pad outside its width")
 
 
-def unpack_vector(params: Params, packed: int) -> tuple[int, ...]:
-    l = params.subkey_bits
-    if not 0 <= packed < (1 << params.digest_vector_bits):
-        raise ParameterError("packed vector outside its width")
-    mask = (1 << l) - 1
-    return tuple((packed >> (j * l)) & mask for j in range(params.subkey_count))
-
-
-def encrypt_vector(params: Params, vec: tuple[int, ...], otp_bits: int) -> int:
+def encrypt_vector(params: Params, vec: int, otp_bits: int) -> int:
     """One-time-pad the packed digest vector; consumes the whole pad."""
-    if not 0 <= otp_bits < (1 << params.digest_vector_bits):
-        raise ParameterError("pad outside its width")
-    return pack_vector(params, vec) ^ otp_bits
+    _check_width(params, vec | otp_bits)
+    return vec ^ otp_bits
 
 
-def decrypt_vector(params: Params, blob: int, otp_bits: int) -> tuple[int, ...]:
-    if not 0 <= blob < (1 << params.digest_vector_bits):
-        raise ParameterError("ciphertext outside its width")
-    if not 0 <= otp_bits < (1 << params.digest_vector_bits):
-        raise ParameterError("pad outside its width")
-    return unpack_vector(params, blob ^ otp_bits)
+decrypt_vector = encrypt_vector  # the same XOR takes the pad off
 
 
-def et_compare(
-    params: Params,
-    shared_indices: tuple[int, ...],
-    vec_a: tuple[int, ...],
-    vec_b: tuple[int, ...],
-) -> int:
-    """ET_EQUAL iff the two vectors agree on every overlap position."""
-    if len(vec_a) != params.subkey_count or len(vec_b) != params.subkey_count:
-        raise ParameterError("wrong vector length")
-    equal = all(vec_a[j] == vec_b[j] for j in shared_indices)
-    return ET_EQUAL if equal else ET_DISTINCT
+def et_compare(params: Params, shared_indices: tuple[int, ...], vec_a: int, vec_b: int) -> int:
+    """ET_EQUAL iff the two vectors agree on every overlap lane."""
+    _check_width(params, vec_a | vec_b)
+    l, overlap = params.subkey_bits, 0
+    for j in shared_indices:
+        overlap |= ((1 << l) - 1) << j * l
+    return ET_DISTINCT if (vec_a ^ vec_b) & overlap else ET_EQUAL
 
 
-def count_matches(
-    params: Params, fresh_vec: tuple[int, ...], submitted_vec: tuple[int, ...]
-) -> int:
-    """How many positions of a freshly hashed vector equal the submitted one."""
-    if len(submitted_vec) != params.subkey_count:
-        raise ParameterError("wrong vector length")
-    return sum(1 for a, b in zip(fresh_vec, submitted_vec) if a == b)
+@lru_cache(maxsize=64)
+def _lane_bits(subkey_bits: int, subkey_count: int) -> tuple[int, int]:
+    """(high, low): the top bit of every lane, and every lane's other bits."""
+    ones = ((1 << subkey_bits * subkey_count) - 1) // ((1 << subkey_bits) - 1)
+    return ones << subkey_bits - 1, ones * ((1 << subkey_bits - 1) - 1)
+
+
+def count_matches(params: Params, fresh_vec: int, submitted_vec: int) -> int:
+    """How many lanes of a freshly hashed vector equal the submitted one:
+    the zero lanes of x = fresh ^ submitted (Warren, Hacker's Delight,
+    6-1). A lane's low bits plus all ones below its top bit set that bit
+    iff they are nonzero, and cannot carry out of the lane."""
+    _check_width(params, fresh_vec | submitted_vec)
+    high, low = _lane_bits(params.subkey_bits, params.subkey_count)
+    x = fresh_vec ^ submitted_vec
+    return params.subkey_count - ((((x & low) + low) | x) & high).bit_count()
 
 
 def match_count(
-    params: Params,
-    subkeys: tuple[int, ...],
-    message: Message,
-    submitted_vec: tuple[int, ...],
+    params: Params, subkeys: tuple[int, ...], message: Message, submitted_vec: int
 ) -> int:
     """How many of the N digests of `message` equal the submitted ones."""
     return count_matches(params, hash_vector_for(params, subkeys, message), submitted_vec)
@@ -121,23 +102,22 @@ def dispute_counts(
     subkeys_b: tuple[int, ...],
     claim_a: Message,
     claim_b: Message,
-    vec_a: tuple[int, ...],
-    vec_b: tuple[int, ...],
+    vec_a: int,
+    vec_b: int,
 ) -> tuple[int, int, int, int]:
     """(count_aa, count_ab, count_ba, count_bb) for dr_verdict: each claim
-    is hashed once, under Alice's and Bob's subkeys together."""
-    n = params.subkey_count
-    if len(subkeys_a) != n or len(subkeys_b) != n:
+    is hashed once under Alice's and Bob's subkeys together, and its 2N
+    lanes split into Alice's (the low N) and Bob's."""
+    if len(subkeys_a) != params.subkey_count or len(subkeys_b) != params.subkey_count:
         raise ParameterError("wrong number of subkeys")
-    keys = [*subkeys_a, *subkeys_b]
+    keys, width = [*subkeys_a, *subkeys_b], params.digest_vector_bits
     counts = []
     for claim in (claim_a, claim_b):
         _check_message(params, claim)
         fresh = hash_vector(keys, claim.value, params.data_bits, params.subkey_bits)
-        counts.append(
-            (count_matches(params, fresh[:n], vec_a), count_matches(params, fresh[n:], vec_b))
-        )
-    (count_aa, count_ba), (count_ab, count_bb) = counts
+        counts.append(count_matches(params, fresh & (1 << width) - 1, vec_a))
+        counts.append(count_matches(params, fresh >> width, vec_b))
+    count_aa, count_ba, count_ab, count_bb = counts
     return count_aa, count_ab, count_ba, count_bb
 
 

@@ -20,7 +20,7 @@ Key files start with magic "ETDR", a format version, a role byte and the
 parameter block, so a file fed to the wrong role or wrong session fails
 closed. All multi-byte integers are little-endian; packed bit arrays use
 the stream convention from the bits module (bit k of the array = bit k
-of the integer).
+of the integer), the subkeys in l-bit lanes as a digest vector is.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from ..bits import bits_to_bytes, bytes_to_bits
+from ..bits import bits_to_bytes, bytes_to_bits, pack_lanes, unpack_lanes
 from ..errors import KeyMaterialError, ParameterError
 from ..params import Params
-from .core import pack_vector, unpack_vector
 
 MAGIC = b"ETDR"
 FORMAT_VERSION = 1
@@ -264,7 +263,7 @@ def _decode_params(reader: _Reader) -> tuple[Params, bytes]:
 def _encode_party_body(pk: PartyKeys) -> bytes:
     p = pk.params
     out = [
-        bits_to_bytes(pack_vector(p, pk.subkeys), p.digest_vector_bits),
+        bits_to_bytes(pack_lanes(pk.subkeys, p.subkey_bits), p.digest_vector_bits),
         bits_to_bytes(pk.otp_bits, p.digest_vector_bits),
     ]
     for name, width in pk.mac.field_bits(p.tag_bits):
@@ -275,7 +274,8 @@ def _encode_party_body(pk: PartyKeys) -> bytes:
 def _decode_party_body(
     reader: _Reader, params: Params, session_id: bytes, role: int
 ) -> PartyKeys:
-    subkeys = unpack_vector(params, _packed_bits(reader, params.digest_vector_bits))
+    packed = _packed_bits(reader, params.digest_vector_bits)
+    subkeys = unpack_lanes(packed, params.subkey_bits, params.subkey_count)
     otp = _packed_bits(reader, params.digest_vector_bits)
     fields = {}
     for name, width in MacMaterial.field_bits(params.tag_bits):

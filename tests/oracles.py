@@ -1,6 +1,7 @@
 """Test-side oracles, deliberately sharing no code with the package fast paths."""
 
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import numpy as np
@@ -136,6 +137,13 @@ def forgery_game_optimum_xor(tagger, hash_keys, pad_values, msg_bits, rng):
     return best
 
 
+def cover_prob(t, subkey_count, shared_count):
+    """Probability that a uniform n-subset of [N] lands inside a fixed
+    t-subset: C(t, n) / C(N, n), the cover column of bounds.attack_rows."""
+    _check_counts(t, subkey_count, shared_count)
+    return Fraction(comb(t, shared_count), comb(subkey_count, shared_count))
+
+
 def binomial_tail_oracle(n_trials, succ_num, succ_den, k_min):
     """Pr[X >= k_min] for X ~ Binomial(n_trials, succ_num/succ_den), exact.
 
@@ -217,3 +225,31 @@ def fraction_to_mpf(x: Fraction, prec: int = 2048) -> mpmath.mpf:
     """Round an exact rational to an mpf at the given working precision."""
     with mpmath.workprec(prec):
         return mpmath.mpf(x.numerator) / x.denominator
+
+
+# ------------------------------------------------------- digest vectors
+#
+# A packed digest vector holds digest j at bits [j*l, (j+1)*l). The
+# packer, the unpacker and the referee's two checks below work lane by
+# lane on lists, so they share nothing with the package's integer forms.
+
+
+def pack_digests(digests, width):
+    """Digest j at bits [j*width, (j+1)*width), each checked to fit."""
+    assert all(0 <= d < 1 << width for d in digests)
+    return sum(d << (j * width) for j, d in enumerate(digests))
+
+
+def unpack_digests(packed, width, count):
+    return [(packed >> (j * width)) & ((1 << width) - 1) for j in range(count)]
+
+
+def count_matches_oracle(fresh, submitted):
+    """How many positions of two digest lists are equal."""
+    assert len(fresh) == len(submitted)
+    return sum(1 for a, b in zip(fresh, submitted) if a == b)
+
+
+def et_compare_oracle(shared_indices, vec_a, vec_b):
+    """Whether two digest lists agree on every overlap position."""
+    return all(vec_a[j] == vec_b[j] for j in shared_indices)

@@ -30,6 +30,7 @@ from etdr.etproto.keys import generate_keys
 
 from oracles import (
     binomial_tail_oracle,
+    cover_prob,
     forgery_game_optimum,
     fraction_to_mpf,
     kl_tail_bound,
@@ -141,16 +142,14 @@ def test_c5_cheat_bound_machinery_grid():
             assert 0 <= best <= 1
             # independent recount: integer-arithmetic binomial tail oracle
             recount = max(
-                bounds.cover_prob(t, big_n, n)
+                cover_prob(t, big_n, n)
                 * binomial_tail_oracle(big_n - n, q.numerator, q.denominator, t - n)
                 for t in range(n, big_n + 1)
             )
             assert best == recount
-            assert (
-                bounds.cover_prob(argmax_t, big_n, n)
-                * bounds.match_tail(argmax_t, big_n, n, q)
-                == best
-            )
+            covers = {t: cover for t, cover, _, _ in bounds.attack_rows(big_n, n, q)}
+            assert covers == {t: cover_prob(t, big_n, n) for t in range(n, big_n + 1)}
+            assert covers[argmax_t] * bounds.match_tail(argmax_t, big_n, n, q) == best
             # closed-form tail dominates the exact tail everywhere it is used
             if q > 0:
                 for t in range(n + 1, big_n + 1):

@@ -19,7 +19,8 @@ from etdr.etproto import core
 from etdr.etproto.keys import deal_subkeys
 from etdr.params import derive_params, experimental_params
 
-from oracles import CHI2_999, WILSON_Z99, wilson_interval as oracle_wilson
+from oracles import CHI2_999, WILSON_Z99, pack_digests, unpack_digests
+from oracles import wilson_interval as oracle_wilson
 
 TINY = experimental_params(4, 2, 2)
 TINY_CONFIGS = [
@@ -115,7 +116,7 @@ def test_brute_force_matches_closed_form():
             collapsed = core.hash_vector_for(
                 TINY, keys, Message(w_best, TINY.data_bits)
             )
-            assert tuple(collapsed) == s_best
+            assert collapsed == pack_digests(s_best, TINY.subkey_bits)
 
 
 def test_brute_force_view_value_ignores_honest_data():
@@ -311,10 +312,11 @@ def test_draw_world_overlap_uniform():
 # ---------------------------------------------------------- the rounds
 
 
-def inline_round(params, world, s, w, digest):
+def inline_round(params, world, packed, w, digest):
     """The game's outcome from the dispute rules written out, with
     digest(k, x) the digest of message x under key k."""
     m_h, big_n = world.honest_message.value, params.subkey_count
+    s = unpack_digests(packed, params.subkey_bits, big_n)
     passed = all(
         s[j] == digest(world.honest_subkeys[j], m_h) for j in world.shared_indices
     )

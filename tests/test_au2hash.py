@@ -11,7 +11,7 @@ from etdr import au2hash
 from etdr.au2hash import block_count, chunk_blocks, collision_bound, hash_vector, poly_hash
 from etdr.errors import ParameterError
 from etdr.gf2field import GF2, reduction_poly
-from oracles import bits_from_str, horner_oracle, oracle_mul
+from oracles import bits_from_str, horner_oracle, oracle_mul, pack_digests
 
 
 def oracle_hash(key, value, msg_bits, degree):
@@ -146,8 +146,9 @@ def test_vector_hasher_matches_scalar_path():
             cases.append((rng.getrandbits(bits), bits))
         for v, bits in cases:
             vec = hash_vector(keys, v, bits, degree)
-            assert vec == [poly_hash(k, v, bits, degree) for k in keys], (degree, bits)
-            assert vec == [horner_oracle(k, v, bits, degree) for k in keys], (degree, bits)
+            want = [horner_oracle(k, v, bits, degree) for k in keys]
+            assert want == [poly_hash(k, v, bits, degree) for k in keys], (degree, bits)
+            assert vec == pack_digests(want, degree), (degree, bits)
 
 
 # both sides of each kernel edge: log tables up to 16, bit-spread products
@@ -221,7 +222,8 @@ def test_hash_vector_across_groups_and_slices(degree, n_keys, n_blocks):
     keys = [0, 1, q - 1] + [rng.randrange(q) for _ in range(n_keys - 3)]
     bits = n_blocks * degree - 3  # the final block zero-padded
     for v in (0, (1 << bits) - 1, rng.getrandbits(bits)):
-        assert hash_vector(keys, v, bits, degree) == [poly_hash(k, v, bits, degree) for k in keys]
+        want = [poly_hash(k, v, bits, degree) for k in keys]
+        assert hash_vector(keys, v, bits, degree) == pack_digests(want, degree)
 
 
 @pytest.mark.parametrize("degree", [8, 12, 17, 27])
@@ -245,7 +247,9 @@ def test_hash_vector_in_two_threads_matches_one_thread():
         for n_keys in (48, 96)
     ]
     want = [hash_vector(keys, v, bits, degree) for keys, v in jobs]
-    assert want == [[poly_hash(k, v, bits, degree) for k in keys] for keys, v in jobs]
+    assert want == [
+        pack_digests([poly_hash(k, v, bits, degree) for k in keys], degree) for keys, v in jobs
+    ]
     results = [[], []]
 
     def work(i):
@@ -276,7 +280,8 @@ def test_hash_vector_in_even_key_groups(n_keys):
     rng = random.Random(311 + n_keys)
     keys = [0, 1, (1 << degree) - 1] + [rng.randrange(1 << degree) for _ in range(n_keys - 3)]
     v = rng.getrandbits(bits)
-    assert hash_vector(keys, v, bits, degree) == [poly_hash(k, v, bits, degree) for k in keys]
+    want = [poly_hash(k, v, bits, degree) for k in keys]
+    assert hash_vector(keys, v, bits, degree) == pack_digests(want, degree)
 
 
 def test_hash_vector_over_the_scratch_buffers():
@@ -290,7 +295,8 @@ def test_hash_vector_over_the_scratch_buffers():
     bits = c * degree - 3
     assert len(keys) * bits >= au2hash._LIST_PATH_MAX_WORK * degree  # the numpy path
     assert sum(1 for b in chunk_blocks(v, bits, degree) if b) > au2hash._TABLE_ENTRIES
-    assert hash_vector(keys, v, bits, degree) == [horner_oracle(k, v, bits, degree) for k in keys]
+    want = [horner_oracle(k, v, bits, degree) for k in keys]
+    assert hash_vector(keys, v, bits, degree) == pack_digests(want, degree)
 
 
 def test_digest_vectors_do_not_alias_the_scratch_buffers():
@@ -307,8 +313,8 @@ def test_digest_vectors_do_not_alias_the_scratch_buffers():
     kept = raw.copy()
     hash_vector(keys, v2, bits, degree)
     au2hash._log_digests(field, keys_array, au2hash._block_array(v2, bits, degree))
-    assert first == [poly_hash(k, v1, bits, degree) for k in keys]
-    assert (raw == kept).all() and raw.tolist() == first
+    assert first == pack_digests([poly_hash(k, v1, bits, degree) for k in keys], degree)
+    assert (raw == kept).all() and pack_digests(raw.tolist(), degree) == first
 
 
 def test_hash_vector_rejects_a_key_too_wide_for_int64():

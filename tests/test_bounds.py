@@ -1,6 +1,7 @@
 """Security-bound calculators against independent recounts.
 
-cover_prob is recounted by enumerating subsets, match_tail by an
+attack_rows' cover column is recounted by enumerating subsets and
+checked against the closed form C(t, n) / C(N, n), match_tail by an
 integer-only Pascal-triangle tail, and the attack optimum by combining
 the two. The relative-entropy bound, a test oracle, is checked for
 dominance on the same grid the acceptance suite uses.
@@ -20,6 +21,7 @@ from etdr.errors import ParameterError
 
 from oracles import (
     binomial_tail_oracle,
+    cover_prob,
     fraction_to_mpf,
     kl_tail_bound,
     rel_entropy_bits,
@@ -29,37 +31,44 @@ from oracles import (
 # ---------------------------------------------------------------- cover
 
 
+def covers(big_n, n):
+    """attack_rows' cover column, by threshold."""
+    return {t: cover for t, cover, _, _ in bounds.attack_rows(big_n, n, Fraction(1, 3))}
+
+
 def test_cover_prob_extremes():
     for n in (1, 2, 5, 24):
         big_n = 2 * n
-        assert bounds.cover_prob(big_n, big_n, n) == 1
-        assert bounds.cover_prob(n, big_n, n) == Fraction(1, comb(big_n, n))
+        column = covers(big_n, n)
+        assert column[big_n] == cover_prob(big_n, big_n, n) == 1
+        assert column[n] == cover_prob(n, big_n, n) == Fraction(1, comb(big_n, n))
 
 
 def test_cover_prob_pinned_half():
-    assert bounds.cover_prob(3, 4, 2) == Fraction(1, 2)
+    assert covers(4, 2)[3] == cover_prob(3, 4, 2) == Fraction(1, 2)
 
 
 def test_cover_prob_subset_enumeration():
-    for big_n, n in [(4, 2), (6, 3), (8, 3)]:
+    for big_n, n in [(4, 2), (6, 3), (8, 3), (9, 1), (7, 7)]:
+        column = covers(big_n, n)
+        assert sorted(column) == list(range(n, big_n + 1))
         for t in range(n, big_n + 1):
             hits = sum(
                 1
                 for overlap in itertools.combinations(range(big_n), n)
                 if max(overlap) < t
             )
-            assert bounds.cover_prob(t, big_n, n) == Fraction(
-                hits, comb(big_n, n)
-            )
+            assert column[t] == cover_prob(t, big_n, n) == Fraction(hits, comb(big_n, n))
 
 
 def test_cover_prob_domain():
-    with pytest.raises(ParameterError):
-        bounds.cover_prob(1, 4, 2)
-    with pytest.raises(ParameterError):
-        bounds.cover_prob(5, 4, 2)
-    with pytest.raises(ParameterError):
-        bounds.cover_prob(2, 2, 3)
+    # the counts attack_rows refuses, as match_tail does at any threshold
+    for big_n, n in [(2, 3), (4, 0)]:
+        with pytest.raises(ParameterError):
+            bounds.attack_rows(big_n, n, Fraction(1, 3))
+    for t in (1, 5):
+        with pytest.raises(ParameterError):
+            bounds.match_tail(t, 4, 2, Fraction(1, 3))
 
 
 # ----------------------------------------------------------- match tail
@@ -167,7 +176,7 @@ def test_attack_rows_consistency():
     rows = bounds.attack_rows(big_n, n, q)
     assert [t for t, *_ in rows] == list(range(n, big_n + 1))
     for t, cover, tail, product in rows:
-        assert cover == bounds.cover_prob(t, big_n, n)
+        assert cover == cover_prob(t, big_n, n)
         assert tail == bounds.match_tail(t, big_n, n, q)
         assert product == cover * tail
     best, best_t = bounds.attack_success_bound(big_n, n, q)

@@ -7,10 +7,11 @@ import pytest
 
 from etdr import etproto as ep
 from etdr.au2hash import poly_hash
-from etdr.bits import Message
+from etdr.bits import Message, pack_lanes, unpack_lanes
 from etdr.errors import ParameterError
 from etdr.etproto import Verdict
 from etdr.params import derive_params, experimental_params
+from oracles import pack_digests
 
 PARAMS = derive_params(256, Fraction(1, 16))
 TINY = experimental_params(data_bits=6, shared_count=3, subkey_bits=3)
@@ -23,28 +24,36 @@ def rand_message(rng, params):
 # ------------------------------------------------------------- vectors
 
 
-def test_pack_vector_worked_example():
-    p = experimental_params(data_bits=4, shared_count=2, subkey_bits=2)
+def test_pack_lanes_worked_example():
     # digests (1, 2, 3, 0) -> 0b..._11_10_01 = 1 + 8 + 48
-    assert ep.pack_vector(p, (1, 2, 3, 0)) == 57
-    assert ep.unpack_vector(p, 57) == (1, 2, 3, 0)
+    assert pack_lanes((1, 2, 3, 0), 2) == 57
+    assert unpack_lanes(57, 2, 4) == (1, 2, 3, 0)
 
 
 def test_pack_unpack_round_trip():
     rng = random.Random(0)
+    l, big_n = PARAMS.subkey_bits, PARAMS.subkey_count
     for _ in range(50):
-        vec = tuple(
-            rng.getrandbits(PARAMS.subkey_bits)
-            for _ in range(PARAMS.subkey_count)
-        )
-        assert ep.unpack_vector(PARAMS, ep.pack_vector(PARAMS, vec)) == vec
+        vec = tuple(rng.getrandbits(l) for _ in range(big_n))
+        assert pack_lanes(vec, l) == pack_digests(vec, l)
+        assert unpack_lanes(pack_lanes(vec, l), l, big_n) == vec
 
 
-def test_pack_vector_domain():
-    with pytest.raises(ParameterError):
-        ep.pack_vector(TINY, (0, 1))  # wrong length
-    with pytest.raises(ParameterError):
-        ep.pack_vector(TINY, (8, 0, 0, 0, 0, 0))  # digest too wide
+def test_vector_width_checks():
+    width = TINY.digest_vector_bits
+    for bad in (-1, 1 << width):
+        with pytest.raises(ParameterError):
+            ep.encrypt_vector(TINY, bad, 0)
+        with pytest.raises(ParameterError):
+            ep.encrypt_vector(TINY, 0, bad)  # the pad
+        with pytest.raises(ParameterError):
+            ep.decrypt_vector(TINY, bad, 0)
+        with pytest.raises(ParameterError):
+            ep.et_compare(TINY, (0, 1, 2), 0, bad)
+        with pytest.raises(ParameterError):
+            ep.count_matches(TINY, bad, 0)
+        with pytest.raises(ParameterError):
+            unpack_lanes(bad, TINY.subkey_bits, TINY.subkey_count)
 
 
 def test_encrypt_decrypt_round_trip():
@@ -54,7 +63,7 @@ def test_encrypt_decrypt_round_trip():
         m = rand_message(rng, PARAMS)
         vec = ep.hash_vector_for(PARAMS, sec.alice.subkeys, m)
         blob = ep.encrypt_vector(PARAMS, vec, sec.alice.otp_bits)
-        assert blob == ep.pack_vector(PARAMS, vec) ^ sec.alice.otp_bits
+        assert blob == vec ^ sec.alice.otp_bits
         assert ep.decrypt_vector(PARAMS, blob, sec.alice.otp_bits) == vec
 
 
@@ -63,8 +72,8 @@ def test_hash_vector_matches_scalar_hash():
     sec = ep.generate_keys(TINY, seed=3)
     m = rand_message(rng, TINY)
     vec = ep.hash_vector_for(TINY, sec.bob.subkeys, m)
-    for j, k in enumerate(sec.bob.subkeys):
-        assert vec[j] == poly_hash(k, m.value, TINY.data_bits, TINY.subkey_bits)
+    want = [poly_hash(k, m.value, TINY.data_bits, TINY.subkey_bits) for k in sec.bob.subkeys]
+    assert vec == pack_digests(want, TINY.subkey_bits)
 
 
 def test_hash_vector_rejects_wrong_length_message():
@@ -101,15 +110,16 @@ def test_distinct_data_compares_distinct():
 def test_compare_ignores_positions_outside_overlap():
     sec = ep.generate_keys(PARAMS, seed=6)
     m = Message(123456789, 256)
+    l = PARAMS.subkey_bits
     va = ep.hash_vector_for(PARAMS, sec.alice.subkeys, m)
-    vb = list(ep.hash_vector_for(PARAMS, sec.bob.subkeys, m))
+    vb = ep.hash_vector_for(PARAMS, sec.bob.subkeys, m)
     outside = [j for j in range(PARAMS.subkey_count) if j not in sec.shared_indices]
     for j in outside:
-        vb[j] ^= 0xFF
-    assert ep.et_compare(PARAMS, sec.shared_indices, va, tuple(vb)) == ep.ET_EQUAL
+        vb ^= 0xFF << j * l
+    assert ep.et_compare(PARAMS, sec.shared_indices, va, vb) == ep.ET_EQUAL
     inside = sec.shared_indices[0]
-    vb[inside] ^= 1
-    assert ep.et_compare(PARAMS, sec.shared_indices, va, tuple(vb)) == ep.ET_DISTINCT
+    vb ^= 1 << inside * l
+    assert ep.et_compare(PARAMS, sec.shared_indices, va, vb) == ep.ET_DISTINCT
 
 
 # ------------------------------------------------------- match counts
@@ -127,12 +137,9 @@ def test_match_count_sees_single_flip():
     rng = random.Random(8)
     sec = ep.generate_keys(PARAMS, seed=8)
     m = rand_message(rng, PARAMS)
-    vec = list(ep.hash_vector_for(PARAMS, sec.alice.subkeys, m))
-    vec[17] ^= 1
-    assert (
-        ep.match_count(PARAMS, sec.alice.subkeys, m, tuple(vec))
-        == PARAMS.subkey_count - 1
-    )
+    vec = ep.hash_vector_for(PARAMS, sec.alice.subkeys, m)
+    vec ^= 1 << 17 * PARAMS.subkey_bits
+    assert ep.match_count(PARAMS, sec.alice.subkeys, m, vec) == PARAMS.subkey_count - 1
 
 
 # ------------------------------------------------------------ verdicts
@@ -188,13 +195,13 @@ def test_verdict_validates_inputs():
         ep.dr_verdict(TINY, m_a, m_b, 7, 0, 0, 0)  # count beyond N
     with pytest.raises(ParameterError):
         ep.dr_verdict(TINY, Message(1, 5), m_b, 0, 0, 0, 0)  # short claim
-    keys, vec = (0,) * TINY.subkey_count, (0,) * TINY.subkey_count
+    keys, vec = (0,) * TINY.subkey_count, 0
     with pytest.raises(ParameterError):
         ep.dispute_counts(TINY, keys[1:], keys, m_a, m_b, vec, vec)
     with pytest.raises(ParameterError):
         ep.dispute_counts(TINY, keys, keys, Message(1, 5), m_b, vec, vec)
     with pytest.raises(ParameterError):
-        ep.dispute_counts(TINY, keys, keys, m_a, m_b, vec, vec[1:])
+        ep.dispute_counts(TINY, keys, keys, m_a, m_b, vec, 1 << TINY.digest_vector_bits)
 
 
 # -------------------------------------------------- dispute end to end

@@ -1,0 +1,87 @@
+"""Property tests of the referee's checks on packed digest vectors against
+lane-by-lane oracles, at every digest width from 1 to 27 bits; skipped
+where hypothesis is not installed."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from etdr.au2hash import poly_hash  # noqa: E402
+from etdr.bits import Message  # noqa: E402
+from etdr.etproto import core  # noqa: E402
+from etdr.params import experimental_params  # noqa: E402
+from oracles import count_matches_oracle, et_compare_oracle, pack_digests  # noqa: E402
+
+
+def lane(width):
+    """A lane value, often 0, all ones or the top bit alone."""
+    edges = st.sampled_from([0, (1 << width) - 1, 1 << (width - 1)])
+    return edges | st.integers(0, (1 << width) - 1)
+
+
+def lanes(width, count):
+    return st.lists(lane(width), min_size=count, max_size=count)
+
+
+def near(data, width, values):
+    """`values` with some lanes kept and the rest redrawn."""
+    other = data.draw(lanes(width, len(values)))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    return [x if k else y for x, y, k in zip(values, other, keep)]
+
+
+@pytest.mark.parametrize("l", range(1, 28))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_packed_checks_match_lane_oracles(l, data):
+    n = data.draw(st.integers(1, 12), label="n")
+    params = experimental_params(8, n, l)
+    big_n = params.subkey_count
+    a = data.draw(lanes(l, big_n), label="a")
+    b = near(data, l, a)
+    shared = tuple(sorted(data.draw(
+        st.lists(st.integers(0, big_n - 1), min_size=n, max_size=n, unique=True),
+        label="shared",
+    )))
+    packed_a, packed_b = pack_digests(a, l), pack_digests(b, l)
+    assert core.count_matches(params, packed_a, packed_b) == count_matches_oracle(a, b)
+    want = core.ET_EQUAL if et_compare_oracle(shared, a, b) else core.ET_DISTINCT
+    assert core.et_compare(params, shared, packed_a, packed_b) == want
+
+
+@pytest.mark.parametrize("l", range(1, 28))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_dispute_counts_split_alice_and_bob_lanes(l, data):
+    # up to 12 blocks a claim, so the list path or numpy may hash the 2N lanes
+    n = data.draw(st.integers(1, 4), label="n")
+    r = data.draw(st.integers(1, 12 * l), label="r")
+    params = experimental_params(r, n, l)
+    big_n = params.subkey_count
+    keys = st.lists(st.integers(0, (1 << l) - 1), min_size=big_n, max_size=big_n)
+    subkeys_a = tuple(data.draw(keys, label="subkeys_a"))
+    subkeys_b = tuple(data.draw(keys, label="subkeys_b"))
+    claims = [Message(data.draw(st.integers(0, (1 << r) - 1)), r) for _ in range(2)]
+
+    def digests(subkeys, claim):
+        return [poly_hash(k, claim.value, r, l) for k in subkeys]
+
+    # each submission: a claim's digests with some lanes redrawn
+    vec_a = near(data, l, digests(subkeys_a, claims[0]))
+    vec_b = near(data, l, digests(subkeys_b, data.draw(st.sampled_from(claims))))
+    want = tuple(
+        count_matches_oracle(digests(subkeys, claim), vec)
+        for subkeys, vec, claim in (
+            (subkeys_a, vec_a, claims[0]),
+            (subkeys_a, vec_a, claims[1]),
+            (subkeys_b, vec_b, claims[0]),
+            (subkeys_b, vec_b, claims[1]),
+        )
+    )
+    got = core.dispute_counts(
+        params, subkeys_a, subkeys_b, *claims, pack_digests(vec_a, l), pack_digests(vec_b, l)
+    )
+    assert got == want
