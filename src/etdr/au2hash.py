@@ -31,20 +31,27 @@ table), runs Horner with one of three kernels, by degree alone:
 
 hash_vector, the digests under all N subkeys, is nearly all of a
 session's work. It returns them packed into one int (bits.pack_lanes's
-lanes), and it takes one of three paths by input size:
+lanes), and it takes one of four paths by input size:
 
-  * degrees up to 16 (the log-table degree), keys x blocks at least
-    _LIST_PATH_MAX_WORK: numpy gathers exp[log b_i + i * log k] for groups
-    of keys and XOR-reduces each row;
+  * keys x blocks below _LIST_PATH_MAX_WORK, or degrees above 27:
+    VectorHasher, poly_hash's Horner loop once per key. Below the cutoff
+    the other paths' fixed cost per call outweighs their speed; sessions
+    with experimental sizes over a few bytes and `etdr attack` games too
+    wide for the game's digest table land there. No session goes above
+    degree 27, because key dealing caps r at 2^27; only `etdr attack`
+    with chosen widths does;
+  * degrees up to 8 with r <= 2^l, every derived session with l <= 8
+    (r = 256, the paper's corner): one table per degree, built once a
+    process, holds the digests under all 2^l keys of each nibble value
+    at each nibble of the message, one byte a key (_nibble_table). The
+    digest is GF(2)-linear in the message, so the digests of a message
+    under every key XOR one entry a nibble, and bytes.translate picks
+    the subkeys' bytes out of them. No numpy;
+  * degrees up to 16 (the log-table degree): numpy gathers
+    exp[log b_i + i * log k] for groups of keys and XOR-reduces each row;
   * degrees 17 to 27: numpy builds a table of key powers by doubling and
     4-bit windows of it, sums b_i * k^i for a slice of blocks from the
-    windows, and joins the slices with carry-less array multiplies;
-  * everything else: VectorHasher, poly_hash's Horner loop once per key.
-    Below the cutoff numpy's fixed cost per call outweighs its speed;
-    sessions with experimental sizes over a few bytes and `etdr attack`
-    games too wide for the game's digest table land there. No session
-    goes above degree 27, because key dealing caps r at 2^27; only
-    `etdr attack` with chosen widths does.
+    windows, and joins the slices with carry-less array multiplies.
 
 Both numpy paths chunk the message with one to_bytes and a gather of one
 8-byte word per block (_block_array), and pack their row of digests with
@@ -83,6 +90,12 @@ def block_count(msg_bits: int, degree: int) -> int:
 # fixed cost per digest vector (about 40 us) exceeds VectorHasher's loop,
 # which the crossover put between 100 and 200 products on a 2-CPU x86 host.
 _LIST_PATH_MAX_WORK = 160
+# Highest degree on the nibble-table path: a digest fits a byte, so the
+# digests under all 2^l keys are 2^l bytes that bytes.translate indexes by
+# key. The path needs r <= 2^l as well, which caps the table at 2^l / 4
+# nibbles x 15 values x 2^l bytes: 0.3 MB at l = 8, built in about 3 ms.
+_NIBBLE_TABLE_MAX_DEGREE = 8
+_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 # Highest degree on the numpy paths: key dealing caps r at 2^27, so l <= 27
 # (and the carry-less path's uint32 windows hold l + 3 bits).
 _VECTOR_MAX_DEGREE = 27
@@ -134,6 +147,53 @@ def chunk_blocks(value: int, msg_bits: int, degree: int) -> list[int]:
         piece = int.from_bytes(data[at : at + step], "little")
         out += [piece >> i & mask for i in range(0, min(8 * step, width - 8 * at), degree)]
     return out
+
+
+@lru_cache(maxsize=None)
+def _nibble_table(degree: int) -> tuple[tuple[int, ...], ...]:
+    """For degree <= 8: rows[j][v] is an int of 2^degree bytes whose byte k
+    is the digest under key k of the message whose only nonzero nibble is
+    nibble j (bits [4j, 4j+4)), with value v. Rows cover the blocks of a
+    2^degree-bit message, whose last block may run past bit 2^degree.
+    A single bit x^t of block i has digest x^t * k^i: the powers k^i of
+    every key, as bytes, translated through the table of x^t * a."""
+    field = GF2.get(degree)
+    exp, log = field.log_tables()
+    order, n = field.order, field.order - 1
+
+    def by_key(digest) -> bytes:
+        """digest(k) at byte k for every key k of the field, as a row of 256
+        bytes for bytes.translate (hash_vector refuses keys outside it)."""
+        return bytes([digest(k) for k in range(order)]).ljust(256, b"\0")
+
+    times = [by_key(lambda a: exp[log[a] + log[1 << t]] if a else 0) for t in range(degree)]
+    bit_rows = []
+    for i in range(block_count(order, degree)):
+        powers = by_key(lambda k: exp[log[k] * i % n] if k else int(i == 0))  # 0^0 = 1
+        bit_rows += [int.from_bytes(powers.translate(x_t), "little") for x_t in times]
+    bit_rows += [0] * (-len(bit_rows) % 4)
+    rows = []
+    for j in range(0, len(bit_rows), 4):
+        row = [0] * 16
+        for v in range(1, 16):
+            row[v] = row[v & (v - 1)] ^ bit_rows[j + (v & -v).bit_length() - 1]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _nibble_digests(keys: list[int], value: int, msg_bits: int, degree: int) -> int:
+    """hash_vector for degree <= 8 and msg_bits <= 2^degree, keys checked:
+    the digests under every key XOR one _nibble_table entry a nibble of
+    the message's blocks, and the keys' bytes pick their digests out."""
+    width = block_count(msg_bits, degree) * degree
+    nibbles = format(value & ((1 << width) - 1), "x").encode().translate(_HEX_DIGITS)[::-1]
+    every_key = 0
+    for row, v in zip(_nibble_table(degree), nibbles):
+        every_key ^= row[v]
+    digests = bytes(keys).translate(every_key.to_bytes(256, "little"))
+    if degree == 8:  # byte lanes: pack_lanes's layout already
+        return int.from_bytes(digests, "little")
+    return pack_lanes(digests, degree)
 
 
 def _block_array(value: int, msg_bits: int, degree: int):
@@ -372,10 +432,12 @@ def hash_vector(keys: list[int], value: int, msg_bits: int, degree: int) -> int:
         for block in chunk_blocks(value, msg_bits, degree):
             hasher.update(block)
         return pack_lanes(hasher.digests(), degree)
-    import numpy as np
-
     field = GF2.get(degree)
     _check_keys(field, keys)
+    if degree <= _NIBBLE_TABLE_MAX_DEGREE and msg_bits <= field.order:
+        return _nibble_digests(keys, value, msg_bits, degree)
+    import numpy as np
+
     blocks = _block_array(value, msg_bits, degree)
     keys_array = np.array(keys, np.int64)
     if degree <= _MUL_TABLE_MAX_DEGREE:

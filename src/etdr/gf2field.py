@@ -88,7 +88,9 @@ REDUCTION_POLY: dict[int, int] = {
 # 2(2^degree - 1) Python ints (0.33 MB at degree 12, 5.5 MB at 16, doubling
 # per degree); above it, multiplies run through a 4-bit window. Digest
 # vectors at these degrees also read uint32 numpy copies of the tables
-# (log_arrays), 4 bytes an entry: 0.26 MB at degree 16.
+# (log_arrays), 4 bytes an entry: 0.26 MB at degree 16. Those at degrees
+# up to 8 over at most 2^degree bits, every derived session at r = 256,
+# read au2hash's nibble table instead, built from the Python tables.
 _MUL_TABLE_MAX_DEGREE = 16
 
 
@@ -352,7 +354,9 @@ class GF2:
         """(exp3, log) as read-only uint32 numpy arrays, or None above the
         table degree. exp3[i] = g^(i mod (order-1)) over 3(order-1) entries,
         so a sum of three reduced logs needs no reduction; log is
-        log_tables()'s. Built on first use; imports numpy."""
+        log_tables()'s. Built on first use; imports numpy. Digest vectors
+        read them at degrees 9 to 16, and at degrees up to 8 only over
+        more than 2^degree bits (au2hash.hash_vector)."""
         if self._log_arrays is None and self.log_tables() is not None:
             import numpy as np
 

@@ -226,14 +226,24 @@ def test_hash_vector_across_groups_and_slices(degree, n_keys, n_blocks):
         assert hash_vector(keys, v, bits, degree) == pack_digests(want, degree)
 
 
-@pytest.mark.parametrize("degree", [8, 12, 17, 27])
-@pytest.mark.parametrize("n_blocks", [1, 100])  # the list path, then numpy
-def test_hash_vector_rejects_keys_outside_the_field(degree, n_blocks):
-    assert (n_blocks * 4 < au2hash._LIST_PATH_MAX_WORK) == (n_blocks == 1)
-    bits = n_blocks * degree
-    for bad in (-1, -(1 << degree), 1 << degree, (1 << degree) + 1, 1 << 64):
+@pytest.mark.parametrize("degree,n_keys,bits,path", [
+    *[pytest.param(degree, 4, n_blocks * degree, "list" if n_blocks == 1 else "numpy",
+                   id=f"{n_blocks}-{degree}")
+      for n_blocks in (1, 100) for degree in (8, 12, 17, 27)],
+    *[pytest.param(degree, n_keys, 1 << degree, "table", id=f"table-{degree}")
+      for degree, n_keys in ((8, 5), (5, 25), (1, 80))],
+])
+def test_hash_vector_rejects_keys_outside_the_field(degree, n_keys, bits, path):
+    q = 1 << degree
+    on_list = n_keys * bits < au2hash._LIST_PATH_MAX_WORK * degree
+    assert path == ("list" if on_list else "table" if degree <= 8 and bits <= q else "numpy")
+    good = [k % q for k in range(1, n_keys)]
+    # below l = 8, bytes() would take the keys in [2^l, 256) that the field refuses
+    for bad in (-1, -q, q, q + 1, 255, 256, 1 << 64):
+        if 0 <= bad < q:
+            continue
         with pytest.raises(ParameterError):
-            hash_vector([1, 2, bad, 3], 12345, bits, degree)
+            hash_vector(good[:2] + [bad] + good[2:], 12345, bits, degree)
 
 
 def test_hash_vector_in_two_threads_matches_one_thread():
