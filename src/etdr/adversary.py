@@ -20,19 +20,25 @@ agreements. Both events have exact rational probabilities, which is what
 the per-view calculators below evaluate.
 
 Digests are linear over GF(2) in the message, so T depends only on the
-XOR difference d between claim and honest data, and the entire view
-value depends only on the cheater's subkeys. The exact enumerators
-exploit this: they walk difference space, not message space. Two helpers
-score it, and only they bar difference 0: `_exact_ranks` for
-`per_view_exact_optimum` and `exact_game_value`, `_most_collisions` for
-`BestCollide` and `OverlapGuess`.
+XOR difference d between claim and honest data. Read d's blocks as a
+polynomial's coefficients: position j lies in T when the cheater's
+subkey there is a root of d, and d wins with the attack_rows product at
+threshold t = |T| and q = s/2^l, s its roots in the field, which grows
+with s at fixed t. A nonzero d of ceil(r/l) blocks has at most
+M = min(blocks - 1, 2^l) roots, and every set of at most M field values
+is the root set of one: the product of (x - v) over the set fits, its
+leading 1 in bit 0 of the last block, even a partial one. So a view's
+value is the best product over sets of at most M values, padded with
+values the view does not hold, and depends only on the view's profile,
+how often it holds each distinct subkey: `_profile_value` finds it by a
+subset sum. `exact_game_value` scores each profile once, over the
+partitions of N or the profiles of seeded draws, and enumerates no
+difference, so it plays at any size.
 
-|T| sums over positions, so a view's value and its best claims depend
-only on the multiset of its subkeys, and each multiset is scored once:
-`exact_game_value` scores the sorted, deduplicated rows of its views
-with their multiplicities as weights (the multinomial count of each
-multiset in exhaustive mode, the number of draws of it when sampled),
-and the per-view readers cache their answer under the sorted subkeys.
+The strategies that pick a difference do enumerate them, from the
+difference tables, and only they bar difference 0: `ExactBest` plays the
+smallest d that attains its view's value, `BestCollide` and
+`OverlapGuess` the smallest that the most subkeys are roots of.
 
 One cached table per (data bits, subkey bits) holds the digest of every
 message under every key, filled by the same linearity: doubling over the
@@ -46,11 +52,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, islice
-from math import factorial, prod
+from itertools import groupby
+from math import comb, factorial, perm
 
 import numpy as np
 
@@ -64,18 +71,13 @@ from .params import Params
 
 WILSON_Z99 = 2.5758293035489004
 
-# exact machinery enumerates difference space, so keep it small
+# the difference tables hold every message under every key, so keep them
+# small; only the strategies that read them stop here, not the exact game
 MAX_EXACT_DATA_BITS = 20
 # views the sampled exact game draws per call; the sample depends on it
 _VIEW_CHUNK = 1024
-# sampled draws deduplicated together; also the most distinct multisets
-# held before they are scored, which bounds memory whatever the sample
-_SAMPLE_BLOCK = 4 * _VIEW_CHUNK
-# subkey multisets the exact game scores per numpy batch; a batch holds a
-# (differences x multisets x subkeys) array, so a small one keeps the
-# process's peak memory where scoring every view once held it
-_SCORE_CHUNK = 256
-# subkey multisets whose best claims the strategies keep
+# subkey multisets whose best claims the strategies keep, and profiles
+# whose values the exact game keeps
 _VIEW_CACHE = 4096
 # The game reads its digest vectors from a (messages x keys) table of at
 # most 2^16 entries, which covers every tiny game; wider games, which only
@@ -167,46 +169,57 @@ def _digest_vector(
     return pack_lanes([row[k] for k in subkeys], params.subkey_bits)
 
 
-@lru_cache(maxsize=16)
-def _win_prob_ranks(data_bits: int, subkey_bits: int, subkey_count: int):
-    """Exact win probabilities indexed (|T|, root count): attack_rows'
-    cover * tail at q = root count / 2^l, zero below the overlap size; plus
-    a rank table so numpy can take maxima without losing exactness."""
-    shared = subkey_count // 2
-    if subkey_count != 2 * shared:
-        raise ParameterError("game needs an even subkey count")
-    n_keys = 1 << subkey_bits
-    values = {(t, rc): Fraction(0) for t in range(shared) for rc in range(n_keys + 1)}
-    for rc in range(n_keys + 1):
-        for t, _, _, product in attack_rows(subkey_count, shared, Fraction(rc, n_keys)):
-            values[(t, rc)] = product
-    ordered = sorted(set(values.values()))
-    rank_of = {v: i for i, v in enumerate(ordered)}
-    rank_table = np.empty((subkey_count + 1, n_keys + 1), dtype=np.int32)
-    for (t, rc), v in values.items():
-        rank_table[t, rc] = rank_of[v]
-    return ordered, rank_table
+def _most_roots(params: Params) -> int:
+    """M: the most roots a nonzero difference of ceil(r/l) blocks has."""
+    return min(-(-params.data_bits // params.subkey_bits) - 1, 1 << params.subkey_bits)
 
 
-def _exact_ranks(params: Params, keys: np.ndarray) -> np.ndarray:
-    """ranks[d, v]: the rank in _win_prob_ranks of the exact win probability
-    of difference d for view v, one view per row of `keys`; ranks[d] for
-    a single view given as 1-D `keys`. Difference zero means claiming the
-    honest data, so it is barred with rank -1."""
-    roots, counts = _difference_tables(params.data_bits, params.subkey_bits)
-    _, rank_table = _win_prob_ranks(
-        params.data_bits, params.subkey_bits, params.subkey_count
+def _denominator(params: Params) -> int:
+    """C(N, n) * 2^(l n): every attack_rows product at q = s/2^l is an
+    integer over it, so the game compares and sums integers."""
+    n = params.shared_count
+    return comb(params.subkey_count, n) << params.subkey_bits * n
+
+
+@lru_cache(maxsize=64)
+def _products(params: Params, roots: int) -> tuple[int, ...]:
+    """products[t] for t = 0..N: attack_rows' cover * tail at threshold t
+    and q = roots/2^l, over _denominator; 0 below the overlap size."""
+    den, q = _denominator(params), Fraction(roots, 1 << params.subkey_bits)
+    rows = attack_rows(params.subkey_count, params.shared_count, q)
+    return (0,) * params.shared_count + tuple(p.numerator * (den // p.denominator)
+                                              for *_, p in rows)
+
+
+def _profile(multiset) -> tuple[int, ...]:
+    """How many times a sorted subkey tuple holds each distinct value,
+    largest first."""
+    return tuple(sorted((len(list(run)) for _, run in groupby(multiset)), reverse=True))
+
+
+@lru_cache(maxsize=_VIEW_CACHE)
+def _profile_value(params: Params, profile: tuple[int, ...]) -> int:
+    """The exact value, over _denominator, of the views with this profile:
+    the best product over root sets of at most M values (module docstring)."""
+    most = _most_roots(params)
+    if sum(profile[:most]) < params.shared_count:
+        return 0  # no root set holds the overlap
+    # bit t of reach[h]: some h held values are held t times in all
+    reach = [1] + [0] * most
+    for i, m in enumerate(profile):
+        for h in range(min(i + 1, most), 0, -1):
+            reach[h] |= reach[h - 1] << m
+    # values the view does not hold pad a set of h held ones to `size`
+    unheld = (1 << params.subkey_bits) - len(profile)
+    sums_by_size: dict[int, int] = {}
+    for h in range(1, min(most, len(profile)) + 1):
+        size = min(most, h + unheld)
+        sums_by_size[size] = sums_by_size.get(size, 0) | reach[h]
+    return max(
+        (p for size, sums in sums_by_size.items()
+         for t, p in enumerate(_products(params, size)) if sums >> t & 1),
+        default=0,
     )
-    # (diffs, views) or (diffs,), summed in the narrowest type that holds
-    # subkey_count: an int64 array per chunk is freed and faulted in again
-    # by the next
-    t_sizes = roots[:, keys].sum(
-        axis=-1, dtype=np.min_scalar_type(params.subkey_count)
-    )
-    # counts runs along diffs, the last axis of t_sizes.T whatever keys' shape
-    ranks = rank_table[t_sizes.T, counts].T  # int32, so -1 cannot wrap
-    ranks[0] = -1
-    return ranks
 
 
 def per_view_exact_optimum(
@@ -220,74 +233,67 @@ def per_view_exact_optimum(
 
 @lru_cache(maxsize=_VIEW_CACHE)
 def _multiset_optimum(params: Params, multiset: tuple[int, ...]) -> tuple[Fraction, int]:
-    """per_view_exact_optimum of the sorted subkeys, the cache's key."""
-    ordered, _ = _win_prob_ranks(
-        params.data_bits, params.subkey_bits, params.subkey_count
+    """per_view_exact_optimum of the sorted subkeys, the cache's key: the
+    value of their profile, and the first nonzero difference whose (roots
+    among them, roots in all) has a product of that value."""
+    value = _profile_value(params, _profile(multiset))
+    products = np.array(
+        [_products(params, s) for s in range(_most_roots(params) + 1)], dtype=object
     )
-    ranks = _exact_ranks(params, np.array(multiset))
-    best_d = int(np.argmax(ranks))
-    return ordered[ranks[best_d]], best_d
+    roots, counts = _difference_tables(params.data_bits, params.subkey_bits)
+    t_sizes = roots[1:, list(multiset)].sum(axis=1)
+    best_d = 1 + int(np.argmax(products[counts[1:], t_sizes] == value))
+    return Fraction(value, _denominator(params)), best_d
 
 
-def _distinct_multisets(
-    rows: np.ndarray, weights: np.ndarray, subkey_bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of `rows`, each row sorted already, with the summed
-    weights of their copies. Rows are packed into int64 words of at most
-    62 bits and lexsorted on the words, so one sort serves every width."""
-    count, width = rows.shape
-    per_word = 62 // subkey_bits
-    words = np.zeros((count, -(-width // per_word)), dtype=np.int64)
-    for j in range(width):
-        words[:, j // per_word] |= rows[:, j] << (subkey_bits * (j % per_word))
-    order = np.lexsort(words.T)
-    words = words[order]
-    first = np.ones(count, dtype=bool)
-    np.any(words[1:] != words[:-1], axis=1, out=first[1:])
-    starts = np.flatnonzero(first)
-    return rows[order[starts]], np.add.reduceat(weights[order], starts)
+def _partitions(total: int, parts: int, largest: int):
+    """The partitions of `total` into at most `parts` parts of at most
+    `largest` each, every part tuple in descending order."""
+    if total == 0:
+        yield ()
+    for first in range(min(total, largest), 0, -1):
+        if first * parts < total:
+            return
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first, *rest)
 
 
-def _exhaustive_multisets(subkey_bits: int, big_n: int):
-    """(rows, weights) chunks over every multiset of `big_n` subkeys: the
-    sorted rows, and how many subkey tuples order each (Python ints, as
-    they can pass 2^63)."""
-    tuples = combinations_with_replacement(range(1 << subkey_bits), big_n)
-    orderings = factorial(big_n)
-    while chunk := list(islice(tuples, _SCORE_CHUNK)):
-        weights = [
-            orderings // prod(factorial(len(list(run))) for _, run in groupby(keys))
-            for keys in chunk
-        ]
-        yield np.array(chunk, dtype=np.int64), weights
+def _exhaustive_profiles(params: Params):
+    """(profile, views) over every view: each partition of N into at most
+    2^l parts, with its number of subkey tuples (Python ints, as they pass
+    2^63). The k parts take distinct values in (2^l)!/(2^l - k)! ways,
+    counted once per swap of equal parts, and each multiset so made has
+    N!/prod(m_i!) orderings."""
+    big_n, n_keys = params.subkey_count, 1 << params.subkey_bits
+    for profile in _partitions(big_n, n_keys, big_n):
+        views = factorial(big_n) * perm(n_keys, len(profile))
+        for m in (*profile, *_profile(profile)):  # parts, then repeats of a size
+            views //= factorial(m)
+        yield profile, views
 
 
-def _sampled_multisets(subkey_bits: int, big_n: int, sample: int, seed: int):
-    """(rows, weights) chunks over the distinct sorted rows of `sample`
-    seeded draws, weighted by how often each was drawn. Draws are made
-    _VIEW_CHUNK rows at a time, deduplicated a block at a time and merged
-    into the rows not yet scored, which are given out when they outgrow a
-    block and at the end."""
+def _sampled_profiles(params: Params, sample: int, seed: int):
+    """(profile, views) over `sample` seeded draws, made _VIEW_CHUNK rows at
+    a time: each chunk's distinct profiles, with how often each was drawn."""
     rng = np.random.default_rng(seed)
-    n_keys = 1 << subkey_bits
-    nothing = np.empty((0, big_n), dtype=np.int64), np.empty(0, dtype=np.int64)
-    rows, weights = nothing
-    for block in range(0, sample, _SAMPLE_BLOCK):
-        drawn = np.sort(np.concatenate([
-            rng.integers(0, n_keys, size=(min(_VIEW_CHUNK, sample - base), big_n),
-                         dtype=np.int64)
-            for base in range(block, min(sample, block + _SAMPLE_BLOCK), _VIEW_CHUNK)
-        ]), axis=1)
-        rows, weights = _distinct_multisets(
-            np.concatenate([rows, drawn]),
-            np.concatenate([weights, np.ones(len(drawn), dtype=np.int64)]),
-            subkey_bits,
-        )
-        if len(rows) > _SAMPLE_BLOCK:
-            yield rows, weights.tolist()
-            rows, weights = nothing
-    if len(rows):
-        yield rows, weights.tolist()
+    big_n = params.subkey_count
+    # a view's code counts its runs of m equal subkeys in digit m - 1 of
+    # base N + 1, so it names the profile; Python ints hold it past 2^63
+    base = big_n + 1
+    weight = np.array([0] + [base**m for m in range(big_n)],
+                      dtype=np.int64 if base**big_n <= 1 << 63 else object)
+    for first in range(0, sample, _VIEW_CHUNK):
+        rows = min(_VIEW_CHUNK, sample - first)
+        drawn = rng.integers(0, 1 << params.subkey_bits, size=(rows, big_n), dtype=np.int64)
+        keys = np.sort(drawn, axis=1)
+        new_run = np.ones(keys.shape, dtype=bool)
+        np.not_equal(keys[:, 1:], keys[:, :-1], out=new_run[:, 1:])
+        starts = np.flatnonzero(new_run)  # every row starts a run
+        lengths = np.diff(starts, append=keys.size)
+        codes = np.add.reduceat(weight[lengths], np.flatnonzero(starts % big_n == 0))
+        _, row, views = np.unique(codes, return_index=True, return_counts=True)
+        for keys_row, count in zip(keys[row].tolist(), views.tolist()):
+            yield _profile(keys_row), count
 
 
 @dataclass(frozen=True)
@@ -320,37 +326,29 @@ def exact_game_value(
     """Per-view exact optimum aggregated over the view space: every subkey
     tuple, or `sample` seeded draws when `sample` is given. The honest
     message does not enter (see module docstring), so a view is just the
-    cheater's subkey tuple, scored once per distinct multiset."""
-    ordered, _ = _win_prob_ranks(
-        params.data_bits, params.subkey_bits, params.subkey_count
-    )
-    l, big_n = params.subkey_bits, params.subkey_count
+    cheater's subkey tuple, scored once per profile."""
     exhaustive = sample is None
     if exhaustive:
-        total = (1 << l) ** big_n
-        multisets = _exhaustive_multisets(l, big_n)
+        total = (1 << params.subkey_bits) ** params.subkey_count
+        profiles = _exhaustive_profiles(params)
     else:
         if sample < 1:
             raise ParameterError(f"need at least one sampled view, got {sample}")
         if seed < 0:
             raise ParameterError(f"sampled views need a non-negative seed, got {seed}")
         total = sample
-        multisets = _sampled_multisets(l, big_n, sample, seed)
+        profiles = _sampled_profiles(params, sample, seed)
 
-    rank_counts = [0] * len(ordered)
-    for rows, weights in multisets:
-        for base in range(0, len(rows), _SCORE_CHUNK):
-            best = _exact_ranks(params, rows[base : base + _SCORE_CHUNK]).max(axis=0)
-            for rank, weight in zip(best.tolist(), weights[base : base + _SCORE_CHUNK]):
-                rank_counts[rank] += weight
-
-    mean = sum(ordered[i] * c for i, c in enumerate(rank_counts) if c) / Fraction(total)
-    max_rank = max(i for i, c in enumerate(rank_counts) if c)
+    views_by_value: Counter[int] = Counter()  # numerators over _denominator
+    for profile, views in profiles:
+        views_by_value[_profile_value(params, profile)] += views
+    den = _denominator(params)
+    weighted = sum(value * views for value, views in views_by_value.items())
     return ExactReport(
         params=params,
         cheat_bound=proven_cheat_bound(params),
-        mean_value=mean,
-        max_value=ordered[max_rank],
+        mean_value=Fraction(weighted, den * total),
+        max_value=Fraction(max(views_by_value), den),
         views=total,
         exhaustive=exhaustive,
     )
@@ -367,8 +365,8 @@ class Strategy:
     """
 
     name = "abstract"
-    # whether choose() reads the difference tables, which cap the game at
-    # MAX_EXACT_DATA_BITS data bits
+    # whether choose() reads the difference tables, which cap the strategy
+    # at MAX_EXACT_DATA_BITS data bits (the exact game has no cap)
     enumerates_differences = False
     submits_honest_vector = False
 

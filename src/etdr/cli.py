@@ -324,7 +324,6 @@ def cmd_attack(args) -> int:
     if params.data_bits > adv.MAX_EXACT_DATA_BITS:
         # fail before any game is played, not after the first rows
         blocked = [s.name for s in chosen if s.enumerates_differences]
-        blocked += ["--exact"] if args.exact else []
         if blocked:
             playable = [s.name for s in adv.ALL_STRATEGIES if not s.enumerates_differences]
             raise ParameterError(

@@ -1,12 +1,14 @@
 """Test-side oracles, deliberately sharing no code with the package fast paths."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import mpmath
 import numpy as np
 
-from etdr.bounds import _check_counts, _check_prob
+from etdr.au2hash import poly_hash
+from etdr.bounds import _check_counts, _check_prob, attack_rows
 from etdr.errors import ParameterError
 from etdr.gf2field import reduction_poly
 
@@ -253,3 +255,56 @@ def count_matches_oracle(fresh, submitted):
 def et_compare_oracle(shared_indices, vec_a, vec_b):
     """Whether two digest lists agree on every overlap position."""
     return all(vec_a[j] == vec_b[j] for j in shared_indices)
+
+
+# --------------------------------------------------- the exact game
+#
+# The cheater's optimum scored in difference space: every nonzero claim
+# difference d, with its roots among the view's subkeys and its root count,
+# each root found by hashing d under every key. The package scores a view
+# by its profile instead; this is the enumeration that scoring must agree
+# with.
+
+
+@lru_cache(maxsize=16)
+def _roots(data_bits, subkey_bits):
+    """roots[d, k]: key k hashes difference d to zero."""
+    return np.array([
+        [poly_hash(k, d, data_bits, subkey_bits) == 0 for k in range(1 << subkey_bits)]
+        for d in range(1 << data_bits)
+    ])
+
+
+@lru_cache(maxsize=16)
+def _win_prob_ranks(data_bits, subkey_bits, subkey_count):
+    """Exact win probabilities indexed (|T|, root count): attack_rows'
+    cover * tail at q = root count / 2^l, zero below the overlap size; plus
+    a rank table so numpy can take maxima without losing exactness."""
+    shared = subkey_count // 2
+    n_keys = 1 << subkey_bits
+    values = {(t, rc): Fraction(0) for t in range(shared) for rc in range(n_keys + 1)}
+    for rc in range(n_keys + 1):
+        for t, _, _, product in attack_rows(subkey_count, shared, Fraction(rc, n_keys)):
+            values[(t, rc)] = product
+    ordered = sorted(set(values.values()))
+    rank_of = {v: i for i, v in enumerate(ordered)}
+    rank_table = np.empty((subkey_count + 1, n_keys + 1), dtype=np.int32)
+    for (t, rc), v in values.items():
+        rank_table[t, rc] = rank_of[v]
+    return ordered, rank_table
+
+
+def difference_space_optima(params, views):
+    """[(value, smallest optimal difference)] for each subkey tuple in
+    `views`, each scored over every nonzero difference; difference zero,
+    claiming the honest data, is barred."""
+    roots = _roots(params.data_bits, params.subkey_bits)
+    counts = roots.sum(axis=1)
+    ordered, rank_table = _win_prob_ranks(
+        params.data_bits, params.subkey_bits, params.subkey_count
+    )
+    t_sizes = roots[:, np.array(views)].sum(axis=-1)  # (differences, views)
+    ranks = rank_table[t_sizes.T, counts].T
+    ranks[0] = -1
+    best = np.argmax(ranks, axis=0)
+    return [(ordered[ranks[d, v]], int(d)) for v, d in enumerate(best)]

@@ -5,7 +5,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import numpy as np
@@ -19,7 +19,7 @@ from etdr.etproto import core
 from etdr.etproto.keys import deal_subkeys
 from etdr.params import derive_params, experimental_params
 
-from oracles import CHI2_999, WILSON_Z99, pack_digests, unpack_digests
+from oracles import CHI2_999, WILSON_Z99, difference_space_optima, pack_digests, unpack_digests
 from oracles import wilson_interval as oracle_wilson
 
 TINY = experimental_params(4, 2, 2)
@@ -210,14 +210,29 @@ def test_exact_game_value_refuses_an_empty_sample(sample):
 
 
 def direct_optimum(params, keys):
-    """The per-view optimum scored from _exact_ranks on the view as given,
-    past every cache."""
-    ordered, _ = adv._win_prob_ranks(
-        params.data_bits, params.subkey_bits, params.subkey_count
-    )
-    ranks = adv._exact_ranks(params, np.array(keys))
-    best_d = int(np.argmax(ranks))
-    return ordered[ranks[best_d]], best_d
+    """The per-view optimum scored in difference space on the view as
+    given, past every cache."""
+    return difference_space_optima(params, [keys])[0]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [(4, 2, 2), (6, 2, 2), (6, 3, 2), (9, 3, 3), (7, 3, 3), (11, 2, 4), (2, 2, 2), (4, 32, 1)],
+    ids=lambda c: "-".join(map(str, c)),
+)
+def test_profile_scoring_matches_difference_space_on_every_multiset(config):
+    # (7,3,3) and (11,2,4) end in a partial block; (2,2,2) is one block, so
+    # no nonzero difference has a root; (4,32,1) has more blocks than keys,
+    # so a root set holds at most the 2 field values
+    params = experimental_params(*config)
+    keys = range(1 << params.subkey_bits)
+    multisets = list(combinations_with_replacement(keys, params.subkey_count))
+    want = [
+        optimum
+        for base in range(0, len(multisets), 256)
+        for optimum in difference_space_optima(params, multisets[base : base + 256])
+    ]
+    assert [adv.per_view_exact_optimum(params, m) for m in multisets] == want
 
 
 def test_view_readers_ignore_the_order_of_the_subkeys():
@@ -261,17 +276,53 @@ def test_cheat_bound_clamps_a_collision_bound_past_one():
     assert report.cheat_bound == report.mean_value == report.max_value == 1
 
 
-def test_sampled_game_value_independent_of_the_dedup_block(monkeypatch):
-    # one-chunk blocks hold fewer rows than the (9,3,3) game has
-    # multisets, so the distinct rows are given out several times
+def test_sampled_game_value_aggregates_the_oracle_over_its_draws(monkeypatch):
+    # chunks of 700 draws: profiles recur across chunks, and the last
+    # chunk is partial; the game must equal the difference-space optimum
+    # of each view it drew, averaged
+    monkeypatch.setattr(adv, "_VIEW_CHUNK", 700)
     params = experimental_params(9, 3, 3)
-    whole = adv.exact_game_value(params, sample=9000, seed=7)
-    monkeypatch.setattr(adv, "_SAMPLE_BLOCK", adv._VIEW_CHUNK)
-    chunks = list(adv._sampled_multisets(3, 6, 9000, 7))
-    assert len(chunks) > 1
-    assert sum(sum(weights) for _, weights in chunks) == 9000
-    blocked = adv.exact_game_value(params, sample=9000, seed=7)
-    assert (blocked.mean_value, blocked.max_value) == (whole.mean_value, whole.max_value)
+    rng = np.random.default_rng(7)
+    views = np.concatenate([
+        rng.integers(0, 8, size=(min(700, 2500 - base), 6), dtype=np.int64)
+        for base in range(0, 2500, 700)
+    ])
+    values = [value for value, _ in difference_space_optima(params, views.tolist())]
+    report = adv.exact_game_value(params, sample=2500, seed=7)
+    assert report.views == 2500
+    assert (report.mean_value, report.max_value) == (sum(values) / 2500, max(values))
+
+
+def test_exhaustive_profiles_count_every_view_once():
+    # the partitions of N into at most 2^l parts, weighted by their subkey
+    # tuples, cover the view space: 2^(l N) views in all. 24 subkeys over
+    # 16 values leave out the 45 partitions of 24 into more than 16 parts
+    for config, partitions in [((9, 3, 3), 11), ((16, 4, 4), 22), ((2, 32, 1), 33),
+                               ((24, 12, 4), 1575 - 45)]:
+        params = experimental_params(*config)
+        profiles = list(adv._exhaustive_profiles(params))
+        assert len(profiles) == len({p for p, _ in profiles}) == partitions
+        assert all(sum(p) == params.subkey_count for p, _ in profiles)
+        assert sum(views for _, views in profiles) == 2 ** (
+            params.subkey_bits * params.subkey_count
+        )
+
+
+def test_sampled_game_at_the_corner_attains_the_bound():
+    # the paper's corner, r = 256 at 2^-4: 48 subkeys of 8 bits, and 32
+    # blocks, so a root set holds up to 31 values; the best view meets
+    # the proven bound exactly
+    params = derive_params(256, Fraction(1, 16))
+    report = adv.exact_game_value(params, sample=200, seed=1)
+    assert report.max_value == adv.proven_cheat_bound(params)
+
+
+def test_sampled_game_at_2_minus_40_is_zero():
+    # r = 256 at 2^-40: 264 subkeys over 256 values; 31 values never hold
+    # the 132 an overlap needs, so no view can win
+    params = derive_params(256, Fraction(1, 2**40))
+    report = adv.exact_game_value(params, sample=2000, seed=1)
+    assert report.max_value == 0 and report.within_bound
 
 
 # ------------------------------------------------------- world dealing

@@ -396,8 +396,7 @@ def test_attack_wide_game(capsys):
 
 @pytest.mark.parametrize(
     "extra",
-    [[], ["--strategy", "random-claim", "--strategy", "overlap-guess"],
-     ["--strategy", "random-claim", "--exact"]],
+    [[], ["--strategy", "random-claim", "--strategy", "overlap-guess"]],
 )
 def test_attack_wide_game_refuses_table_strategies_before_playing(capsys, monkeypatch, extra):
     # the default set includes strategies that enumerate difference space;
@@ -414,6 +413,22 @@ def test_attack_wide_game_refuses_table_strategies_before_playing(capsys, monkey
     assert code == 2
     assert played == [] and out == ""
     assert "random-claim, single-bit-flip, copy-honest-vector" in err
+
+
+def test_attack_wide_game_plays_the_exact_game(capsys):
+    # the exact game scores views by their profiles, not difference space,
+    # so it plays above the difference tables' cap; of 256^6 views it
+    # samples 2000, and each of them attains the bound
+    code, out, err = run_cli(
+        ["attack", "--data-bits", "64", "--shared-count", "3",
+         "--subkey-bits", "8", "--trials", "100", "--strategy", "random-claim",
+         "--exact", "--exact-sample", "2000", "--seed", "3"],
+        capsys,
+    )
+    assert code == 0, err
+    assert out.splitlines()[-1] == (
+        "exact (2000 sampled views): mean=1/20 max=1/20 cheat_bound=1/20 within_bound=True"
+    )
 
 
 def test_attack_exact_report(capsys):
