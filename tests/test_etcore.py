@@ -11,7 +11,7 @@ from etdr.bits import Message, pack_lanes, unpack_lanes
 from etdr.errors import ParameterError
 from etdr.etproto import Verdict
 from etdr.params import derive_params, experimental_params
-from oracles import pack_digests
+from oracles import pack_digests, unpack_digests
 
 PARAMS = derive_params(256, Fraction(1, 16))
 TINY = experimental_params(data_bits=6, shared_count=3, subkey_bits=3)
@@ -37,6 +37,22 @@ def test_pack_unpack_round_trip():
         vec = tuple(rng.getrandbits(l) for _ in range(big_n))
         assert pack_lanes(vec, l) == pack_digests(vec, l)
         assert unpack_lanes(pack_lanes(vec, l), l, big_n) == vec
+
+
+def test_byte_lanes_match_the_oracle():
+    # width 8, the lanes of every derived session at r = 256, at every
+    # count from 1 to 600 lanes: random bytes with both extremes mixed in
+    rng = random.Random(8)
+    for count in range(1, 601):
+        lanes = [rng.choice((0, 255, rng.getrandbits(8))) for _ in range(count)]
+        packed = pack_lanes(lanes, 8)
+        assert packed == pack_digests(lanes, 8)
+        assert pack_lanes(tuple(lanes), 8) == pack_lanes(bytes(lanes), 8) == packed
+        assert list(unpack_lanes(packed, 8, count)) == unpack_digests(packed, 8, count)
+        assert unpack_lanes(packed, 8, count) == tuple(lanes)
+        for bad in (-1, -packed - 1, 1 << 8 * count, packed | 1 << 8 * count):
+            with pytest.raises(ParameterError):
+                unpack_lanes(bad, 8, count)
 
 
 def test_vector_width_checks():

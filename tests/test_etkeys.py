@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -225,3 +226,84 @@ def test_seeded_key_files_match_the_pinned_digests(tmp_path, epsilon):
         K.save_keys(path, material)
         blob = path.read_bytes()
         assert (len(blob), hashlib.sha256(blob).hexdigest()) == PINNED_KEY_FILES[epsilon][name]
+
+
+# The same digests at l = 12 and l = 18 (r = 4096 and 2^18, eps = 1/16):
+# subkey lanes that start inside a byte, which 8-bit lanes never do
+PINNED_OFF_BYTE_KEY_FILES = {
+    4096: {
+        "ttp": (508, "2a8048a3913849182246f40fd66e1849835843d20eca43d56797e747209b6e5c"),
+        "alice": (230, "c7cf4a087712823fe3d82254a2c0ac1a4c0e292fb59aa64e9b8d51fc04842669"),
+        "bob": (230, "ee57060106a1ebe049f036d333d90734a142cd47bd37ff477ea6bc82451f488f"),
+    },
+    2**18: {
+        "ttp": (668, "5841c0e00ea9ddd63dbaca7b02809cdaf71d14d7aa550c28b9a0dce50f583ff2"),
+        "alice": (310, "8656a610dd88d86237b57e0939654e3a2fceba76ae9b24553dc180f0813081d2"),
+        "bob": (310, "3b3cd749a2d5498915ca7deef6ecdb2b4d801adc801c3ebaf9aa7d77c09c8c38"),
+    },
+}
+
+
+@pytest.mark.parametrize("data_bits", sorted(PINNED_OFF_BYTE_KEY_FILES))
+def test_seeded_off_byte_key_files_match_the_pinned_digests(tmp_path, data_bits):
+    sec = K.generate_keys(derive_params(data_bits, Fraction(1, 16)), seed=7)
+    assert sec.params.subkey_bits in (12, 18)
+    for name, material in (("ttp", sec), ("alice", sec.alice), ("bob", sec.bob)):
+        path = tmp_path / f"{name}.key"
+        K.save_keys(path, material)
+        blob = path.read_bytes()
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == PINNED_OFF_BYTE_KEY_FILES[data_bits][name]
+        assert K.load_keys(path) == material
+
+
+# ------------------------------------------- the dealer file's overlap block
+
+
+def _dealer_file(tmp_path):
+    """A dealer file at PARAMS, with the offset of its overlap block."""
+    sec = K.generate_keys(PARAMS, seed=21)
+    path = tmp_path / "ttp.key"
+    K.save_keys(path, sec)
+    header = len(K.MAGIC) + 2 + len(K._encode_params(sec.params, sec.session_id))
+    return sec, path, bytearray(path.read_bytes()), header
+
+
+def test_dealer_file_truncated_inside_the_overlap_is_rejected(tmp_path):
+    sec, path, blob, start = _dealer_file(tmp_path)
+    for cut in (start + 2, start + 4 * len(sec.shared_indices) - 1):
+        path.write_bytes(bytes(blob[:cut]))
+        with pytest.raises(KeyMaterialError, match="^key file truncated$"):
+            K.load_keys(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda o: o[:-1] + [PARAMS.subkey_count], "overlap index out of range"),
+        (lambda o: o[:-1] + [1 << 32 - 1], "overlap index out of range"),
+        (lambda o: [o[0], o[0]] + o[2:], "overlap indices must be strictly increasing"),
+        (lambda o: [o[1], o[0]] + o[2:], "overlap indices must be strictly increasing"),
+        (lambda o: o[:-2] + [o[-1], o[-2]], "overlap indices must be strictly increasing"),
+    ],
+    ids=["index-N", "index-2^31", "repeated", "decreasing-first", "decreasing-last"],
+)
+def test_dealer_file_with_a_bad_overlap_is_rejected(tmp_path, edit, message):
+    sec, path, blob, start = _dealer_file(tmp_path)
+    overlap = edit(list(sec.shared_indices))
+    blob[start : start + 4 * len(overlap)] = struct.pack(f"<{len(overlap)}I", *overlap)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(KeyMaterialError, match=f"^{message}$"):
+        K.load_keys(path)
+
+
+def test_dealer_file_whose_parties_disagree_on_the_overlap_is_rejected(tmp_path):
+    # flip one bit of Bob's copy of the last overlap subkey, in the file
+    sec, path, blob, start = _dealer_file(tmp_path)
+    p, j = sec.params, sec.shared_indices[-1]
+    body = len(K._encode_party_body(sec.bob))
+    bob_subkeys = start + 4 * p.shared_count + body
+    bit = j * p.subkey_bits
+    blob[bob_subkeys + bit // 8] ^= 1 << bit % 8
+    path.write_bytes(bytes(blob))
+    with pytest.raises(KeyMaterialError, match="^parties disagree on an overlap subkey$"):
+        K.load_keys(path)
