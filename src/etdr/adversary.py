@@ -83,6 +83,11 @@ _VIEW_CACHE = 4096
 # most 2^16 entries, which covers every tiny game; wider games, which only
 # `etdr attack` with chosen widths plays, hash each vector.
 _GAME_TABLE_MAX_BITS = 16
+# Profiles the exhaustive exact game may walk: the paper's corner,
+# (256, 2^-4), has 147,273 and took 6-10 s (2-CPU host). Above the cap the
+# walk would run for minutes to ages (264 subkeys over 256 values at
+# 2^-40), so the game refuses it and asks for a sample.
+_MAX_EXACT_PROFILES = 1 << 18
 
 
 # ------------------------------------------------------------ raw worlds
@@ -258,6 +263,17 @@ def _partitions(total: int, parts: int, largest: int):
             yield (first, *rest)
 
 
+def _partition_count(total: int, parts: int) -> int:
+    """How many partitions _partitions(total, parts, total) yields, counted
+    as their conjugates: the partitions of `total` into parts of at most
+    `parts` each (a coin-change sum over part sizes)."""
+    ways = [1] + [0] * total
+    for part in range(1, min(parts, total) + 1):
+        for s in range(part, total + 1):
+            ways[s] += ways[s - part]
+    return ways[total]
+
+
 def _exhaustive_profiles(params: Params):
     """(profile, views) over every view: each partition of N into at most
     2^l parts, with its number of subkey tuples (Python ints, as they pass
@@ -329,6 +345,12 @@ def exact_game_value(
     cheater's subkey tuple, scored once per profile."""
     exhaustive = sample is None
     if exhaustive:
+        walk = _partition_count(params.subkey_count, 1 << params.subkey_bits)
+        if walk > _MAX_EXACT_PROFILES:
+            raise ParameterError(
+                f"the exhaustive game would walk {walk} view profiles, over the cap "
+                f"of {_MAX_EXACT_PROFILES}; sample the views instead"
+            )
         total = (1 << params.subkey_bits) ** params.subkey_count
         profiles = _exhaustive_profiles(params)
     else:

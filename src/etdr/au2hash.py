@@ -46,7 +46,8 @@ lanes), and it takes one of four paths by input size:
     at each nibble of the message, one byte a key (_nibble_table). The
     digest is GF(2)-linear in the message, so the digests of a message
     under every key XOR one entry a nibble, and bytes.translate picks
-    the subkeys' bytes out of them. No numpy;
+    the subkeys' bytes out of them. The same bytes(keys) range-checks
+    the keys in C. No numpy;
   * degrees up to 16 (the log-table degree): numpy gathers
     exp[log b_i + i * log k] for groups of keys and XOR-reduces each row;
   * degrees 17 to 27: numpy builds a table of key powers by doubling and
@@ -182,18 +183,23 @@ def _nibble_table(degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _nibble_digests(keys: list[int], value: int, msg_bits: int, degree: int) -> int:
-    """hash_vector for degree <= 8 and msg_bits <= 2^degree, keys checked:
-    the digests under every key XOR one _nibble_table entry a nibble of
-    the message's blocks, and the keys' bytes pick their digests out."""
+    """hash_vector for degree <= 8 and msg_bits <= 2^degree: the digests
+    under every key XOR one _nibble_table entry a nibble of the message's
+    blocks, and the keys' bytes pick their digests out. The same bytes
+    range-check the keys in C: bytes() refuses values outside [0, 256),
+    and below degree 8 deleting every field element must leave nothing."""
+    try:
+        key_bytes = bytes(keys)
+    except ValueError:
+        raise ParameterError("key outside the field") from None
+    if degree < 8 and key_bytes.translate(None, bytes(range(1 << degree))):
+        raise ParameterError("key outside the field")
     width = block_count(msg_bits, degree) * degree
     nibbles = format(value & ((1 << width) - 1), "x").encode().translate(_HEX_DIGITS)[::-1]
     every_key = 0
     for row, v in zip(_nibble_table(degree), nibbles):
         every_key ^= row[v]
-    digests = bytes(keys).translate(every_key.to_bytes(256, "little"))
-    if degree == 8:  # byte lanes: pack_lanes's layout already
-        return int.from_bytes(digests, "little")
-    return pack_lanes(digests, degree)
+    return pack_lanes(key_bytes.translate(every_key.to_bytes(256, "little")), degree)
 
 
 def _block_array(value: int, msg_bits: int, degree: int):
@@ -433,9 +439,9 @@ def hash_vector(keys: list[int], value: int, msg_bits: int, degree: int) -> int:
             hasher.update(block)
         return pack_lanes(hasher.digests(), degree)
     field = GF2.get(degree)
-    _check_keys(field, keys)
     if degree <= _NIBBLE_TABLE_MAX_DEGREE and msg_bits <= field.order:
         return _nibble_digests(keys, value, msg_bits, degree)
+    _check_keys(field, keys)
     import numpy as np
 
     blocks = _block_array(value, msg_bits, degree)

@@ -3,6 +3,12 @@
 A bit-string of length n is an int whose bit k (value >> k & 1) is the k-th
 bit of the stream, k = 0 first. Bytes convert little-endian, so bit 0 of a
 stream is bit 0 of its first byte. All modules share this convention.
+
+pack_lanes and unpack_lanes are the one packer of lanes: digest vectors,
+their pads and a key file's subkeys. Lanes of 8 bits, the subkeys and
+digests of every derived session at r = 256, are the bytes of the packed
+int, so int.from_bytes and int.to_bytes convert them in one call each.
+Other widths loop over the lanes in Python.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ def bytes_to_bits(data: bytes, bit_len: int | None = None) -> int:
 def pack_lanes(lanes, width: int) -> int:
     """lanes[j] at bits [j*width, (j+1)*width): the layout of digest vectors,
     their pads and a key file's subkeys. Callers pass lanes below 2^width."""
+    if width == 8:
+        return int.from_bytes(bytes(lanes), "little")
     packed = 0
     for lane in reversed(lanes):
         packed = packed << width | lane
@@ -39,6 +47,8 @@ def unpack_lanes(packed: int, width: int, count: int) -> tuple[int, ...]:
     """The `count` lanes of `width` bits that pack_lanes packed."""
     if packed >> count * width:  # a negative value shifts to -1
         raise ParameterError(f"packed value wider than {count} lanes of {width} bits")
+    if width == 8:
+        return tuple(packed.to_bytes(count, "little"))
     mask = (1 << width) - 1
     return tuple(packed >> at & mask for at in range(0, count * width, width))
 

@@ -21,6 +21,12 @@ parameter block, so a file fed to the wrong role or wrong session fails
 closed. All multi-byte integers are little-endian; packed bit arrays use
 the stream convention from the bits module (bit k of the array = bit k
 of the integer), the subkeys in l-bit lanes as a digest vector is.
+
+Dealing and the codec run once per session, so their per-lane work stays
+in C: subkeys are drawn through map with the same rng calls in the same
+order (seeded files stay byte-identical), 8-bit subkey lanes convert as
+the packed int's bytes (bits.pack_lanes), and the dealer file's overlap
+is one struct call each way.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ import secrets
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 from ..bits import bits_to_bytes, bytes_to_bits, pack_lanes, unpack_lanes
@@ -113,18 +121,18 @@ class TtpSecret:
         overlap = self.shared_indices
         if len(overlap) != p.shared_count:
             raise KeyMaterialError("wrong overlap size")
-        if any(not 0 <= j < p.subkey_count for j in overlap):
+        if min(overlap) < 0 or max(overlap) >= p.subkey_count:
             raise KeyMaterialError("overlap index out of range")
-        if any(a >= b for a, b in zip(overlap, overlap[1:])):
+        if sorted(set(overlap)) != list(overlap):
             raise KeyMaterialError("overlap indices must be strictly increasing")
         if self.alice.role != ROLE_ALICE or self.bob.role != ROLE_BOB:
             raise KeyMaterialError("party bodies in wrong order")
         for pk in (self.alice, self.bob):
             if pk.params != p or pk.session_id != self.session_id:
                 raise KeyMaterialError("party body disagrees with dealer header")
-        for j in overlap:
-            if self.alice.subkeys[j] != self.bob.subkeys[j]:
-                raise KeyMaterialError("parties disagree on an overlap subkey")
+        on_overlap = itemgetter(*overlap)
+        if on_overlap(self.alice.subkeys) != on_overlap(self.bob.subkeys):
+            raise KeyMaterialError("parties disagree on an overlap subkey")
 
 
 def _draw_mac(rng, tag_bits: int) -> MacMaterial:
@@ -147,11 +155,12 @@ def deal_subkeys(
         j = rng.randrange(i, big_n)
         pool[i], pool[j] = pool[j], pool[i]
     overlap = tuple(sorted(pool[:n]))
-    overlap_set = set(overlap)
 
-    first = [rng.getrandbits(l) for _ in range(big_n)]
-    second = [k if j in overlap_set else rng.getrandbits(l) for j, k in enumerate(first)]
-    return overlap, tuple(first), tuple(second)
+    first = tuple(map(rng.getrandbits, repeat(l, big_n)))
+    second = list(first)
+    for j, k in zip(sorted(pool[n:]), map(rng.getrandbits, repeat(l, big_n - n))):
+        second[j] = k  # fresh draws off the overlap, index-ascending
+    return overlap, first, tuple(second)
 
 
 def generate_keys(params: Params, seed: int | None = None) -> TtpSecret:
@@ -208,14 +217,12 @@ class _Reader:
     def u8(self) -> int:
         return self.take(1)[0]
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def unpack(self, fmt: str) -> tuple[int, ...]:
+        """The next struct.calcsize(fmt) bytes, unpacked in one call."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def nonneg(self) -> int:
-        (size,) = struct.unpack("<H", self.take(2))
+        (size,) = self.unpack("<H")
         return int.from_bytes(self.take(size), "little")
 
     def done(self) -> None:
@@ -247,12 +254,12 @@ def _encode_params(params: Params, session_id: bytes) -> bytes:
 
 def _decode_params(reader: _Reader) -> tuple[Params, bytes]:
     session_id = reader.take(SESSION_ID_BYTES)
-    data_bits = reader.u64()
+    (data_bits,) = reader.unpack("<Q")
     num, den = reader.nonneg(), reader.nonneg()
     if (num == 0) != (den == 0):
         raise KeyMaterialError("malformed epsilon in key file")
     epsilon = Fraction(num, den) if den else None
-    n, l, big_n = reader.u32(), reader.u32(), reader.u32()
+    n, l, big_n = reader.unpack("<III")
     try:
         params = Params(data_bits, epsilon, n, l, big_n)
     except Exception as exc:
@@ -291,8 +298,9 @@ def save_keys(path: str | Path, material: PartyKeys | TtpSecret) -> None:
     else:
         role = ROLE_TTP
         params, session_id = material.params, material.session_id
+        overlap = material.shared_indices
         body = (
-            b"".join(struct.pack("<I", j) for j in material.shared_indices)
+            struct.pack(f"<{len(overlap)}I", *overlap)
             + _encode_party_body(material.alice)
             + _encode_party_body(material.bob)
         )
@@ -319,7 +327,7 @@ def load_keys(path: str | Path) -> PartyKeys | TtpSecret:
         reader.done()
         return pk
     if role == ROLE_TTP:
-        overlap = tuple(reader.u32() for _ in range(params.shared_count))
+        overlap = reader.unpack(f"<{params.shared_count}I")
         alice = _decode_party_body(reader, params, session_id, ROLE_ALICE)
         bob = _decode_party_body(reader, params, session_id, ROLE_BOB)
         reader.done()

@@ -3,6 +3,7 @@ Monte-Carlo strategy suite, and mirror symmetry."""
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -306,6 +307,25 @@ def test_exhaustive_profiles_count_every_view_once():
         assert sum(views for _, views in profiles) == 2 ** (
             params.subkey_bits * params.subkey_count
         )
+
+
+def test_partition_count_is_the_number_of_profiles_walked():
+    for config in [(9, 3, 3), (16, 4, 4), (2, 32, 1), (24, 12, 4), (4, 2, 2)]:
+        params = experimental_params(*config)
+        walked = sum(1 for _ in adv._exhaustive_profiles(params))
+        assert adv._partition_count(params.subkey_count, 1 << params.subkey_bits) == walked
+    # the corner's 48 subkeys over 256 values stay under the cap (CI walks them)
+    assert adv._partition_count(48, 256) == 147_273 <= adv._MAX_EXACT_PROFILES
+
+
+def test_exhaustive_game_over_the_profile_cap_is_refused_at_once():
+    # 264 subkeys over 256 values: about 6.7e14 profiles, a walk without end
+    params = derive_params(256, Fraction(1, 2**40))
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="sample the views instead"):
+        adv.exact_game_value(params)
+    assert time.perf_counter() - start < 1.0
+    assert adv.exact_game_value(params, sample=3, seed=1).views == 3
 
 
 def test_sampled_game_at_the_corner_attains_the_bound():

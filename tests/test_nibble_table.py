@@ -10,6 +10,7 @@ import pytest
 
 from etdr import au2hash
 from etdr.au2hash import hash_vector
+from etdr.errors import ParameterError
 from oracles import horner_oracle, pack_digests
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -48,6 +49,20 @@ def test_nibble_table_path_matches_the_oracle(degree, monkeypatch):
                 assert got == pack_digests([want[k] for k in keys], degree), (n_keys, bits, v)
                 assert len(reached) - before == on_path, (n_keys, bits)
     assert reached
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_nibble_table_path_refuses_keys_outside_the_field(degree):
+    # bytes() takes every key below 256, so below l = 8 the keys in
+    # [2^l, 256) must be refused by the path's own check
+    q = 1 << degree
+    keys = [k % q for k in range(128)]
+    bits = max(fewest_bits(len(keys), degree), 1)
+    assert bits <= q  # on the nibble-table path
+    hash_vector(keys, 1, bits, degree)
+    for bad in sorted({q, q + 1, 255, 256, -1} - set(range(q))):
+        with pytest.raises(ParameterError, match="^key outside the field$"):
+            hash_vector(keys[:5] + [bad] + keys[5:], 1, bits, degree)
 
 
 def test_corner_sessions_import_no_numpy():
