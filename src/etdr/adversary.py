@@ -43,9 +43,17 @@ smallest d that attains its view's value, `BestCollide` and
 One cached table per (data bits, subkey bits) holds the digest of every
 message under every key, filled by the same linearity: doubling over the
 bit basis. The difference tables are its zeros, and the game reads each
-digest vector as a row of it when it has at most 2^16 entries. Wider
-games hash each vector as the parties do. Either way a round runs
-through the shipped dealer, comparison and verdict rule.
+digest vector from it when it has at most 2^16 entries. Up to 5 subkey
+bits the read is one bytes.translate of the subkeys through the
+message's row, parsed as base-2^l digits by int(), so no lane passes
+through the interpreter. Wider games hash each vector as the parties do.
+Either way a round runs through the shipped dealer, comparison and
+verdict rule.
+
+A trial costs little more than its seeded generator. play_game reseeds
+one random.Random per trial, which leaves it in the state that
+random.Random((seed << 48) + t) starts in, and World and CheaterView are
+named tuples.
 """
 
 from __future__ import annotations
@@ -53,11 +61,13 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from math import comb, factorial, perm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +103,7 @@ _MAX_EXACT_PROFILES = 1 << 18
 # ------------------------------------------------------------ raw worlds
 
 
-@dataclass(frozen=True)
-class World:
+class World(NamedTuple):
     """One dealt game instance, role-neutral."""
 
     shared_indices: tuple[int, ...]
@@ -110,8 +119,7 @@ def draw_world(params: Params, rng: random.Random) -> World:
     return World(overlap, honest, cheater, message)
 
 
-@dataclass(frozen=True)
-class CheaterView:
+class CheaterView(NamedTuple):
     """Everything the cheater is allowed to see."""
 
     params: Params
@@ -151,27 +159,41 @@ def _difference_tables(data_bits: int, subkey_bits: int):
     return roots, roots.sum(axis=1)
 
 
+# read(subkeys, message): the packed digest vector of message under subkeys
+_VectorReader = Callable[[tuple[int, ...], Message], int]
+
+
 @lru_cache(maxsize=16)
-def _digest_rows(data_bits: int, subkey_bits: int) -> list[list[int]] | None:
-    """_digest_table as Python lists for the game's per-trial lookups, or
-    None above 2^_GAME_TABLE_MAX_BITS entries."""
+def _digest_rows(data_bits: int, subkey_bits: int) -> _VectorReader | None:
+    """read(subkeys, message), the packed digest vector of `message` under
+    `subkeys` from the rows of _digest_table; None above
+    2^_GAME_TABLE_MAX_BITS entries.
+
+    Up to 5 subkey bits, row m is a bytes.translate table that maps a key to
+    the digit of its digest in base 2^l, so a vector is the subkeys' bytes,
+    last lane first, translated and parsed by int() in C. Wider lanes pack
+    the row's digests with pack_lanes (one int.from_bytes at 8 bits)."""
     if data_bits + subkey_bits > _GAME_TABLE_MAX_BITS:
         return None
-    return _digest_table(data_bits, subkey_bits).tolist()
+    table = _digest_table(data_bits, subkey_bits)
+    if subkey_bits > 5:
+        rows = table.tolist()
+        return lambda subkeys, message: pack_lanes(
+            [rows[message.value][k] for k in subkeys], subkey_bits)
+    digits = np.frombuffer(b"0123456789abcdefghijklmnopqrstuv", np.uint8)
+    pad = bytes(256 - table.shape[1])  # keys stop at 2^l
+    rows = [digits[row].tobytes() + pad for row in table]
+    base = 1 << subkey_bits
+    return lambda subkeys, message: int(
+        bytes(subkeys[::-1]).translate(rows[message.value]), base)
 
 
-def _digest_vector(
-    params: Params,
-    rows: list[list[int]] | None,
-    subkeys: tuple[int, ...],
-    message: Message,
-) -> int:
-    """The packed digest vector of `message` under `subkeys`: from a row of
-    the game's table, or the shipped digest for games too wide to tabulate."""
-    if rows is None:
-        return core.hash_vector_for(params, subkeys, message)
-    row = rows[message.value]
-    return pack_lanes([row[k] for k in subkeys], params.subkey_bits)
+def _vector_reader(params: Params) -> _VectorReader:
+    """read(subkeys, message), the packed digest vector of `message` under
+    `subkeys`: from the game's table, or the shipped digest for games too
+    wide to tabulate."""
+    return (_digest_rows(params.data_bits, params.subkey_bits)
+            or partial(core.hash_vector_for, params))
 
 
 def _most_roots(params: Params) -> int:
@@ -398,11 +420,9 @@ class Strategy:
     def play(
         self, view: CheaterView, rng: random.Random
     ) -> tuple[int, Message]:
-        p = view.params
-        claim = Message(self.choose(view, rng), p.data_bits)
-        rows = _digest_rows(p.data_bits, p.subkey_bits)
+        claim = Message(self.choose(view, rng), view.params.data_bits)
         submitted = view.honest_message if self.submits_honest_vector else claim
-        return _digest_vector(p, rows, view.subkeys, submitted), claim
+        return _vector_reader(view.params)(view.subkeys, submitted), claim
 
 
 def _collision_claim(view: CheaterView, subkeys: tuple[int, ...] | list[int]) -> int:
@@ -519,8 +539,8 @@ def play_round(
     if claim.value == m_h.value:
         raise ParameterError("game rule: the claim must differ from the honest data")
 
-    rows = _digest_rows(params.data_bits, params.subkey_bits)
-    honest_vec = _digest_vector(params, rows, world.honest_subkeys, m_h)
+    vector = _vector_reader(params)
+    honest_vec = vector(world.honest_subkeys, m_h)
     passed = (
         core.et_compare(params, world.shared_indices, honest_vec, submitted)
         == core.ET_EQUAL
@@ -528,9 +548,9 @@ def play_round(
     if not passed:
         return False
 
-    honest_claim = _digest_vector(params, rows, world.honest_subkeys, claim)
-    cheater_honest = _digest_vector(params, rows, world.cheater_subkeys, m_h)
-    cheater_claim = _digest_vector(params, rows, world.cheater_subkeys, claim)
+    honest_claim = vector(world.honest_subkeys, claim)
+    cheater_honest = vector(world.cheater_subkeys, m_h)
+    cheater_claim = vector(world.cheater_subkeys, claim)
     count_hh = core.count_matches(params, honest_vec, honest_vec)
     count_hc = core.count_matches(params, honest_claim, honest_vec)
     count_ch = core.count_matches(params, cheater_honest, submitted)
@@ -595,16 +615,18 @@ def play_game(
     seed: int = 0,
     cheater: str = "bob",
 ) -> GameResult:
-    """Monte-Carlo the game; trial t uses its own generator derived from
-    (seed, t), so runs are reproducible and order-independent."""
+    """Monte-Carlo the game; trial t uses its own generator,
+    random.Random((seed << 48) + t), so runs are reproducible and
+    order-independent. outcome_digest is the SHA-256 of one byte a trial,
+    1 for a win and 0 for a loss."""
     if trials < 1:
         raise ParameterError("need at least one trial")
     digest = hashlib.sha256()
     wins = 0
+    rng = random.Random()
     for t in range(trials):
-        rng = random.Random((seed << 48) + t)
-        world = draw_world(params, rng)
-        win = play_round(params, world, strategy, rng, cheater)
+        rng.seed((seed << 48) + t)  # the state random.Random(that seed) starts in
+        win = play_round(params, draw_world(params, rng), strategy, rng, cheater)
         wins += win
         digest.update(b"\x01" if win else b"\x00")
     return GameResult(

@@ -60,11 +60,16 @@ class Message:
     value: int
     bit_len: int
 
-    def __post_init__(self) -> None:
-        if self.bit_len < 1:
+    def __init__(self, value: int, bit_len: int) -> None:
+        if bit_len < 1:
             raise ParameterError("message must contain at least one bit")
-        if self.value < 0 or self.value.bit_length() > self.bit_len:
+        if value < 0 or value.bit_length() > bit_len:
             raise ParameterError("message value wider than its declared length")
+        # the adversarial game makes two a trial: set the frozen fields in
+        # the instance dict, without the generated __init__'s two
+        # object.__setattr__ calls and a __post_init__ frame
+        fields = self.__dict__
+        fields["value"], fields["bit_len"] = value, bit_len
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Message":

@@ -65,10 +65,19 @@ decrypt_vector = encrypt_vector  # the same XOR takes the pad off
 def et_compare(params: Params, shared_indices: tuple[int, ...], vec_a: int, vec_b: int) -> int:
     """ET_EQUAL iff the two vectors agree on every overlap lane."""
     _check_width(params, vec_a | vec_b)
-    l, overlap = params.subkey_bits, 0
-    for j in shared_indices:
-        overlap |= ((1 << l) - 1) << j * l
+    overlap = _overlap_mask(params.subkey_bits, tuple(shared_indices))
     return ET_DISTINCT if (vec_a ^ vec_b) & overlap else ET_EQUAL
+
+
+@lru_cache(maxsize=64)
+def _overlap_mask(subkey_bits: int, shared_indices: tuple[int, ...]) -> int:
+    """Every bit of the overlap's lanes, built once per overlap: a session
+    compares once under its overlap, the game many times under each of a
+    few."""
+    lane, mask = (1 << subkey_bits) - 1, 0
+    for j in shared_indices:
+        mask |= lane << j * subkey_bits
+    return mask
 
 
 @lru_cache(maxsize=64)

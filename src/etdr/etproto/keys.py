@@ -22,11 +22,19 @@ closed. All multi-byte integers are little-endian; packed bit arrays use
 the stream convention from the bits module (bit k of the array = bit k
 of the integer), the subkeys in l-bit lanes as a digest vector is.
 
-Dealing and the codec run once per session, so their per-lane work stays
-in C: subkeys are drawn through map with the same rng calls in the same
-order (seeded files stay byte-identical), 8-bit subkey lanes convert as
-the packed int's bytes (bits.pack_lanes), and the dealer file's overlap
-is one struct call each way.
+Dealing and the codec run once per session, and dealing once per trial
+of the adversarial game, so their per-lane work stays in C or close to
+it. The overlap's Fisher-Yates draws each index as random.randrange(i, N)
+does on CPython 3.10 to 3.13 (randrange hands the width N - i to
+_randbelow_with_getrandbits): getrandbits(k), k the bit length of N - i,
+drawn again while it is not below N - i. So dealing makes the very
+getrandbits calls that randrange made, in the same order, without
+randrange's two Python frames a draw, and every seeded key file and
+transcript stays byte-identical; tests/test_etkeys.py checks the
+generator's state after each deal against the randrange dealer, kept in
+tests/oracles.py. The first party's subkeys are drawn through map, 8-bit
+subkey lanes convert as the packed int's bytes (bits.pack_lanes), and the
+dealer file's overlap is one struct call each way.
 """
 
 from __future__ import annotations
@@ -148,18 +156,25 @@ def deal_subkeys(
     uniform n-subset of [0, N), N uniform subkeys, then copies of them on
     the overlap and fresh draws elsewhere."""
     n, l, big_n = params.shared_count, params.subkey_bits, params.subkey_count
+    getrandbits = rng.getrandbits
 
-    # partial Fisher-Yates: uniform n-subset of [0, N)
+    # partial Fisher-Yates: uniform n-subset of [0, N). Each swap index is
+    # randrange(i, N) written out as it draws (module docstring)
     pool = list(range(big_n))
     for i in range(n):
-        j = rng.randrange(i, big_n)
+        width = big_n - i
+        bits = width.bit_length()
+        j = getrandbits(bits)
+        while j >= width:
+            j = getrandbits(bits)
+        j += i
         pool[i], pool[j] = pool[j], pool[i]
     overlap = tuple(sorted(pool[:n]))
 
-    first = tuple(map(rng.getrandbits, repeat(l, big_n)))
+    first = tuple(map(getrandbits, repeat(l, big_n)))
     second = list(first)
-    for j, k in zip(sorted(pool[n:]), map(rng.getrandbits, repeat(l, big_n - n))):
-        second[j] = k  # fresh draws off the overlap, index-ascending
+    for j in sorted(pool[n:]):
+        second[j] = getrandbits(l)  # fresh draws off the overlap, index-ascending
     return overlap, first, tuple(second)
 
 

@@ -229,6 +229,28 @@ def fraction_to_mpf(x: Fraction, prec: int = 2048) -> mpmath.mpf:
         return mpmath.mpf(x.numerator) / x.denominator
 
 
+# ------------------------------------------------------------- dealing
+#
+# The dealer as first written, through Random.randrange; the package
+# draws the same indices with getrandbits directly.
+
+
+def deal_subkeys_oracle(params, rng):
+    """keys.deal_subkeys as first written: the overlap by a partial
+    Fisher-Yates through rng.randrange, then the first party's subkeys and
+    the second party's fresh draws off the overlap, index-ascending."""
+    n, l, big_n = params.shared_count, params.subkey_bits, params.subkey_count
+    pool = list(range(big_n))
+    for i in range(n):
+        j = rng.randrange(i, big_n)
+        pool[i], pool[j] = pool[j], pool[i]
+    first = tuple(rng.getrandbits(l) for _ in range(big_n))
+    second = list(first)
+    for j in sorted(pool[n:]):
+        second[j] = rng.getrandbits(l)
+    return tuple(sorted(pool[:n])), first, tuple(second)
+
+
 # ------------------------------------------------------- digest vectors
 #
 # A packed digest vector holds digest j at bits [j*l, (j+1)*l). The

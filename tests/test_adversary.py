@@ -148,12 +148,22 @@ def test_difference_tables_structure():
         assert roots[d, k] == (poly_hash(k, d, 6, 2) == 0)
 
 
+# the tiny configs, and tabulated games whose lanes take the translate
+# path at 4 and 5 bits and pack_lanes at 6 and 8
+TABULATED = [params for params, _ in TINY_CONFIGS] + [
+    experimental_params(5, 2, 4),
+    experimental_params(4, 3, 5),
+    experimental_params(3, 2, 6),
+    experimental_params(2, 3, 8),
+]
+
+
 def test_digest_table_matches_shipped_hash():
     # every message under every key, read the way the game reads it
-    for params, _ in TINY_CONFIGS:
+    for params in TABULATED:
         r, l, big_n = params.data_bits, params.subkey_bits, params.subkey_count
-        rows = adv._digest_rows(r, l)
-        assert rows == adv._digest_table(r, l).tolist()
+        read = adv._digest_rows(r, l)
+        assert read is not None and adv._vector_reader(params) is read
         key_lists = [
             tuple((first + j) % (1 << l) for j in range(big_n))
             for first in range(0, 1 << l, big_n)
@@ -162,7 +172,7 @@ def test_digest_table_matches_shipped_hash():
             message = Message(m, r)
             for keys in key_lists:
                 want = core.hash_vector_for(params, keys, message)
-                assert adv._digest_vector(params, rows, keys, message) == want
+                assert read(keys, message) == want
 
 
 def test_difference_tables_size_guard():
@@ -502,6 +512,22 @@ def test_game_outcomes_pinned():
                 line = repr((config, strategy.name, cheater, g.wins, g.outcome_digest))
                 digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == GAME_OUTCOMES_SHA256
+
+
+@pytest.mark.parametrize("cheater", ["bob", "alice"])
+@pytest.mark.parametrize("strategy", adv.ALL_STRATEGIES, ids=lambda s: s.name)
+def test_play_game_plays_trial_t_with_a_fresh_generator(strategy, cheater):
+    # the documented contract, rebuilt one fresh generator a trial and
+    # one digest update a trial, as play_game first played it
+    params, seed, trials = experimental_params(6, 3, 2), 7, 300
+    digest, wins = hashlib.sha256(), 0
+    for t in range(trials):
+        rng = random.Random((seed << 48) + t)
+        win = adv.play_round(params, adv.draw_world(params, rng), strategy, rng, cheater)
+        wins += win
+        digest.update(b"\x01" if win else b"\x00")
+    g = adv.play_game(params, strategy, trials, seed=seed, cheater=cheater)
+    assert (g.trials, g.wins, g.outcome_digest) == (trials, wins, digest.hexdigest())
 
 
 def test_play_game_reproducible():

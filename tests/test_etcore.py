@@ -9,7 +9,7 @@ from etdr import etproto as ep
 from etdr.au2hash import poly_hash
 from etdr.bits import Message, pack_lanes, unpack_lanes
 from etdr.errors import ParameterError
-from etdr.etproto import Verdict
+from etdr.etproto import Verdict, core
 from etdr.params import derive_params, experimental_params
 from oracles import pack_digests, unpack_digests
 
@@ -136,6 +136,33 @@ def test_compare_ignores_positions_outside_overlap():
     inside = sec.shared_indices[0]
     vb ^= 1 << inside * l
     assert ep.et_compare(PARAMS, sec.shared_indices, va, vb) == ep.ET_DISTINCT
+
+
+def overlap_mask_loop(l, shared):
+    """The overlap mask as et_compare first built it, one lane at a time."""
+    mask = 0
+    for j in shared:
+        mask |= ((1 << l) - 1) << j * l
+    return mask
+
+
+@pytest.mark.parametrize("l", [2, 8, 12, 18])
+def test_compare_masks_the_overlap_as_the_lane_loop_does(l):
+    # one mask per (lane width, overlap), however the calls interleave
+    rng = random.Random(l)
+    for n in (1, 3, 24, 132):
+        params, big_n = experimental_params(8, n, l), 2 * n
+        for _ in range(10):
+            shared = tuple(sorted(rng.sample(range(big_n), n)))
+            assert core._overlap_mask(l, shared) == overlap_mask_loop(l, shared)
+            assert core._overlap_mask(1, shared) == overlap_mask_loop(1, shared)
+            vec = rng.getrandbits(big_n * l)
+            for j in (rng.choice(shared), rng.randrange(big_n)):
+                flipped = vec ^ 1 << j * l + rng.randrange(l)
+                want = ep.ET_DISTINCT if overlap_mask_loop(l, shared) >> j * l & 1 else ep.ET_EQUAL
+                assert ep.et_compare(params, shared, vec, flipped) == want
+                assert ep.et_compare(params, list(shared), flipped, vec) == want
+            assert ep.et_compare(params, shared, vec, vec) == ep.ET_EQUAL
 
 
 # ------------------------------------------------------- match counts

@@ -13,7 +13,7 @@ from etdr.errors import KeyMaterialError, ParameterError
 from etdr.etproto import keys as K
 from etdr.params import derive_params, experimental_params
 
-from oracles import CHI2_999
+from oracles import CHI2_999, deal_subkeys_oracle
 
 PARAMS = derive_params(256, Fraction(1, 16))
 TINY = experimental_params(data_bits=4, shared_count=2, subkey_bits=2)
@@ -63,6 +63,17 @@ def test_subkeys_are_dealt_right_after_the_session_id():
     rng.getrandbits(8 * K.SESSION_ID_BYTES)
     dealt = K.deal_subkeys(PARAMS, rng)
     assert dealt == (sec.shared_indices, sec.alice.subkeys, sec.bob.subkeys)
+
+
+@pytest.mark.parametrize("big_n, l", [(6, 2), (48, 8), (264, 8), (528, 18)])
+def test_dealer_makes_the_draws_of_the_randrange_dealer(big_n, l):
+    # same overlap, same subkeys and the generator left in the same state,
+    # so every getrandbits call matches the oracle's, retries included
+    params = experimental_params(64, big_n // 2, l)
+    for seed in range(200):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert K.deal_subkeys(params, rng) == deal_subkeys_oracle(params, oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_keygen_refuses_frames_over_the_wire_limit():
