@@ -18,6 +18,7 @@ import struct
 from pathlib import Path
 
 from ..errors import ProtocolStateError, StoreIntegrityError
+from .keys import SESSION_ID_BYTES
 
 _FIELDS = (
     "et_blob_a",  # encrypted digest vector as submitted by Alice
@@ -70,10 +71,10 @@ class SessionRecord:
 
     @classmethod
     def decode(cls, body: bytes) -> "SessionRecord":
-        if len(body) < 16:
+        if len(body) < SESSION_ID_BYTES:
             raise StoreIntegrityError("session record truncated")
-        rec = cls(body[:16])
-        pos = 16
+        rec = cls(body[:SESSION_ID_BYTES])
+        pos = SESSION_ID_BYTES
         seen: set[int] = set()
         while pos < len(body):
             if pos + 5 > len(body):
@@ -114,7 +115,7 @@ class SessionStore:
 
     def record(self, session_id: bytes) -> SessionRecord:
         """The session's record as last saved, or a fresh one."""
-        if len(session_id) != 16:
+        if len(session_id) != SESSION_ID_BYTES:
             raise ProtocolStateError("session id must be 16 bytes")
         try:
             blob = self._path_for(session_id).read_bytes()

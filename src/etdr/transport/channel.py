@@ -67,13 +67,8 @@ class MemoryNetwork:
         while self._queue:
             src, dst, raw = self._queue.popleft()
             self.transcript.append((src, dst, raw))
-            runner = self.runners[dst]
-            if dst == ROLE_TTP:
-                for out_dst, out_frame in runner.on_frame(raw):
-                    self.post(ROLE_TTP, out_dst, out_frame)
-            else:
-                for out_frame in runner.on_frame(raw):
-                    self.post(dst, ROLE_TTP, out_frame)
+            for out_dst, out_frame in self.runners[dst].on_frame(raw):
+                self.post(dst, out_dst, out_frame)
 
     def result(self) -> SessionResult:
         alice = self.runners[ROLE_ALICE]
@@ -118,7 +113,7 @@ def run_session(
 
     if dispute:
         for role, runner, claim in zip(PARTIES, (alice, bob), (claim_a, claim_b)):
-            if runner.frozen is None and runner.state == "et_done":
+            if runner.frozen is None and runner.et_outcome is not None:
                 net.post(role, ROLE_TTP, runner.dr_claim_frame(claim))
         net.deliver_all()
 

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from ..errors import FrameError
-from ..etproto.keys import ROLE_ALICE, ROLE_BOB
+from ..etproto.keys import ROLE_ALICE, ROLE_BOB, SESSION_ID_BYTES
 from ..params import Params
 
 FRAME_VERSION = 1
 HEADER_BYTES = 23
-SESSION_ID_BYTES = 16
 
 # hard caps so a corrupt length cannot balloon memory
 MAX_PAYLOAD_BYTES = 1 << 24

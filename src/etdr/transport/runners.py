@@ -43,9 +43,6 @@ _REASON_NAMES = {ERR_MAC: "mac", ERR_STATE: "state", ERR_FRAME: "frame"}
 
 PARTIES = (ROLE_ALICE, ROLE_BOB)
 
-# a party's states per phase: awaiting the announce, and holding it
-_TURNS = {ET: ("et_wait", "et_done"), DR: ("dr_wait", "done")}
-
 # what the referee calls a phase's payload, and a second, different one
 _NOUNS = {ET: ("submission", "resubmission"), DR: ("claim", "re-claim")}
 
@@ -83,12 +80,13 @@ class _Runner:
     A runner has one link per peer, keyed by the peer's role. On a link
     each phase has one pad per direction: parties sign with the phase's
     inbound pad, the referee with its announce pad. Subclasses handle a
-    checked protocol frame (`_accept`).
+    checked protocol frame (`_accept`) and read a phase's result (`_result`).
 
     The ledger maps (peer, phase name, outbound) to the payload that pad
     passed: what this runner signed under an outbound pad, the announce a
     party accepted, or the one frame a frozen referee checked. A live
-    referee's accepted payloads are in its SessionRecord instead.
+    referee's accepted payloads and results are in its SessionRecord
+    instead. The ledger, the freeze and the record are a runner's state.
     """
 
     role: int  # the role byte this runner signs as
@@ -101,6 +99,16 @@ class _Runner:
         self._links = links  # peer role -> key material of the link
         self.frozen: FreezeInfo | None = None
         self._ledger: dict[tuple[int, str, bool], bytes] = {}
+
+    @property
+    def et_outcome(self) -> int | None:
+        code = self._result(ET)
+        return None if code is None else code[0]
+
+    @property
+    def verdict(self) -> core.Verdict | None:
+        code = self._result(DR)
+        return None if code is None else core.Verdict(code[0])
 
     def _require_live(self) -> None:
         if self.frozen is not None:
@@ -159,15 +167,17 @@ class _Runner:
 
     def _freeze(self, reason: int, detail: str) -> list[tuple[int, Frame]]:
         """Freeze and report to every peer, signed with the link's first
-        unspent outbound pad; unsigned once the link has none left. Does
-        nothing once frozen."""
+        unspent outbound pad (a phase with a known result has spent its
+        pads); unsigned once the link has none left. Does nothing once
+        frozen."""
         if self.frozen is not None:
             return []
         self.frozen = FreezeInfo(reason, detail, local=True)
         err = Frame(MsgType.ERROR, self.session_id, bytes([reason]), b"")
+        undecided = [ph for ph in PHASES if self._result(ph) is None]
         out = []
         for peer in self._links:
-            unspent = [ph for ph in PHASES if (peer, ph.name, True) not in self._ledger]
+            unspent = [ph for ph in undecided if (peer, ph.name, True) not in self._ledger]
             out.append((peer, self._signed(err, peer, unspent[0]) if unspent else err))
         return out
 
@@ -177,7 +187,8 @@ class _Runner:
 
 class PartyRunner(_Runner):
     """Alice or Bob. Feed it announce frames; it hands back nothing unless
-    it needs to report an error."""
+    it needs to report an error. Its ledger is its progress: which
+    payloads it signed, and which announces it accepted."""
 
     _to_referee = True
     _error_detail = "{kind} error report from referee (code {code})"
@@ -191,15 +202,18 @@ class PartyRunner(_Runner):
         self.keys = keys
         self.role = keys.role
         self.message = message
-        self.state = "new"
-        self.et_outcome: int | None = None
-        self.verdict: core.Verdict | None = None
+
+    def _result(self, phase: Phase) -> bytes | None:
+        return self._ledger.get((ROLE_TTP, phase.name, False))
+
+    def _sent(self, phase: Phase) -> bool:
+        return (ROLE_TTP, phase.name, True) in self._ledger
 
     # -- outbound -------------------------------------------------------
 
     def et_submit_frame(self) -> Frame:
         self._require_live()
-        if self.state != "new":
+        if self._sent(ET):
             raise ProtocolStateError("digest vector already submitted")
         vec = core.hash_vector_for(self.params, self.keys.subkeys, self.message)
         return self._send(ET, core.encrypt_vector(self.params, vec, self.keys.otp_bits))
@@ -207,7 +221,7 @@ class PartyRunner(_Runner):
     def dr_claim_frame(self, claim: Message | None = None) -> Frame:
         """Reveal data for the dispute; an honest party claims its own."""
         self._require_live()
-        if self.state != "et_done":
+        if self.et_outcome is None or self._sent(DR):
             raise ProtocolStateError("dispute opens only after the comparison")
         claim = claim if claim is not None else self.message
         if claim.bit_len != self.params.data_bits:
@@ -217,16 +231,14 @@ class PartyRunner(_Runner):
     def _send(self, phase: Phase, payload: int) -> Frame:
         raw = bits_to_bytes(payload, phase.payload_bits(self.params))
         frame = Frame(phase.inbound[self.role], self.session_id, raw, b"")
-        frame = self._signed(frame, ROLE_TTP, phase)
-        self.state = _TURNS[phase][0]
-        return frame
+        return self._signed(frame, ROLE_TTP, phase)
 
     # -- inbound --------------------------------------------------------
 
-    def on_frame(self, raw: bytes) -> list[Frame]:
+    def on_frame(self, raw: bytes) -> list[tuple[int, Frame]]:
         if self.frozen is not None:
             return []
-        return [frame for _, frame in self._receive(raw)]
+        return self._receive(raw)
 
     def _accept(self, frame: Frame) -> list[tuple[int, Frame]]:
         phase = PHASE_OF[frame.msg_type]
@@ -235,28 +247,24 @@ class PartyRunner(_Runner):
         return self._freeze(ERR_STATE, f"unexpected {frame.msg_type.name} at a party")
 
     def _on_announce(self, frame: Frame, phase: Phase) -> list[tuple[int, Frame]]:
-        want_state, done_state = _TURNS[phase]
+        name, accepted = frame.msg_type.name, self._result(phase)
         # an identical authentic retransmit, also once a later phase began
-        if self._ledger.get((ROLE_TTP, phase.name, False)) == frame.payload:
-            if self._authentic(frame, ROLE_TTP, phase):
-                return []
-        if self.state != want_state:
-            return self._freeze(ERR_STATE, f"{frame.msg_type.name} in state {self.state}")
+        if accepted == frame.payload and self._authentic(frame, ROLE_TTP, phase):
+            return []
+        if not self._sent(phase):
+            return self._freeze(ERR_STATE, f"{name} before this party's {_NOUNS[phase][0]}")
+        if accepted is not None:
+            return self._freeze(ERR_STATE, f"{name} other than the one accepted")
         if len(frame.payload) != 1:
             return self._freeze(ERR_FRAME, "announce payload must be one byte")
         if not self._authentic(frame, ROLE_TTP, phase):
-            return self._freeze(ERR_MAC, f"bad authenticator on {frame.msg_type.name}")
+            return self._freeze(ERR_MAC, f"bad authenticator on {name}")
         code = frame.payload[0]
-        if phase is ET:
-            if code not in (core.ET_EQUAL, core.ET_DISTINCT):
-                return self._freeze(ERR_STATE, f"invalid comparison outcome {code}")
-            self.et_outcome = code
-        else:
-            if code > core.Verdict.UNDECIDABLE:
-                return self._freeze(ERR_STATE, f"invalid verdict code {code}")
-            self.verdict = core.Verdict(code)
+        if phase is ET and code not in (core.ET_EQUAL, core.ET_DISTINCT):
+            return self._freeze(ERR_STATE, f"invalid comparison outcome {code}")
+        if phase is DR and code > core.Verdict.UNDECIDABLE:
+            return self._freeze(ERR_STATE, f"invalid verdict code {code}")
         self._ledger[ROLE_TTP, phase.name, False] = frame.payload
-        self.state = done_state
         return []
 
 
@@ -264,7 +272,8 @@ class PartyRunner(_Runner):
 
 
 class TtpRunner(_Runner):
-    """The referee. Returns (destination role, frame) pairs to send."""
+    """The referee. Returns (destination role, frame) pairs to send. Its
+    results are its record's, so a restart spends no announce pad again."""
 
     role = ROLE_TTP
     _to_referee = False
@@ -281,23 +290,9 @@ class TtpRunner(_Runner):
         self.record: SessionRecord = (
             store.record(secret.session_id) if store else SessionRecord(secret.session_id)
         )
-        # announce pads spent in an earlier process stay spent
-        for phase in PHASES:
-            result = self.record.get(phase.result_field)
-            if result is not None:
-                self._ledger.update({(role, phase.name, True): result for role in PARTIES})
 
-    # -- recorded results, under a party's names -------------------------
-
-    @property
-    def et_outcome(self) -> int | None:
-        code = self.record.get(ET.result_field)
-        return None if code is None else code[0]
-
-    @property
-    def verdict(self) -> core.Verdict | None:
-        code = self.record.get(DR.result_field)
-        return None if code is None else core.Verdict(code[0])
+    def _result(self, phase: Phase) -> bytes | None:
+        return self.record.get(phase.result_field)
 
     @property
     def disputed(self) -> bool:

@@ -13,6 +13,7 @@ until `finished`, which waits for `delivered`, to let it. A connection
 that ends, stays silent for `timeout` seconds or fails a send loses its
 role, and its frames wait again until the party reconnects and resends.
 `close()` or a runner exception ends the loop and every connection.
+A party reads until its runner holds the phase's result, or froze.
 """
 
 from __future__ import annotations
@@ -196,8 +197,8 @@ def run_party_session(
             log.to_ttp.append(raw)
             sock.sendall(raw)
 
-        def pump_until(state: str) -> None:
-            while runner.state != state and runner.frozen is None:
+        def pump_until(done: Callable[[], bool]) -> None:
+            while not done() and runner.frozen is None:
                 try:
                     data = sock.recv(65536)
                 except socket.timeout as exc:
@@ -206,12 +207,12 @@ def run_party_session(
                     raise FrameError("referee closed the connection mid-session")
                 for raw in reader.feed(data):
                     log.from_ttp.append(raw)
-                    for out in runner.on_frame(raw):
+                    for _, out in runner.on_frame(raw):
                         send(out)
 
         send(runner.et_submit_frame())
-        pump_until("et_done")
+        pump_until(lambda: runner.et_outcome is not None)
         if dispute and runner.frozen is None:
             send(runner.dr_claim_frame(claim))
-            pump_until("done")
+            pump_until(lambda: runner.verdict is not None)
     return runner, log

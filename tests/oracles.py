@@ -11,6 +11,8 @@ from etdr.au2hash import poly_hash
 from etdr.bounds import _check_counts, _check_prob, attack_rows
 from etdr.errors import ParameterError
 from etdr.gf2field import reduction_poly
+from etdr.transport.frames import Frame
+from etdr.transport.runners import _sign
 
 # chi-square 0.999 quantiles by degrees of freedom (frozen; generous so the
 # seeded statistical tests fail only on real defects)
@@ -330,3 +332,28 @@ def difference_space_optima(params, views):
     ranks[0] = -1
     best = np.argmax(ranks, axis=0)
     return [(ordered[ranks[d, v]], int(d)) for v, d in enumerate(best)]
+
+
+# hash key of each pad, named as in MacMaterial, so the pad checks do not
+# read the phase table they check
+PAD_HASH_KEYS = {
+    "et_submit_pad": "et_hash_key",
+    "et_announce_pad": "et_hash_key",
+    "dr_claim_pad": "dr_hash_key",
+    "dr_announce_pad": "dr_hash_key",
+}
+
+
+def signing_pad(frame, mac, signer, params):
+    """The MacMaterial pad under which `signer` signed `frame`, found by
+    signing its untagged shape under every pad; None if it is unsigned."""
+    if not frame.tag:
+        return None
+    unsigned = Frame(frame.msg_type, frame.session_id, frame.payload, b"")
+    signed_by = [
+        pad
+        for pad, hash_key in PAD_HASH_KEYS.items()
+        if _sign(unsigned, getattr(mac, hash_key), getattr(mac, pad), params, signer) == frame
+    ]
+    assert len(signed_by) == 1
+    return signed_by[0]

@@ -31,6 +31,7 @@ from etdr.transport import (
 from etdr.transport.frames import PHASES, FrameReader, encode_frame
 from etdr.transport.runners import ERR_FRAME, ERR_MAC, ERR_STATE, _sign
 from etdr.transport.sockets import SocketTtpServer, run_party_session
+from oracles import signing_pad
 
 PARAMS = derive_params(256, Fraction(1, 16))
 PINNED_TRANSCRIPT_DIGEST = "ed67ada13490f94d31c47a31e24902a58bd90c12cfda0a778ba89a628915daed"
@@ -193,65 +194,90 @@ def test_every_message_type_but_error_belongs_to_one_phase():
         assert len(owners) == (0 if msg_type == MsgType.ERROR else 1), msg_type.name
 
 
-# hash key of each pad, named as in MacMaterial, so the pad checks below do
-# not read the phase table they check
-_PAD_HASH_KEYS = {
-    "et_submit_pad": "et_hash_key",
-    "et_announce_pad": "et_hash_key",
-    "dr_claim_pad": "dr_hash_key",
-    "dr_announce_pad": "dr_hash_key",
-}
-
-
 def error_pad(err, mac, signer):
     """The MacMaterial pad that signed error frame `err`, None if unsigned."""
     assert err.msg_type == MsgType.ERROR
-    if not err.tag:
-        return None
-    unsigned = Frame(err.msg_type, err.session_id, err.payload, b"")
-    signed_by = [
-        pad
-        for pad, hash_key in _PAD_HASH_KEYS.items()
-        if _sign(unsigned, getattr(mac, hash_key), getattr(mac, pad), PARAMS, signer) == err
-    ]
-    assert len(signed_by) == 1
-    return signed_by[0]
+    return signing_pad(err, mac, signer, PARAMS)
 
 
 def test_party_error_frame_pad_in_each_state():
     # a party reports under the first of its two outbound pads it has not
-    # yet used, and unsigned once it has used both
+    # yet used, and unsigned once it has used both. At each step it may
+    # sign only its next payload, absorbs an authentic announce equal to
+    # the one it accepted, accepts any authentic announce it awaits, and
+    # freezes on every other announce.
     sec = generate_keys(PARAMS, seed=306)
     m, other = messages(18)
     alice, bob = PartyRunner(sec.alice, m), PartyRunner(sec.bob, other)
     net = MemoryNetwork(TtpRunner(sec), alice, bob)
-    seen = []
+    et, dr = MsgType.ET_ANNOUNCE, MsgType.DR_ANNOUNCE
 
-    def freeze_a_copy():
+    def announces(message_b):
+        """The referee's announces to Alice in a dispute with Bob on message_b."""
+        res = run_session(sec, m, message_b, dispute=True)
+        return {raw[1]: raw for _, dst, raw in res.transcript if dst == ROLE_ALICE}
+
+    # this session's announces, authentic ones with other codes, and this
+    # session's with a flipped tag bit; with their (outcome, verdict) codes
+    ours, theirs = announces(other), announces(m)
+    flipped = {t: raw[:-1] + bytes([raw[-1] ^ 1]) for t, raw in ours.items()}
+    sources = {
+        "ours": (ours, (ET_DISTINCT, Verdict.UNDECIDABLE)),
+        "theirs": (theirs, (ET_EQUAL, Verdict.BOTH_CONSISTENT)),
+        "flipped": (flipped, None),
+    }
+    # per step: Alice's error pad, whether she may submit and claim, the
+    # announce she awaits, the ones she accepted, her outcome and verdict
+    steps = iter([
+        ("et_submit_pad", (True, False), None, (), (None, None)),
+        ("dr_claim_pad", (False, False), et, (), (None, None)),
+        ("dr_claim_pad", (False, True), None, (et,), (ET_DISTINCT, None)),
+        (None, (False, False), dr, (et,), (ET_DISTINCT, None)),
+        (None, (False, False), None, (et, dr), (ET_DISTINCT, Verdict.UNDECIDABLE)),
+    ])
+
+    def probe_copies():
+        pad, may_sign, awaited, accepted, results = next(steps)
         probe = copy.deepcopy(alice)
-        (err,) = probe.on_frame(b"junk")
-        assert probe.frozen.reason == ERR_FRAME
-        seen.append((probe.state, error_pad(err, sec.alice.mac, ROLE_ALICE)))
+        ((dst, err),) = probe.on_frame(b"junk")
+        assert dst == ROLE_TTP and probe.frozen.reason == ERR_FRAME
+        assert error_pad(err, sec.alice.mac, ROLE_ALICE) == pad
+        signers = (PartyRunner.et_submit_frame, PartyRunner.dr_claim_frame)
+        for sign, allowed in zip(signers, may_sign):
+            probe = copy.deepcopy(alice)
+            if allowed:
+                assert sign(probe).tag
+            else:
+                with pytest.raises(ProtocolStateError):
+                    sign(probe)
+        assert (alice.et_outcome, alice.verdict) == results
+        for name, (source, codes) in sources.items():
+            for t, raw in source.items():
+                want, freeze = list(results), None
+                if t == awaited and codes:  # authentic and awaited: accepted
+                    want[t == dr] = codes[t == dr]
+                elif t == awaited:
+                    freeze = ERR_MAC
+                elif name != "ours" or t not in accepted:  # else an absorbed repeat
+                    freeze = ERR_STATE
+                probe = copy.deepcopy(alice)
+                assert len(probe.on_frame(raw)) == (freeze is not None)
+                reason = probe.frozen.reason if probe.frozen else None
+                assert (reason, probe.et_outcome, probe.verdict) == (freeze, *want), (name, t.name)
 
-    freeze_a_copy()
+    probe_copies()
     net.post(ROLE_ALICE, ROLE_TTP, alice.et_submit_frame())
-    freeze_a_copy()
+    probe_copies()
     net.post(ROLE_BOB, ROLE_TTP, bob.et_submit_frame())
     net.deliver_all()
-    freeze_a_copy()
+    probe_copies()
     net.post(ROLE_ALICE, ROLE_TTP, alice.dr_claim_frame())
-    freeze_a_copy()
+    probe_copies()
     net.post(ROLE_BOB, ROLE_TTP, bob.dr_claim_frame())
     net.deliver_all()
-    freeze_a_copy()
+    probe_copies()
+    assert next(steps, None) is None
     assert net.result().clean and alice.verdict == Verdict.UNDECIDABLE
-    assert seen == [
-        ("new", "et_submit_pad"),
-        ("et_wait", "dr_claim_pad"),
-        ("et_done", "dr_claim_pad"),
-        ("dr_wait", None),
-        ("done", None),
-    ]
 
 
 def test_referee_error_frame_pads_before_and_after_each_announce(tmp_path):
@@ -494,7 +520,7 @@ def test_party_disputing_absorbs_a_repeated_comparison_announce():
     net.post(ROLE_ALICE, ROLE_TTP, alice.dr_claim_frame())
     net.post(ROLE_BOB, ROLE_TTP, submit_b)
     net.deliver_all()
-    assert alice.state == "dr_wait" and alice.frozen is None
+    assert alice.verdict is None and alice.frozen is None
     net.post(ROLE_BOB, ROLE_TTP, bob.dr_claim_frame())
     net.deliver_all()
     assert net.result().clean
@@ -744,7 +770,7 @@ def test_socket_party_reconnects_and_resends_after_a_dropped_connection():
             _wait_for(lambda: ROLE_ALICE in server._conns)  # rebound before Bob submits
             bob, _ = run_party_session(sec.bob, m, server.address, timeout=5.0)
             reader, received = FrameReader(), []
-            while alice.state != "et_done" and alice.frozen is None:
+            while alice.et_outcome is None and alice.frozen is None:
                 data = second.recv(65536)
                 assert data, "referee closed Alice's second connection"
                 for raw in reader.feed(data):
@@ -779,7 +805,7 @@ def test_socket_close_is_prompt_with_a_bound_and_an_idle_client():
         bound.sendall(encode_frame(alice.et_submit_frame()))
         run_party_session(sec.bob, m, server.address, timeout=3.0)
         reader = FrameReader()
-        while alice.state != "et_done":
+        while alice.et_outcome is None:
             data = bound.recv(65536)
             assert data, "referee closed Alice's connection"
             for raw in reader.feed(data):
