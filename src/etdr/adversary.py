@@ -35,20 +35,21 @@ subset sum. `exact_game_value` scores each profile once, over the
 partitions of N or the profiles of seeded draws, and enumerates no
 difference, so it plays at any size.
 
-The strategies that pick a difference do enumerate them, from the
-difference tables, and only they bar difference 0: `ExactBest` plays the
-smallest d that attains its view's value, `BestCollide` and
-`OverlapGuess` the smallest that the most subkeys are roots of.
+The strategies build their claims from root sets too: a set S becomes
+the difference whose blocks are the coefficients of the product of
+(x - s) over S, never 0. `ExactBest` takes a best set of its view, and
+`BestCollide` and `OverlapGuess` the M values their subkeys hold most
+often, which no nonzero difference covers more of. So every strategy
+plays at any size.
 
-One cached table per (data bits, subkey bits) holds the digest of every
-message under every key, filled by the same linearity: doubling over the
-bit basis. The difference tables are its zeros, and the game reads each
-digest vector from it when it has at most 2^16 entries. Up to 5 subkey
-bits the read is one bytes.translate of the subkeys through the
-message's row, parsed as base-2^l digits by int(), so no lane passes
-through the interpreter. Wider games hash each vector as the parties do.
-Either way a round runs through the shipped dealer, comparison and
-verdict rule.
+One cached table per (data bits, subkey bits), of at most 2^16 entries,
+holds the digest of every message under every key, filled by the same
+linearity: doubling over the bit basis. The game reads each digest
+vector from it. Up to 5 subkey bits the read is one bytes.translate of
+the subkeys through the message's row, parsed as base-2^l digits by
+int(), so no lane passes through the interpreter. Wider games hash each
+vector as the parties do. Either way a round runs through the shipped
+dealer, comparison and verdict rule.
 
 A trial costs little more than its seeded generator. play_game reseeds
 one random.Random per trial, which leaves it in the state that
@@ -65,7 +66,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import groupby
 from math import comb, factorial, perm
 from typing import NamedTuple
 
@@ -77,17 +77,15 @@ from .bounds import attack_rows, attack_success_bound
 from .errors import ParameterError
 from .etproto import core
 from .etproto.keys import deal_subkeys
+from .gf2field import GF2
 from .params import Params
 
 WILSON_Z99 = 2.5758293035489004
 
-# the difference tables hold every message under every key, so keep them
-# small; only the strategies that read them stop here, not the exact game
-MAX_EXACT_DATA_BITS = 20
 # views the sampled exact game draws per call; the sample depends on it
 _VIEW_CHUNK = 1024
-# subkey multisets whose best claims the strategies keep, and profiles
-# whose values the exact game keeps
+# subkey multisets whose claims the strategies keep, and profiles whose
+# values the exact game keeps
 _VIEW_CACHE = 4096
 # The game reads its digest vectors from a (messages x keys) table of at
 # most 2^16 entries, which covers every tiny game; wider games, which only
@@ -127,17 +125,13 @@ class CheaterView(NamedTuple):
     subkeys: tuple[int, ...]
 
 
-# ------------------------------------------------- difference structure
+# ------------------------------------------------------- digest vectors
 
 
 @lru_cache(maxsize=16)
 def _digest_table(data_bits: int, subkey_bits: int):
     """digests[m, k]: the digest of message m under key k, for every
-    message and every key."""
-    if data_bits > MAX_EXACT_DATA_BITS:
-        raise ParameterError(
-            f"difference enumeration capped at {MAX_EXACT_DATA_BITS} data bits"
-        )
+    message and every key; only _digest_rows builds it, within its cap."""
     n_keys = 1 << subkey_bits
     digests = np.zeros(
         (1 << data_bits, n_keys), dtype=np.min_scalar_type(n_keys - 1)
@@ -149,14 +143,6 @@ def _digest_table(data_bits: int, subkey_bits: int):
         basis = [poly_hash(k, step, data_bits, subkey_bits) for k in range(n_keys)]
         digests[step : 2 * step] = digests[:step] ^ np.array(basis, digests.dtype)
     return digests
-
-
-@lru_cache(maxsize=16)
-def _difference_tables(data_bits: int, subkey_bits: int):
-    """(roots, counts): roots[d, k] says key k hashes difference d to zero;
-    counts[d] is the number of such keys. Row 0 is all keys."""
-    roots = _digest_table(data_bits, subkey_bits) == 0
-    return roots, roots.sum(axis=1)
 
 
 # read(subkeys, message): the packed digest vector of message under subkeys
@@ -218,10 +204,13 @@ def _products(params: Params, roots: int) -> tuple[int, ...]:
                                               for *_, p in rows)
 
 
-def _profile(multiset) -> tuple[int, ...]:
-    """How many times a sorted subkey tuple holds each distinct value,
-    largest first."""
-    return tuple(sorted((len(list(run)) for _, run in groupby(multiset)), reverse=True))
+def _held(multiset: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
+    """(values, profile): the distinct values of a subkey tuple, most held
+    first, ties in the order first met (the smaller, if it is sorted); and
+    its profile, how often each is held, largest first."""
+    counts = Counter(multiset)
+    values = sorted(counts, key=counts.__getitem__, reverse=True)  # stable
+    return values, tuple(counts[v] for v in values)
 
 
 @lru_cache(maxsize=_VIEW_CACHE)
@@ -253,24 +242,60 @@ def per_view_exact_optimum(
     params: Params, subkeys: tuple[int, ...]
 ) -> tuple[Fraction, int]:
     """Best exact win probability over every allowed claim for this view,
-    with the smallest optimal difference. Independent of the honest data
-    and of the order of the subkeys."""
+    with the difference of a best root set, which attains it. Independent
+    of the honest data and of the order of the subkeys."""
     return _multiset_optimum(params, tuple(sorted(subkeys)))
 
 
 @lru_cache(maxsize=_VIEW_CACHE)
 def _multiset_optimum(params: Params, multiset: tuple[int, ...]) -> tuple[Fraction, int]:
-    """per_view_exact_optimum of the sorted subkeys, the cache's key: the
-    value of their profile, and the first nonzero difference whose (roots
-    among them, roots in all) has a product of that value."""
-    value = _profile_value(params, _profile(multiset))
-    products = np.array(
-        [_products(params, s) for s in range(_most_roots(params) + 1)], dtype=object
-    )
-    roots, counts = _difference_tables(params.data_bits, params.subkey_bits)
-    t_sizes = roots[1:, list(multiset)].sum(axis=1)
-    best_d = 1 + int(np.argmax(products[counts[1:], t_sizes] == value))
-    return Fraction(value, _denominator(params)), best_d
+    """per_view_exact_optimum of the sorted subkeys, the cache's key."""
+    value, roots = _best_root_set(params, multiset)
+    return Fraction(value, _denominator(params)), _root_difference(params, roots)
+
+
+def _best_root_set(params: Params, multiset: tuple[int, ...]) -> tuple[int, list[int]]:
+    """(value, S): the view's value over _denominator and a root set that
+    attains it: h held values, first in _held's order, held t times in all,
+    for the first (h, t) whose product is the value, padded with the
+    smallest unheld values. _profile_value only scores such sets."""
+    values, profile = _held(multiset)
+    value, most = _profile_value(params, profile), _most_roots(params)
+    unheld = (1 << params.subkey_bits) - len(values)
+    roots, size = [], min(most, unheld)  # a set of unheld values scores 0
+    if value:
+        # after[i][h], bit t: some h of the values from i on are held t times
+        after = [[1] + [0] * most]
+        for m in reversed(profile):
+            nxt = after[0]
+            after.insert(0, [1] + [nxt[h] | nxt[h - 1] << m for h in range(1, most + 1)])
+        # by size, bit t: the product at threshold t is the value
+        hits = {size: sum(1 << t for t, p in enumerate(_products(params, size)) if p == value)
+                for size in {min(most, h + unheld) for h in range(1, most + 1)}}
+        for h in range(1, most + 1):
+            size = min(most, h + unheld)
+            if found := after[0][h] & hits[size]:
+                break
+        t = (found & -found).bit_length() - 1
+        for i, m in enumerate(profile):
+            if h and t >= m and after[i + 1][h - 1] >> t - m & 1:
+                roots.append(values[i])
+                h, t = h - 1, t - m
+    held = set(values)
+    padding = (v for v in range(1 << params.subkey_bits) if v not in held)
+    return value, roots + [next(padding) for _ in range(size - len(roots))]
+
+
+def _root_difference(params: Params, roots) -> int:
+    """The difference whose blocks, laid out as chunk_blocks reads them,
+    are the coefficients of the product of (x - s) over `roots` in GF(2^l):
+    its digest is 0 under exactly those keys. The leading 1 lands in bit 0
+    of block |roots| <= M <= blocks - 1, so it fits and is never 0."""
+    field = GF2.get(params.subkey_bits)
+    coeffs = [1]
+    for s in roots:  # (x + s) c(x): c shifted up a block, plus s c
+        coeffs = [a ^ b for a, b in zip([0, *coeffs], [*map(field.fixed_mul(s), coeffs), 0])]
+    return pack_lanes(coeffs, params.subkey_bits)
 
 
 def _partitions(total: int, parts: int, largest: int):
@@ -305,7 +330,7 @@ def _exhaustive_profiles(params: Params):
     big_n, n_keys = params.subkey_count, 1 << params.subkey_bits
     for profile in _partitions(big_n, n_keys, big_n):
         views = factorial(big_n) * perm(n_keys, len(profile))
-        for m in (*profile, *_profile(profile)):  # parts, then repeats of a size
+        for m in (*profile, *_held(profile)[1]):  # parts, then repeats of a size
             views //= factorial(m)
         yield profile, views
 
@@ -331,7 +356,7 @@ def _sampled_profiles(params: Params, sample: int, seed: int):
         codes = np.add.reduceat(weight[lengths], np.flatnonzero(starts % big_n == 0))
         _, row, views = np.unique(codes, return_index=True, return_counts=True)
         for keys_row, count in zip(keys[row].tolist(), views.tolist()):
-            yield _profile(keys_row), count
+            yield _held(keys_row)[1], count
 
 
 @dataclass(frozen=True)
@@ -409,9 +434,6 @@ class Strategy:
     """
 
     name = "abstract"
-    # whether choose() reads the difference tables, which cap the strategy
-    # at MAX_EXACT_DATA_BITS data bits (the exact game has no cap)
-    enumerates_differences = False
     submits_honest_vector = False
 
     def choose(self, view: CheaterView, rng: random.Random) -> int:
@@ -425,22 +447,12 @@ class Strategy:
         return _vector_reader(view.params)(view.subkeys, submitted), claim
 
 
-def _collision_claim(view: CheaterView, subkeys: tuple[int, ...] | list[int]) -> int:
-    """The claim, never the honest data, that the most of `subkeys` hash
-    alike to the honest data; ties go to the smallest difference."""
-    p = view.params
-    d = _most_collisions(p.data_bits, p.subkey_bits, tuple(sorted(subkeys)))
-    return view.honest_message.value ^ d
-
-
 @lru_cache(maxsize=_VIEW_CACHE)
-def _most_collisions(data_bits: int, subkey_bits: int, multiset: tuple[int, ...]) -> int:
-    """The nonzero difference that the most of `multiset` hash to zero,
-    the smallest of any tie."""
-    roots, _ = _difference_tables(data_bits, subkey_bits)
-    covered = roots[:, list(multiset)].sum(axis=1)
-    covered[0] = -1
-    return int(np.argmax(covered))
+def _most_collisions(params: Params, multiset: tuple[int, ...]) -> int:
+    """The difference whose roots are the M values `multiset` holds most
+    often, ties to the smaller: no nonzero difference has more roots in it,
+    so its claim collides with the honest data on the most positions."""
+    return _root_difference(params, _held(multiset)[0][: _most_roots(params)])
 
 
 class RandomClaim(Strategy):
@@ -467,21 +479,19 @@ class SingleBitFlip(Strategy):
 
 
 class BestCollide(Strategy):
-    """Exhaustively pick the claim colliding with the honest data on the
-    most positions (ties to the smallest difference)."""
+    """Claim what collides with the honest data on the most positions."""
 
     name = "best-collide"
-    enumerates_differences = True
 
     def choose(self, view, rng):
-        return _collision_claim(view, view.subkeys)
+        d = _most_collisions(view.params, tuple(sorted(view.subkeys)))
+        return view.honest_message.value ^ d
 
 
 class ExactBest(Strategy):
     """Claim with the exactly optimal win probability for the view."""
 
     name = "exact-best"
-    enumerates_differences = True
 
     def choose(self, view, rng):
         _, best_d = per_view_exact_optimum(view.params, view.subkeys)
@@ -492,12 +502,12 @@ class OverlapGuess(Strategy):
     """Guess the overlap, then pick the claim covering the guess best."""
 
     name = "overlap-guess"
-    enumerates_differences = True
 
     def choose(self, view, rng):
         p = view.params
         guess = rng.sample(range(p.subkey_count), p.shared_count)
-        return _collision_claim(view, [view.subkeys[j] for j in guess])
+        d = _most_collisions(p, tuple(sorted(view.subkeys[j] for j in guess)))
+        return view.honest_message.value ^ d
 
 
 class CopyHonestVector(Strategy):

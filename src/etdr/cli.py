@@ -321,23 +321,11 @@ def cmd_attack(args) -> int:
                 f"unknown strategies {unknown}; have {sorted(by_name)}"
             )
         chosen = [by_name[n] for n in args.strategy]
-    if params.data_bits > adv.MAX_EXACT_DATA_BITS:
-        # fail before any game is played, not after the first rows
-        blocked = [s.name for s in chosen if s.enumerates_differences]
-        if blocked:
-            playable = [s.name for s in adv.ALL_STRATEGIES if not s.enumerates_differences]
-            raise ParameterError(
-                f"{', '.join(blocked)} enumerate difference space, capped at "
-                f"{adv.MAX_EXACT_DATA_BITS} data bits; at {params.data_bits} "
-                f"data bits play only {', '.join(playable)}"
-            )
 
     report = None
-    if args.exact:
-        # before any game, so that a refused sample size is refused at once
-        space = (1 << params.subkey_bits) ** params.subkey_count
-        sample = None if space <= (1 << 20) else args.exact_sample
-        report = adv.exact_game_value(params, sample=sample, seed=args.seed)
+    if args.exact or args.exact_sample is not None:
+        # before any game, so that a refused sample or walk fails at once
+        report = adv.exact_game_value(params, sample=args.exact_sample, seed=args.seed)
 
     header = [
         "strategy", "cheater", "trials", "wins", "rate",
@@ -555,9 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--cheater", choices=("bob", "alice"), default="bob")
     sp.add_argument("--exact", action="store_true",
-                    help="also compute exact per-view optima")
-    sp.add_argument("--exact-sample", type=int, default=20000,
-                    help="view sample size when the space is too big")
+                    help="also compute the exact game value over every view")
+    sp.add_argument("--exact-sample", type=int, default=None,
+                    help="sample this many views instead; implies --exact")
     _add_format(sp)
     sp.set_defaults(func=cmd_attack)
 

@@ -221,7 +221,9 @@ class PartyRunner(_Runner):
     def dr_claim_frame(self, claim: Message | None = None) -> Frame:
         """Reveal data for the dispute; an honest party claims its own."""
         self._require_live()
-        if self.et_outcome is None or self._sent(DR):
+        if self._sent(DR):
+            raise ProtocolStateError("dispute claim already sent")
+        if self.et_outcome is None:
             raise ProtocolStateError("dispute opens only after the comparison")
         claim = claim if claim is not None else self.message
         if claim.bit_len != self.params.data_bits:

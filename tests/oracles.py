@@ -7,7 +7,6 @@ from math import comb
 import mpmath
 import numpy as np
 
-from etdr.au2hash import poly_hash
 from etdr.bounds import _check_counts, _check_prob, attack_rows
 from etdr.errors import ParameterError
 from etdr.gf2field import reduction_poly
@@ -285,18 +284,28 @@ def et_compare_oracle(shared_indices, vec_a, vec_b):
 #
 # The cheater's optimum scored in difference space: every nonzero claim
 # difference d, with its roots among the view's subkeys and its root count,
-# each root found by hashing d under every key. The package scores a view
-# by its profile instead; this is the enumeration that scoring must agree
-# with.
+# each root found by evaluating d's blocks as a polynomial at every key
+# with oracle_mul. The package scores a view by its profile and builds its
+# claims from root sets instead; this is the enumeration that both must
+# agree with.
 
 
 @lru_cache(maxsize=16)
 def _roots(data_bits, subkey_bits):
-    """roots[d, k]: key k hashes difference d to zero."""
-    return np.array([
-        [poly_hash(k, d, data_bits, subkey_bits) == 0 for k in range(1 << subkey_bits)]
-        for d in range(1 << data_bits)
-    ])
+    """roots[d, k]: key k hashes difference d to zero. The digest is the
+    sum of block_i * k^i; each product comes from a table of oracle_mul
+    over the 2^l block values, gathered for every d at once."""
+    l, poly = subkey_bits, reduction_poly(subkey_bits)
+    d = np.arange(1 << data_bits)
+    blocks = [d >> at & ((1 << l) - 1) for at in range(0, data_bits, l)]
+    roots = np.empty((1 << data_bits, 1 << l), dtype=bool)
+    for k in range(1 << l):
+        digest, power = np.zeros_like(d), 1
+        for block in blocks:
+            digest ^= np.array([oracle_mul(b, power, poly) for b in range(1 << l)])[block]
+            power = oracle_mul(power, k, poly)
+        roots[:, k] = digest == 0
+    return roots
 
 
 @lru_cache(maxsize=16)
@@ -332,6 +341,16 @@ def difference_space_optima(params, views):
     ranks[0] = -1
     best = np.argmax(ranks, axis=0)
     return [(ordered[ranks[d, v]], int(d)) for v, d in enumerate(best)]
+
+
+def difference_value(params, keys, d):
+    """The exact win probability of claim difference d for the subkey
+    tuple `keys`, scored in difference space."""
+    roots = _roots(params.data_bits, params.subkey_bits)
+    ordered, rank_table = _win_prob_ranks(
+        params.data_bits, params.subkey_bits, params.subkey_count
+    )
+    return ordered[rank_table[roots[d, list(keys)].sum(), roots[d].sum()]]
 
 
 # hash key of each pad, named as in MacMaterial, so the pad checks do not

@@ -20,7 +20,8 @@ from etdr.etproto import core
 from etdr.etproto.keys import deal_subkeys
 from etdr.params import derive_params, experimental_params
 
-from oracles import CHI2_999, WILSON_Z99, difference_space_optima, pack_digests, unpack_digests
+from oracles import CHI2_999, WILSON_Z99, _roots, difference_space_optima, difference_value
+from oracles import pack_digests, unpack_digests
 from oracles import wilson_interval as oracle_wilson
 
 TINY = experimental_params(4, 2, 2)
@@ -136,18 +137,6 @@ def test_per_view_optimum_ignores_honest_data_by_construction():
         assert best_d != 0
 
 
-def test_difference_tables_structure():
-    roots, counts = adv._difference_tables(6, 2)
-    assert roots.shape == (64, 4)
-    assert roots[0].all() and counts[0] == 4
-    # a nonzero difference collides for at most degree-many keys
-    assert counts[1:].max() <= 2
-    rng = random.Random(9)
-    for _ in range(50):
-        d, k = rng.randrange(64), rng.randrange(4)
-        assert roots[d, k] == (poly_hash(k, d, 6, 2) == 0)
-
-
 # the tiny configs, and tabulated games whose lanes take the translate
 # path at 4 and 5 bits and pack_lanes at 6 and 8
 TABULATED = [params for params, _ in TINY_CONFIGS] + [
@@ -173,11 +162,6 @@ def test_digest_table_matches_shipped_hash():
             for keys in key_lists:
                 want = core.hash_vector_for(params, keys, message)
                 assert read(keys, message) == want
-
-
-def test_difference_tables_size_guard():
-    with pytest.raises(ParameterError):
-        adv._difference_tables(adv.MAX_EXACT_DATA_BITS + 1, 2)
 
 
 def test_data_bits_equal_subkey_bits_makes_cheating_impossible():
@@ -234,31 +218,43 @@ def direct_optimum(params, keys):
 def test_profile_scoring_matches_difference_space_on_every_multiset(config):
     # (7,3,3) and (11,2,4) end in a partial block; (2,2,2) is one block, so
     # no nonzero difference has a root; (4,32,1) has more blocks than keys,
-    # so a root set holds at most the 2 field values
+    # so a root set holds at most the 2 field values. The claimed
+    # difference attains the optimum in difference space, and its roots
+    # there are the stated root set
     params = experimental_params(*config)
     keys = range(1 << params.subkey_bits)
+    roots = _roots(params.data_bits, params.subkey_bits)
     multisets = list(combinations_with_replacement(keys, params.subkey_count))
     want = [
-        optimum
+        value
         for base in range(0, len(multisets), 256)
-        for optimum in difference_space_optima(params, multisets[base : base + 256])
+        for value, _ in difference_space_optima(params, multisets[base : base + 256])
     ]
-    assert [adv.per_view_exact_optimum(params, m) for m in multisets] == want
+    got = [adv.per_view_exact_optimum(params, m) for m in multisets]
+    assert [value for value, _ in got] == want
+    for m, (value, d) in zip(multisets, got):
+        assert d != 0 and difference_value(params, m, d) == value
+        _, stated = adv._best_root_set(params, m)
+        assert np.flatnonzero(roots[d]).tolist() == sorted(stated)
 
 
 def test_view_readers_ignore_the_order_of_the_subkeys():
     # every view of (6,3,2) is some ordering of a multiset; whichever
-    # ordering filled the cache, each reads the answer its own scoring gives
+    # ordering filled the cache, each reads the same answers, and they
+    # are the optimum difference space gives its own order
     params = experimental_params(6, 3, 2)
-    roots, _ = adv._difference_tables(params.data_bits, params.subkey_bits)
+    roots = _roots(params.data_bits, params.subkey_bits)
     honest = Message(0b101101, params.data_bits)
+    first = {}
     for keys in product(range(1 << params.subkey_bits), repeat=params.subkey_count):
-        assert adv.per_view_exact_optimum(params, keys) == direct_optimum(params, keys)
+        value, d = adv.per_view_exact_optimum(params, keys)
+        assert value == direct_optimum(params, keys)[0] == difference_value(params, keys, d)
         covered = roots[:, list(keys)].sum(axis=1)
-        covered[0] = -1
         view = adv.CheaterView(params, honest, keys)
         claim = adv.BestCollide().choose(view, random.Random(0))
-        assert claim == honest.value ^ int(np.argmax(covered))
+        assert claim != honest.value and covered[claim ^ honest.value] == covered[1:].max()
+        answers = (value, d, claim)
+        assert first.setdefault(tuple(sorted(keys)), answers) == answers
 
 
 def test_exhaustive_game_value_stays_exact_past_int64():
@@ -427,11 +423,11 @@ def test_play_round_agrees_with_inline_rules():
 
 def test_wide_games_play_through_the_shipped_digest():
     # too wide for the game's digest table: every vector is hashed, and
-    # the strategies that need no difference table still play
+    # every strategy plays
     params = experimental_params(64, 3, 8)
     assert adv._digest_rows(params.data_bits, params.subkey_bits) is None
     r, l = params.data_bits, params.subkey_bits
-    for strategy in (adv.RandomClaim(), adv.SingleBitFlip(), adv.CopyHonestVector()):
+    for strategy in adv.ALL_STRATEGIES:
         for trial in range(20):
             rng = random.Random(trial)
             world = adv.draw_world(params, rng)
@@ -445,35 +441,91 @@ def test_wide_games_play_through_the_shipped_digest():
         assert adv.play_game(params, strategy, 200, seed=4).within_bound
 
 
+def stated_root_set(params, strategy, keys):
+    """The root set a strategy states for its view's subkeys."""
+    multiset = tuple(sorted(keys))
+    if isinstance(strategy, adv.ExactBest):
+        return set(adv._best_root_set(params, multiset)[1])
+    return set(adv._held(multiset)[0][: adv._most_roots(params)])
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1, 16), Fraction(1, 2**40)], ids=["2^-4", "2^-40"])
+def test_root_set_claims_play_as_predicted_at_the_corner(epsilon):
+    # Monte Carlo sees no win at r = 256, but each trial's play follows
+    # from the claim's root set S through the shipped functions: both
+    # parties' lanes of claim and honest data agree exactly where their
+    # subkey is in S; the comparison says equal exactly when the overlap
+    # lies inside T, the cheater's positions in S; and the verdict weighs
+    # |T| against the honest party's positions in S
+    params = derive_params(256, epsilon)
+    big_n, l = params.subkey_count, params.subkey_bits
+    for seed in range(30):
+        world = adv.draw_world(params, random.Random(seed))
+        honest, cheater = world.honest_subkeys, world.cheater_subkeys
+        m_h = world.honest_message
+        view = adv.CheaterView(params, m_h, cheater)
+        for strategy in (adv.ExactBest(), adv.BestCollide()):
+            claim = Message(strategy.choose(view, random.Random(seed)), params.data_bits)
+            roots = stated_root_set(params, strategy, cheater)
+            assert claim != m_h and len(roots) <= adv._most_roots(params)
+            for keys in (honest, cheater):
+                agree = [
+                    a == b
+                    for a, b in zip(
+                        unpack_digests(core.hash_vector_for(params, keys, claim), l, big_n),
+                        unpack_digests(core.hash_vector_for(params, keys, m_h), l, big_n),
+                    )
+                ]
+                assert agree == [k in roots for k in keys]
+            t_set = {j for j in range(big_n) if cheater[j] in roots}
+            honest_roots = sum(k in roots for k in honest)
+            submitted = core.hash_vector_for(params, cheater, claim)
+            honest_vec = core.hash_vector_for(params, honest, m_h)
+            compared = core.et_compare(params, world.shared_indices, honest_vec, submitted)
+            assert (compared == core.ET_EQUAL) == (set(world.shared_indices) <= t_set)
+            counts = (
+                core.match_count(params, honest, m_h, honest_vec),
+                core.match_count(params, honest, claim, honest_vec),
+                core.match_count(params, cheater, m_h, submitted),
+                core.match_count(params, cheater, claim, submitted),
+            )
+            assert counts == (big_n, honest_roots, len(t_set), big_n)
+            want = (core.Verdict.ALICE_CORRECT if len(t_set) > honest_roots
+                    else core.Verdict.BOB_CORRECT if honest_roots > len(t_set)
+                    else core.Verdict.UNDECIDABLE)
+            assert core.dr_verdict(params, m_h, claim, *counts) == want
+
+
 @lru_cache(maxsize=None)
 def zero_differences(k, r, l):
     """zero_differences(k, r, l)[d]: key k hashes difference d to zero."""
     return tuple(poly_hash(k, d, r, l) == 0 for d in range(1 << r))
 
 
-def most_collisions_oracle(params, keys, honest):
-    """The honest data XOR the smallest nonzero difference that the most of
-    `keys` hash to zero, read from poly_hash directly."""
+def collisions(params, keys, d):
+    """How many of `keys` hash difference d to zero, read from poly_hash
+    directly."""
     r, l = params.data_bits, params.subkey_bits
-    hits = [
-        sum(zero_differences(k, r, l)[d] for k in keys) for d in range(1 << r)
-    ]
-    return honest ^ hits.index(max(hits[1:]), 1)
+    return sum(zero_differences(k, r, l)[d] for k in keys)
 
 
 @pytest.mark.parametrize("config", [(6, 3, 2), (9, 3, 3)], ids=["6-3-2", "9-3-3"])
 def test_collision_strategies_pick_the_oracle_claim(config):
+    # each claim collides on as many positions as the best nonzero
+    # difference does, over every one
     params = experimental_params(*config)
     big_n, n = params.subkey_count, params.shared_count
+    differences = range(1, 1 << params.data_bits)
     for seed in range(200):
         world = adv.draw_world(params, random.Random(seed))
         view = adv.CheaterView(params, world.honest_message, world.cheater_subkeys)
         keys, honest = view.subkeys, world.honest_message.value
-        got = adv.BestCollide().choose(view, random.Random(seed))
-        assert got == most_collisions_oracle(params, keys, honest)
         guess = random.Random(seed).sample(range(big_n), n)
-        want = most_collisions_oracle(params, [keys[j] for j in guess], honest)
-        assert adv.OverlapGuess().choose(view, random.Random(seed)) == want
+        for strategy, aimed in ((adv.BestCollide(), keys),
+                                (adv.OverlapGuess(), [keys[j] for j in guess])):
+            d = strategy.choose(view, random.Random(seed)) ^ honest
+            best = max(collisions(params, aimed, e) for e in differences)
+            assert d != 0 and collisions(params, aimed, d) == best
 
 
 def test_claim_matching_honest_data_is_rejected():
@@ -498,8 +550,8 @@ def test_mirror_symmetry_identical_outcomes():
 
 # SHA-256 over one line per (config, strategy, cheater) of
 # repr(((r, n, l), name, cheater, wins, outcome_digest)), 1000 trials at
-# seed 29, as the game played when every vector was hashed
-GAME_OUTCOMES_SHA256 = "85ec5704241e7898506d0ab73b983418eae4c6d1e17d33b49e9f74696f82f379"
+# seed 29, as the game played once every claim came from a root set
+GAME_OUTCOMES_SHA256 = "1a347653abc003db864e879372ff9806cae3b38a9e120217b98df97cac24a684"
 
 
 def test_game_outcomes_pinned():
@@ -644,9 +696,9 @@ def test_sampled_game_value_pinned_12_4_3():
 OUTCOMES_6_3_2 = {
     "random-claim": (23, "32280bb1a63a1d864d743a775149a840de72b88c4e397c31c1967351e04d2ca5"),
     "single-bit-flip": (4, "1ab705b109e84e6a7b37ad587c39d0ab2882bb8c8f3b8a3e1c80e5a83c1cd500"),
-    "best-collide": (213, "e653a9f7f1b2d14b71d400e0dd5c51d0230e87d0e8d5171a386a4ea9064f28f2"),
-    "exact-best": (213, "5474c9b273695f20be7e37f2b88a928f1e7296a6906d23e56defe7934462b17e"),
-    "overlap-guess": (155, "bde93cf0685f3089015a377d2577d673c5b53209e73f5cfa31c04a0400b438dc"),
+    "best-collide": (219, "a1c8870786e19b0b1b8491bdf1e43bc7456c12fa0eacedf2a1e7c830c18fe71d"),
+    "exact-best": (218, "f02d072006a7895168a9a581fad3361c1fad84d9331eeeb32415689fabf47de8"),
+    "overlap-guess": (156, "3e4c8475a5995353463f69d9b94ec8225d94da409d8747f25f81c24edf8f6552"),
     "copy-honest-vector": (1, "c18a3d40e64cd29916edd8b774fa04ba51a430002d3d00f4e355694e22171bca"),
 }
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -379,46 +380,47 @@ def test_attack_csv_all_strategies(capsys):
 
 
 def test_attack_wide_game(capsys):
-    # too wide for the difference tables: only the strategies that need
-    # none can play, and they hash every digest vector
-    strategies = ["random-claim", "single-bit-flip", "copy-honest-vector"]
+    # too wide for the game's digest table: every strategy builds its
+    # claim from a root set and hashes every digest vector
+    import etdr.adversary as adv
+
     code, out, _ = run_cli(
         ["attack", "--data-bits", "64", "--shared-count", "3",
-         "--subkey-bits", "8", "--trials", "100", "--format", "csv",
-         *[arg for name in strategies for arg in ("--strategy", name)]],
+         "--subkey-bits", "8", "--trials", "100", "--format", "csv"],
         capsys,
     )
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert [r[0] for r in rows[1:]] == strategies
+    assert [r[0] for r in rows[1:]] == [s.name for s in adv.ALL_STRATEGIES]
     assert all(r[-1] == "True" for r in rows[1:])
 
 
-@pytest.mark.parametrize(
-    "extra",
-    [[], ["--strategy", "random-claim", "--strategy", "overlap-guess"]],
-)
-def test_attack_wide_game_refuses_table_strategies_before_playing(capsys, monkeypatch, extra):
-    # the default set includes strategies that enumerate difference space;
-    # above its cap the command names what can play and plays nothing
+def test_attack_exact_walks_every_view_unless_asked_to_sample(capsys, monkeypatch):
+    # 256^48 subkey tuples at the paper's corner, but 147,273 profiles:
+    # --exact asks for the exhaustive walk, and only --exact-sample samples
     import etdr.adversary as adv
 
-    played = []
-    monkeypatch.setattr(adv, "play_game", lambda *a, **k: played.append(a))
-    code, out, err = run_cli(
-        ["attack", "--data-bits", "64", "--shared-count", "3",
-         "--subkey-bits", "8", "--trials", "100", *extra],
-        capsys,
-    )
-    assert code == 2
-    assert played == [] and out == ""
-    assert "random-claim, single-bit-flip, copy-honest-vector" in err
+    asked = []
+
+    def game_value(params, *, sample=None, seed=0):
+        asked.append(sample)
+        return adv.ExactReport(params, Fraction(1), Fraction(0), Fraction(0), 1, sample is None)
+
+    monkeypatch.setattr(adv, "exact_game_value", game_value)
+    corner = ["attack", "--data-bits", "256", "--shared-count", "24", "--subkey-bits", "8",
+              "--trials", "1", "--strategy", "random-claim"]
+    for extra, scope in [(["--exact"], "all views"),
+                         (["--exact-sample", "5"], "1 sampled views")]:
+        code, out, err = run_cli([*corner, *extra], capsys)
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith(f"exact ({scope}): ")
+    assert asked == [None, 5]
 
 
 def test_attack_wide_game_plays_the_exact_game(capsys):
     # the exact game scores views by their profiles, not difference space,
-    # so it plays above the difference tables' cap; of 256^6 views it
-    # samples 2000, and each of them attains the bound
+    # so it plays at any size; of 256^6 views it samples 2000, and each of
+    # them attains the bound
     code, out, err = run_cli(
         ["attack", "--data-bits", "64", "--shared-count", "3",
          "--subkey-bits", "8", "--trials", "100", "--strategy", "random-claim",
@@ -457,11 +459,10 @@ def test_attack_refuses_an_empty_exact_sample(capsys):
 
 
 def test_attack_refuses_a_negative_sampled_seed(capsys):
-    # 16^N views are too many to enumerate, so the exact game samples
     code, out, err = run_cli(
         ["attack", "--data-bits", "6", "--shared-count", "4",
          "--subkey-bits", "4", "--trials", "10", "--strategy", "random-claim",
-         "--exact", "--seed", "-1"],
+         "--exact", "--exact-sample", "10", "--seed", "-1"],
         capsys,
     )
     assert code == 2

@@ -226,29 +226,35 @@ def test_party_error_frame_pad_in_each_state():
         "theirs": (theirs, (ET_EQUAL, Verdict.BOTH_CONSISTENT)),
         "flipped": (flipped, None),
     }
-    # per step: Alice's error pad, whether she may submit and claim, the
-    # announce she awaits, the ones she accepted, her outcome and verdict
+    # per step: Alice's error pad, whether she may submit and claim (None)
+    # or the refusal of each, the announce she awaits, the ones she
+    # accepted, her outcome and verdict
+    submitted, too_early, claimed = (
+        "digest vector already submitted",
+        "dispute opens only after the comparison",
+        "dispute claim already sent",
+    )
     steps = iter([
-        ("et_submit_pad", (True, False), None, (), (None, None)),
-        ("dr_claim_pad", (False, False), et, (), (None, None)),
-        ("dr_claim_pad", (False, True), None, (et,), (ET_DISTINCT, None)),
-        (None, (False, False), dr, (et,), (ET_DISTINCT, None)),
-        (None, (False, False), None, (et, dr), (ET_DISTINCT, Verdict.UNDECIDABLE)),
+        ("et_submit_pad", (None, too_early), None, (), (None, None)),
+        ("dr_claim_pad", (submitted, too_early), et, (), (None, None)),
+        ("dr_claim_pad", (submitted, None), None, (et,), (ET_DISTINCT, None)),
+        (None, (submitted, claimed), dr, (et,), (ET_DISTINCT, None)),
+        (None, (submitted, claimed), None, (et, dr), (ET_DISTINCT, Verdict.UNDECIDABLE)),
     ])
 
     def probe_copies():
-        pad, may_sign, awaited, accepted, results = next(steps)
+        pad, refusals, awaited, accepted, results = next(steps)
         probe = copy.deepcopy(alice)
         ((dst, err),) = probe.on_frame(b"junk")
         assert dst == ROLE_TTP and probe.frozen.reason == ERR_FRAME
         assert error_pad(err, sec.alice.mac, ROLE_ALICE) == pad
         signers = (PartyRunner.et_submit_frame, PartyRunner.dr_claim_frame)
-        for sign, allowed in zip(signers, may_sign):
+        for sign, refusal in zip(signers, refusals):
             probe = copy.deepcopy(alice)
-            if allowed:
+            if refusal is None:
                 assert sign(probe).tag
             else:
-                with pytest.raises(ProtocolStateError):
+                with pytest.raises(ProtocolStateError, match=refusal):
                     sign(probe)
         assert (alice.et_outcome, alice.verdict) == results
         for name, (source, codes) in sources.items():
