@@ -48,8 +48,10 @@ linearity: doubling over the bit basis. The game reads each digest
 vector from it. Up to 5 subkey bits the read is one bytes.translate of
 the subkeys through the message's row, parsed as base-2^l digits by
 int(), so no lane passes through the interpreter. Wider games hash each
-vector as the parties do. Either way a round runs through the shipped
-dealer, comparison and verdict rule.
+vector through the shipped digest. Either way a round runs through the
+shipped dealer and comparison, and rules as the referee does: each claim
+is read once under Alice's subkeys followed by Bob's, and
+dr_verdict(*core.dispute_counts(...)) decides.
 
 A trial costs little more than its seeded generator. play_game reseeds
 one random.Random per trial, which leaves it in the state that
@@ -65,13 +67,13 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, factorial, perm
 from typing import NamedTuple
 
 import numpy as np
 
-from .au2hash import collision_bound, poly_hash
+from .au2hash import collision_bound, hash_vector, poly_hash
 from .bits import Message, pack_lanes
 from .bounds import attack_rows, attack_success_bound
 from .errors import ParameterError
@@ -179,7 +181,8 @@ def _vector_reader(params: Params) -> _VectorReader:
     `subkeys`: from the game's table, or the shipped digest for games too
     wide to tabulate."""
     return (_digest_rows(params.data_bits, params.subkey_bits)
-            or partial(core.hash_vector_for, params))
+            or (lambda subkeys, message: hash_vector(
+                subkeys, message.value, params.data_bits, params.subkey_bits)))
 
 
 def _most_roots(params: Params) -> int:
@@ -405,6 +408,10 @@ def exact_game_value(
             raise ParameterError(f"need at least one sampled view, got {sample}")
         if seed < 0:
             raise ParameterError(f"sampled views need a non-negative seed, got {seed}")
+        if params.subkey_bits > 63:  # _sampled_profiles draws int64 subkeys
+            raise ParameterError(
+                f"sampled views draw subkeys of at most 63 bits, got {params.subkey_bits}"
+            )
         total = sample
         profiles = _sampled_profiles(params, sample, seed)
 
@@ -558,23 +565,18 @@ def play_round(
     if not passed:
         return False
 
-    honest_claim = vector(world.honest_subkeys, claim)
-    cheater_honest = vector(world.cheater_subkeys, m_h)
-    cheater_claim = vector(world.cheater_subkeys, claim)
-    count_hh = core.count_matches(params, honest_vec, honest_vec)
-    count_hc = core.count_matches(params, honest_claim, honest_vec)
-    count_ch = core.count_matches(params, cheater_honest, submitted)
-    count_cc = core.count_matches(params, cheater_claim, submitted)
-
-    if cheater == "bob":
-        verdict = core.dr_verdict(
-            params, m_h, claim, count_hh, count_hc, count_ch, count_cc
-        )
-        return verdict != core.Verdict.ALICE_CORRECT
+    # (subkeys, claim, submission) of Alice, then of Bob
+    honest = (world.honest_subkeys, m_h, honest_vec)
+    cheating = (world.cheater_subkeys, claim, submitted)
+    (keys_a, claim_a, vec_a), (keys_b, claim_b, vec_b) = (
+        (honest, cheating) if cheater == "bob" else (cheating, honest))
+    keys = keys_a + keys_b
+    fresh_a, fresh_b = vector(keys, claim_a), vector(keys, claim_b)
     verdict = core.dr_verdict(
-        params, claim, m_h, count_cc, count_ch, count_hc, count_hh
+        params, claim_a, claim_b, *core.dispute_counts(params, fresh_a, fresh_b, vec_a, vec_b)
     )
-    return verdict != core.Verdict.BOB_CORRECT
+    honest_wins = core.Verdict.ALICE_CORRECT if cheater == "bob" else core.Verdict.BOB_CORRECT
+    return verdict != honest_wins
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

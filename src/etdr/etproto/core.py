@@ -4,9 +4,10 @@ A digest vector is one int of N*l bits from the hasher to the verdict,
 digest j at bits [j*l, (j+1)*l) (bits.pack_lanes), and each check on it
 is integer arithmetic: an XOR with the pad, a mask, a zero-lane count.
 
-Nothing here touches the wire or any state; the transport runners and the
-adversarial harness both call into these functions so they cannot drift
-apart.
+Nothing here touches the wire or any state. The referee and the
+adversarial game both rule on a dispute through
+dr_verdict(*dispute_counts(...)), each reading its digest vectors its own
+way, so the two rulings cannot drift apart.
 """
 
 from __future__ import annotations
@@ -106,28 +107,19 @@ def match_count(
 
 
 def dispute_counts(
-    params: Params,
-    subkeys_a: tuple[int, ...],
-    subkeys_b: tuple[int, ...],
-    claim_a: Message,
-    claim_b: Message,
-    vec_a: int,
-    vec_b: int,
+    params: Params, fresh_a: int, fresh_b: int, vec_a: int, vec_b: int
 ) -> tuple[int, int, int, int]:
-    """(count_aa, count_ab, count_ba, count_bb) for dr_verdict: each claim
-    is hashed once under Alice's and Bob's subkeys together, and its 2N
-    lanes split into Alice's (the low N) and Bob's."""
-    if len(subkeys_a) != params.subkey_count or len(subkeys_b) != params.subkey_count:
-        raise ParameterError("wrong number of subkeys")
-    keys, width = [*subkeys_a, *subkeys_b], params.digest_vector_bits
-    counts = []
-    for claim in (claim_a, claim_b):
-        _check_message(params, claim)
-        fresh = hash_vector(keys, claim.value, params.data_bits, params.subkey_bits)
-        counts.append(count_matches(params, fresh & (1 << width) - 1, vec_a))
-        counts.append(count_matches(params, fresh >> width, vec_b))
-    count_aa, count_ba, count_ab, count_bb = counts
-    return count_aa, count_ab, count_ba, count_bb
+    """(count_aa, count_ab, count_ba, count_bb) for dr_verdict. fresh_x is
+    claim x's digest vector under Alice's subkeys (the low N lanes)
+    followed by Bob's, so each claim is hashed once for both counts."""
+    width = params.digest_vector_bits
+    low = (1 << width) - 1
+    return (
+        count_matches(params, fresh_a & low, vec_a),
+        count_matches(params, fresh_b & low, vec_a),
+        count_matches(params, fresh_a >> width, vec_b),
+        count_matches(params, fresh_b >> width, vec_b),
+    )
 
 
 def dr_verdict(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..au2hash import hash_vector
 from ..bits import Message, bits_to_bytes, bytes_to_bits
 from ..errors import FrameError, ParameterError, ProtocolStateError
 from ..etproto import core
@@ -364,10 +365,12 @@ class TtpRunner(_Runner):
         if phase is ET:
             return core.et_compare(p, secret.shared_indices, vec_a, vec_b)
         claim_a, claim_b = (Message(value, p.data_bits) for value in self._recorded(DR))
-        counts = core.dispute_counts(
-            p, secret.alice.subkeys, secret.bob.subkeys, claim_a, claim_b, vec_a, vec_b
+        keys = [*secret.alice.subkeys, *secret.bob.subkeys]
+        fresh_a, fresh_b = (hash_vector(keys, claim.value, p.data_bits, p.subkey_bits)
+                            for claim in (claim_a, claim_b))
+        return core.dr_verdict(
+            p, claim_a, claim_b, *core.dispute_counts(p, fresh_a, fresh_b, vec_a, vec_b)
         )
-        return core.dr_verdict(p, claim_a, claim_b, *counts)
 
     def _recorded(self, phase: Phase) -> list[int]:
         """Both parties' recorded payloads of `phase`, Alice's first."""

@@ -4,7 +4,7 @@ Counts the information actually carried per message, not wire overhead:
 an encrypted digest vector is 2nl bits, a revealed message r bits, an
 announcement 2 bits, and every authenticator n+l bits. The comparison
 phase must fit in 4(nl + 2n + 2l + 1) bits total and the dispute phase
-in 2(r + 4n + 4l + 2); the meter checks both.
+in 2(r + 4n + 4l + 2): Params.et_comm_bits and dr_comm_bits.
 """
 
 from __future__ import annotations
@@ -46,11 +46,3 @@ class TrafficMeter:
             self.dr_bits += bits
         if frame.msg_type in DR.inbound.values():
             self.claim_bits += bits - self.params.tag_bits
-
-    @property
-    def et_within_budget(self) -> bool:
-        return self.et_bits <= self.params.et_comm_bits
-
-    @property
-    def dr_within_budget(self) -> bool:
-        return self.dr_bits <= self.params.dr_comm_bits

@@ -16,9 +16,10 @@ from etdr import adversary as adv
 from etdr.au2hash import collision_bound, poly_hash
 from etdr.bits import Message
 from etdr.errors import ParameterError
-from etdr.etproto import core
+from etdr.etproto import Verdict, core, generate_keys
 from etdr.etproto.keys import deal_subkeys
 from etdr.params import derive_params, experimental_params
+from etdr.transport import run_session
 
 from oracles import CHI2_999, WILSON_Z99, _roots, difference_space_optima, difference_value
 from oracles import pack_digests, unpack_digests
@@ -202,6 +203,15 @@ def test_exhaustive_game_value_aggregates_the_per_view_optimum(params):
 def test_exact_game_value_refuses_an_empty_sample(sample):
     with pytest.raises(ParameterError):
         adv.exact_game_value(TINY, sample=sample)
+
+
+def test_sampled_game_refuses_subkeys_past_63_bits(monkeypatch):
+    # the sample is drawn as int64 subkeys; a wider field is refused
+    # before any draw, and 63 bits still plays
+    assert adv.exact_game_value(experimental_params(8, 2, 63), sample=10).views == 10
+    monkeypatch.setattr(adv.np.random, "default_rng", None)  # no draw happens
+    with pytest.raises(ParameterError, match="at most 63 bits"):
+        adv.exact_game_value(experimental_params(8, 2, 64), sample=10)
 
 
 def direct_optimum(params, keys):
@@ -419,6 +429,41 @@ def test_play_round_agrees_with_inline_rules():
         got = adv.play_round(params, world, strategy, random.Random(trial))
         want = inline_round(params, world, s, claim.value, lambda k, x: table[k][x])
         assert got == want
+
+
+@pytest.mark.parametrize("cheater", ["bob", "alice"])
+@pytest.mark.parametrize("config", [(6, 3, 2), (64, 3, 8)], ids=lambda c: "-".join(map(str, c)))
+def test_play_round_agrees_with_a_real_session(config, cheater):
+    # the game's round and a session through the shipped dealer, runners
+    # and referee agree on every deal: the cheater submits the vector of
+    # what it sends (its claim, or the honest data for copy-honest-vector)
+    # and reveals its claim, and the honest party reveals its data
+    params = experimental_params(*config)
+    r = params.data_bits
+    honest_wins = Verdict.ALICE_CORRECT if cheater == "bob" else Verdict.BOB_CORRECT
+    equal = wins = 0
+    for strategy in adv.ALL_STRATEGIES:
+        for seed in range(200):
+            secret = generate_keys(params, seed)
+            honest, cheating = (secret.alice, secret.bob)[:: 1 if cheater == "bob" else -1]
+            m_h = Message(random.Random(seed).getrandbits(r), r)
+            world = adv.World(secret.shared_indices, honest.subkeys, cheating.subkeys, m_h)
+            view = adv.CheaterView(params, m_h, cheating.subkeys)
+            _, claim = strategy.play(view, random.Random(seed))
+            sent = m_h if strategy.submits_honest_vector else claim
+            if cheater == "bob":
+                res = run_session(secret, m_h, sent, dispute=True, claim_b=claim)
+            else:
+                res = run_session(secret, sent, m_h, dispute=True, claim_a=claim)
+            assert res.clean and res.verdict_a == res.verdict_b
+            equal += res.et_outcome_a == core.ET_EQUAL
+            won = res.et_outcome_a == core.ET_EQUAL and res.verdict_a != honest_wins
+            wins += won
+            got = adv.play_round(params, world, strategy, random.Random(seed), cheater)
+            assert got == won, (strategy.name, seed)
+    # copy-honest-vector alone is announced equal every time, and the
+    # root-set strategies win some deals in both configs
+    assert equal >= 200 and wins > 0
 
 
 def test_wide_games_play_through_the_shipped_digest():

@@ -469,6 +469,18 @@ def test_attack_refuses_a_negative_sampled_seed(capsys):
     assert out == ""
     assert err.startswith("error: ") and "non-negative seed" in err
 
+def test_attack_refuses_a_sampled_game_past_63_subkey_bits(capsys):
+    code, out, err = run_cli(
+        ["attack", "--data-bits", "8", "--shared-count", "2",
+         "--subkey-bits", "64", "--trials", "10", "--strategy", "random-claim",
+         "--exact-sample", "10"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "at most 63 bits" in err
+
+
 def test_attack_plays_a_game_whose_collision_bound_passes_one(capsys):
     # 4 data bits in one-bit blocks: collision_bound is 3/2, clamped to 1
     code, out, err = run_cli(

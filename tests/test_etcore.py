@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from etdr import etproto as ep
-from etdr.au2hash import poly_hash
+from etdr.au2hash import hash_vector, poly_hash
 from etdr.bits import Message, pack_lanes, unpack_lanes
 from etdr.errors import ParameterError
 from etdr.etproto import Verdict, core
@@ -238,13 +238,11 @@ def test_verdict_validates_inputs():
         ep.dr_verdict(TINY, m_a, m_b, 7, 0, 0, 0)  # count beyond N
     with pytest.raises(ParameterError):
         ep.dr_verdict(TINY, Message(1, 5), m_b, 0, 0, 0, 0)  # short claim
-    keys, vec = (0,) * TINY.subkey_count, 0
+    width = TINY.digest_vector_bits
     with pytest.raises(ParameterError):
-        ep.dispute_counts(TINY, keys[1:], keys, m_a, m_b, vec, vec)
+        ep.dispute_counts(TINY, 0, 0, 0, 1 << width)  # submission too wide
     with pytest.raises(ParameterError):
-        ep.dispute_counts(TINY, keys, keys, Message(1, 5), m_b, vec, vec)
-    with pytest.raises(ParameterError):
-        ep.dispute_counts(TINY, keys, keys, m_a, m_b, vec, 1 << TINY.digest_vector_bits)
+        ep.dispute_counts(TINY, 1 << 2 * width, 0, 0, 0)  # fresh vector past 2N lanes
 
 
 # -------------------------------------------------- dispute end to end
@@ -259,6 +257,10 @@ def test_dispute_blames_the_liar_both_directions():
 
         va = ep.hash_vector_for(PARAMS, sec.alice.subkeys, m_true)
         vb = ep.hash_vector_for(PARAMS, sec.bob.subkeys, m_true)
+        keys = [*sec.alice.subkeys, *sec.bob.subkeys]
+
+        def fresh(claim):
+            return hash_vector(keys, claim.value, PARAMS.data_bits, PARAMS.subkey_bits)
 
         # Bob reveals a different message than the one behind his submission
         counts = (
@@ -268,10 +270,8 @@ def test_dispute_blames_the_liar_both_directions():
             ep.match_count(PARAMS, sec.bob.subkeys, m_lie, vb),
         )
         assert ep.dr_verdict(PARAMS, m_true, m_lie, *counts) == Verdict.ALICE_CORRECT
-        # the referee's count hashes each claim once under both key lists
-        assert ep.dispute_counts(
-            PARAMS, sec.alice.subkeys, sec.bob.subkeys, m_true, m_lie, va, vb
-        ) == counts
+        # the referee hashes each claim once under both key lists
+        assert ep.dispute_counts(PARAMS, fresh(m_true), fresh(m_lie), va, vb) == counts
 
         # same session, roles swapped
         counts = (
@@ -281,6 +281,4 @@ def test_dispute_blames_the_liar_both_directions():
             ep.match_count(PARAMS, sec.bob.subkeys, m_true, vb),
         )
         assert ep.dr_verdict(PARAMS, m_lie, m_true, *counts) == Verdict.BOB_CORRECT
-        assert ep.dispute_counts(
-            PARAMS, sec.alice.subkeys, sec.bob.subkeys, m_lie, m_true, va, vb
-        ) == counts
+        assert ep.dispute_counts(PARAMS, fresh(m_lie), fresh(m_true), va, vb) == counts

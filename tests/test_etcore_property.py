@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from etdr.au2hash import poly_hash  # noqa: E402
+from etdr.au2hash import hash_vector, poly_hash  # noqa: E402
 from etdr.bits import Message  # noqa: E402
 from etdr.etproto import core  # noqa: E402
 from etdr.params import experimental_params  # noqa: E402
@@ -81,7 +81,7 @@ def test_dispute_counts_split_alice_and_bob_lanes(l, data):
             (subkeys_b, vec_b, claims[1]),
         )
     )
-    got = core.dispute_counts(
-        params, subkeys_a, subkeys_b, *claims, pack_digests(vec_a, l), pack_digests(vec_b, l)
-    )
+    # each claim hashed once under Alice's subkeys followed by Bob's
+    fresh = [hash_vector([*subkeys_a, *subkeys_b], claim.value, r, l) for claim in claims]
+    got = core.dispute_counts(params, *fresh, pack_digests(vec_a, l), pack_digests(vec_b, l))
     assert got == want

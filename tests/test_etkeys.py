@@ -196,6 +196,15 @@ def test_party_keys_reject_subkeys_outside_the_field():
     dataclasses.replace(alice, subkeys=(0, q - 1) + alice.subkeys[2:])
 
 
+def test_party_keys_reject_a_wrong_number_of_subkeys():
+    # the referee hashes a claim under both parties' subkeys at once, so
+    # the count is checked where the keys are built
+    alice = K.generate_keys(TINY, seed=3).alice
+    for keys in (alice.subkeys[1:], alice.subkeys + (0,)):
+        with pytest.raises(KeyMaterialError, match="wrong number of hash subkeys"):
+            dataclasses.replace(alice, subkeys=keys)
+
+
 def test_file_size_matches_accounting(tmp_path):
     sec = K.generate_keys(PARAMS, seed=4)
     K.save_keys(tmp_path / "a.key", sec.alice)
