@@ -42,16 +42,16 @@ the difference whose blocks are the coefficients of the product of
 often, which no nonzero difference covers more of. So every strategy
 plays at any size.
 
-One cached table per (data bits, subkey bits), of at most 2^16 entries,
-holds the digest of every message under every key, filled by the same
-linearity: doubling over the bit basis. The game reads each digest
-vector from it. Up to 5 subkey bits the read is one bytes.translate of
-the subkeys through the message's row, parsed as base-2^l digits by
-int(), so no lane passes through the interpreter. Wider games hash each
-vector through the shipped digest. Either way a round runs through the
-shipped dealer and comparison, and rules as the referee does: each claim
-is read once under Alice's subkeys followed by Bob's, and
-dr_verdict(*core.dispute_counts(...)) decides.
+Up to 5 subkey bits and 2^16 entries, the game reads each digest vector
+from one cached row per message: the shipped hash_vector under every
+key, filled by the same linearity, doubling over the bit basis. A read
+is one bytes.translate of the subkeys through the message's row, parsed
+as base-2^l digits by int(), so no lane passes through the interpreter.
+Wider games call hash_vector for each vector. Either way a round runs
+through the shipped digest, dealer and comparison, and rules as the
+referee does: each claim is read once under Alice's subkeys followed by
+Bob's, and dr_verdict(*core.dispute_counts(...)) decides. Only the
+sampled exact game imports numpy.
 
 A trial costs little more than its seeded generator. play_game reseeds
 one random.Random per trial, which leaves it in the state that
@@ -71,10 +71,8 @@ from functools import lru_cache
 from math import comb, factorial, perm
 from typing import NamedTuple
 
-import numpy as np
-
-from .au2hash import collision_bound, hash_vector, poly_hash
-from .bits import Message, pack_lanes
+from .au2hash import collision_bound, hash_vector
+from .bits import Message, pack_lanes, unpack_lanes
 from .bounds import attack_rows, attack_success_bound
 from .errors import ParameterError
 from .etproto import core
@@ -90,8 +88,8 @@ _VIEW_CHUNK = 1024
 # values the exact game keeps
 _VIEW_CACHE = 4096
 # The game reads its digest vectors from a (messages x keys) table of at
-# most 2^16 entries, which covers every tiny game; wider games, which only
-# `etdr attack` with chosen widths plays, hash each vector.
+# most 2^16 entries and 5-bit keys, which covers every tiny game; wider
+# games, which only `etdr attack` with chosen widths plays, hash each vector.
 _GAME_TABLE_MAX_BITS = 16
 # Profiles the exhaustive exact game may walk: the paper's corner,
 # (256, 2^-4), has 147,273 and took 6-10 s (2-CPU host). Above the cap the
@@ -130,23 +128,6 @@ class CheaterView(NamedTuple):
 # ------------------------------------------------------- digest vectors
 
 
-@lru_cache(maxsize=16)
-def _digest_table(data_bits: int, subkey_bits: int):
-    """digests[m, k]: the digest of message m under key k, for every
-    message and every key; only _digest_rows builds it, within its cap."""
-    n_keys = 1 << subkey_bits
-    digests = np.zeros(
-        (1 << data_bits, n_keys), dtype=np.min_scalar_type(n_keys - 1)
-    )
-    # digests are GF(2)-linear in the message, so doubling over the bit
-    # basis fills the whole message space
-    for bit in range(data_bits):
-        step = 1 << bit
-        basis = [poly_hash(k, step, data_bits, subkey_bits) for k in range(n_keys)]
-        digests[step : 2 * step] = digests[:step] ^ np.array(basis, digests.dtype)
-    return digests
-
-
 # read(subkeys, message): the packed digest vector of message under subkeys
 _VectorReader = Callable[[tuple[int, ...], Message], int]
 
@@ -154,23 +135,25 @@ _VectorReader = Callable[[tuple[int, ...], Message], int]
 @lru_cache(maxsize=16)
 def _digest_rows(data_bits: int, subkey_bits: int) -> _VectorReader | None:
     """read(subkeys, message), the packed digest vector of `message` under
-    `subkeys` from the rows of _digest_table; None above
+    `subkeys` from one row per message; None above 5 subkey bits or
     2^_GAME_TABLE_MAX_BITS entries.
 
-    Up to 5 subkey bits, row m is a bytes.translate table that maps a key to
-    the digit of its digest in base 2^l, so a vector is the subkeys' bytes,
-    last lane first, translated and parsed by int() in C. Wider lanes pack
-    the row's digests with pack_lanes (one int.from_bytes at 8 bits)."""
-    if data_bits + subkey_bits > _GAME_TABLE_MAX_BITS:
+    Row m is a bytes.translate table that maps a key to the digit, in base
+    2^l, of m's digest under it, so a vector is the subkeys' bytes, last
+    lane first, translated and parsed by int() in C."""
+    if subkey_bits > 5 or data_bits + subkey_bits > _GAME_TABLE_MAX_BITS:
         return None
-    table = _digest_table(data_bits, subkey_bits)
-    if subkey_bits > 5:
-        rows = table.tolist()
-        return lambda subkeys, message: pack_lanes(
-            [rows[message.value][k] for k in subkeys], subkey_bits)
-    digits = np.frombuffer(b"0123456789abcdefghijklmnopqrstuv", np.uint8)
-    pad = bytes(256 - table.shape[1])  # keys stop at 2^l
-    rows = [digits[row].tobytes() + pad for row in table]
+    keys = list(range(1 << subkey_bits))
+    # the shipped digest under every key is GF(2)-linear in the message, so
+    # doubling over the bit basis fills the whole message space
+    vectors = [0]
+    for bit in range(data_bits):
+        basis = hash_vector(keys, 1 << bit, data_bits, subkey_bits)
+        vectors += [vector ^ basis for vector in vectors]
+    digits = b"0123456789abcdefghijklmnopqrstuv".ljust(256, b"\0")
+    pad = bytes(256 - len(keys))  # keys stop at 2^l
+    rows = [bytes(unpack_lanes(vector, subkey_bits, len(keys))).translate(digits) + pad
+            for vector in vectors]
     base = 1 << subkey_bits
     return lambda subkeys, message: int(
         bytes(subkeys[::-1]).translate(rows[message.value]), base)
@@ -341,6 +324,8 @@ def _exhaustive_profiles(params: Params):
 def _sampled_profiles(params: Params, sample: int, seed: int):
     """(profile, views) over `sample` seeded draws, made _VIEW_CHUNK rows at
     a time: each chunk's distinct profiles, with how often each was drawn."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     big_n = params.subkey_count
     # a view's code counts its runs of m equal subkeys in digit m - 1 of

@@ -15,8 +15,8 @@ that count divided by 2^l as an exact Fraction.
 The digest is linear in the message over GF(2), so collision statistics
 depend only on the XOR difference of a message pair; tests rely on this.
 
-poly_hash, the digest under one key (the MAC's hash, the game's digest
-table), runs Horner with one of three kernels, by degree alone:
+poly_hash, the digest under one key (the MAC's hash), runs Horner with
+one of three kernels, by degree alone:
 
   * degrees up to 16: GF2.fixed_mul's log tables;
   * degrees 17 to 255: bit-spread products (_spread_hash). Each operand
@@ -36,10 +36,10 @@ lanes), and it takes one of four paths by input size:
   * keys x blocks below _LIST_PATH_MAX_WORK, or degrees above 27:
     VectorHasher, poly_hash's Horner loop once per key. Below the cutoff
     the other paths' fixed cost per call outweighs their speed; sessions
-    with experimental sizes over a few bytes and `etdr attack` games too
-    wide for the game's digest table land there. No session goes above
-    degree 27, because key dealing caps r at 2^27; only `etdr attack`
-    with chosen widths does;
+    with experimental sizes over a few bytes, the rows of the game's
+    digest table and most `etdr attack` games too wide for it land there.
+    No session goes above degree 27, because key dealing caps r at 2^27;
+    only `etdr attack` with chosen widths does;
   * degrees up to 8 with r <= 2^l, every derived session with l <= 8
     (r = 256, the paper's corner): one table per degree, built once a
     process, holds the digests under all 2^l keys of each nibble value

@@ -74,6 +74,3 @@ class Message:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Message":
         return cls(bytes_to_bits(data), 8 * len(data))
-
-    def to_bytes(self) -> bytes:
-        return bits_to_bytes(self.value, self.bit_len)

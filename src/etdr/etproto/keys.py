@@ -182,15 +182,17 @@ def generate_keys(params: Params, seed: int | None = None) -> TtpSecret:
     """Draw a full key set; a fixed seed reproduces the set bit for bit.
     Parameters whose frames would not fit on the wire are refused before
     any key is drawn."""
-    from ..transport.frames import MAX_PAYLOAD_BYTES  # transport imports this module
+    # transport imports this module
+    from ..transport.frames import MAX_PAYLOAD_BYTES, MAX_TAG_BYTES
 
     # the widest payloads: a dispute claim and an encrypted digest vector
     payload_bytes = (max(params.data_bits, params.digest_vector_bits) + 7) // 8
-    if payload_bytes > MAX_PAYLOAD_BYTES:
-        raise ParameterError(
-            f"a {payload_bytes}-byte frame payload exceeds the wire limit "
-            f"of {MAX_PAYLOAD_BYTES} bytes"
-        )
+    tag_bytes = (params.tag_bits + 7) // 8
+    for part, size, limit in (("frame payload", payload_bytes, MAX_PAYLOAD_BYTES),
+                              ("tag", tag_bytes, MAX_TAG_BYTES)):
+        if size > limit:
+            raise ParameterError(
+                f"a {size}-byte {part} exceeds the wire limit of {limit} bytes")
     rng = random.Random(seed) if seed is not None else secrets.SystemRandom()
 
     session_id = rng.getrandbits(8 * SESSION_ID_BYTES).to_bytes(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..errors import ProtocolStateError
 from ..params import Params
-from .frames import DR, ET, PHASE_OF, Frame, MsgType
+from .frames import ET, PHASE_OF, Frame, MsgType
 
 ANNOUNCE_BITS = 2
 
@@ -34,7 +34,6 @@ class TrafficMeter:
     params: Params
     et_bits: int = 0
     dr_bits: int = 0
-    claim_bits: int = 0
 
     def note(self, frame: Frame) -> None:
         if frame.msg_type == MsgType.ERROR:
@@ -44,5 +43,3 @@ class TrafficMeter:
             self.et_bits += bits
         else:
             self.dr_bits += bits
-        if frame.msg_type in DR.inbound.values():
-            self.claim_bits += bits - self.params.tag_bits

@@ -167,6 +167,18 @@ def test_keygen_refuses_overwrite(tmp_path, capsys):
     assert run_cli(args + ["--force"], capsys)[0] == 0
 
 
+def test_keygen_refuses_a_tag_over_the_wire_limit(tmp_path, capsys):
+    # 2^-165 at r = 256 needs 515-bit tags; frames carry at most 64 bytes
+    code, _, err = run_cli(
+        ["keygen", "--data-bits", "256", "--epsilon", "2^-165",
+         "--out", str(tmp_path / "k")],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "tag" in err
+    assert not list(tmp_path.rglob("*.key"))
+
+
 # -------------------------------------------- in-process carrier (demo)
 
 
@@ -803,3 +815,26 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "selftest passed" in out
     assert out.count("ok: ") == 9
+
+
+def test_selftest_and_small_games_import_no_numpy():
+    # numpy serves only sampled exact games and digest vectors too large
+    # for the list path; the self-test and a tabulated game use neither
+    script = (
+        "import sys\n"
+        "from etdr.cli import main\n"
+        "from etdr.adversary import BestCollide, exact_game_value, play_game\n"
+        "from etdr.params import experimental_params\n"
+        "assert main(['selftest']) == 0\n"
+        "params = experimental_params(6, 3, 2)\n"
+        "play_game(params, BestCollide(), 200)\n"
+        "print('numpy' in sys.modules)\n"
+        "exact_game_value(params, sample=100, seed=1)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["False", "True"]

@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from etdr.bits import Message
 from etdr.errors import KeyMaterialError, ParameterError
 from etdr.etproto import keys as K
 from etdr.params import derive_params, experimental_params
+from etdr.transport import run_session
 
 from oracles import CHI2_999, deal_subkeys_oracle
 
@@ -84,6 +86,16 @@ def test_keygen_refuses_frames_over_the_wire_limit():
         K.generate_keys(derive_params(2**27 + 8, Fraction(1, 16)), seed=1)
     # the calculator's domain is unchanged
     assert derive_params(2**50, Fraction(1, 10**12)).subkey_bits == 50
+
+
+def test_keygen_refuses_tags_over_the_wire_limit():
+    # frames cap tags at 64 bytes: at r = 256 a tag of 2^-164 is 512 bits,
+    # and one of 2^-165 is 515, so those keys could run no session
+    sec = K.generate_keys(derive_params(256, Fraction(1, 2**164)), seed=1)
+    assert sec.params.tag_bits == 512
+    assert run_session(sec, Message(1, 256), Message(2, 256), dispute=True).clean
+    with pytest.raises(ParameterError, match="65-byte tag"):
+        K.generate_keys(derive_params(256, Fraction(1, 2**165)), seed=1)
 
 
 def test_material_widths():

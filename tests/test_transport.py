@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from etdr.bits import Message
+from etdr.bits import Message, bits_to_bytes
 from etdr.errors import FrameError, ProtocolStateError
 from etdr.etproto import ET_DISTINCT, ET_EQUAL, Verdict, generate_keys
 from etdr.etproto.keys import ROLE_ALICE, ROLE_BOB, ROLE_TTP, MacMaterial
@@ -93,7 +93,6 @@ def test_traffic_measured_totals():
     meter = res.meter
     assert meter.et_bits == 4 * n * l + 4 * (n + l) + 4
     assert meter.dr_bits == 2 * r + 4 * (n + l) + 4
-    assert meter.claim_bits == 2 * r
     assert meter.et_bits <= PARAMS.et_comm_bits
     assert meter.dr_bits <= PARAMS.dr_comm_bits
 
@@ -108,7 +107,8 @@ def test_traffic_budgets_hold_on_second_parameter_set():
     assert res.clean
     assert res.meter.et_bits <= params.et_comm_bits
     assert res.meter.dr_bits <= params.dr_comm_bits
-    assert res.meter.claim_bits == 2 * 1024
+    n, l = params.shared_count, params.subkey_bits
+    assert res.meter.dr_bits == 2 * 1024 + 4 * (n + l) + 4
 
 
 def seeded_transcript_digest():
@@ -405,7 +405,7 @@ def test_premature_claim_freezes_session():
     bob = PartyRunner(sec.bob, m)
     net = MemoryNetwork(ttp, alice, bob)
     # correctly authenticated claim, but the comparison never ran
-    payload = m.to_bytes()
+    payload = bits_to_bytes(m.value, m.bit_len)
     claim = _sign(
         Frame(MsgType.DR_CLAIM_A, sec.session_id, payload, b""),
         sec.alice.mac.dr_hash_key,
