@@ -49,14 +49,15 @@ is one bytes.translate of the subkeys through the message's row, parsed
 as base-2^l digits by int(), so no lane passes through the interpreter.
 Wider games call hash_vector for each vector. Either way a round runs
 through the shipped digest, dealer and comparison, and rules as the
-referee does: each claim is read once under Alice's subkeys followed by
-Bob's, and dr_verdict(*core.dispute_counts(...)) decides. Only the
-sampled exact game imports numpy.
+referee does: core.dr_verdict decides, reading each claim under its own
+party's subkeys and the claims' difference under both only when both
+parties reproduce their submissions. Only the sampled exact game imports
+numpy.
 
 A trial costs little more than its seeded generator. play_game reseeds
-one random.Random per trial, which leaves it in the state that
-random.Random((seed << 48) + t) starts in, and World and CheaterView are
-named tuples.
+one random.Random per trial through the C base's seed, which leaves it in
+the state that random.Random((seed << 48) + t) starts in, and World and
+CheaterView are named tuples.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -128,12 +128,8 @@ class CheaterView(NamedTuple):
 # ------------------------------------------------------- digest vectors
 
 
-# read(subkeys, message): the packed digest vector of message under subkeys
-_VectorReader = Callable[[tuple[int, ...], Message], int]
-
-
 @lru_cache(maxsize=16)
-def _digest_rows(data_bits: int, subkey_bits: int) -> _VectorReader | None:
+def _digest_rows(data_bits: int, subkey_bits: int) -> core.VectorReader | None:
     """read(subkeys, message), the packed digest vector of `message` under
     `subkeys` from one row per message; None above 5 subkey bits or
     2^_GAME_TABLE_MAX_BITS entries.
@@ -159,7 +155,7 @@ def _digest_rows(data_bits: int, subkey_bits: int) -> _VectorReader | None:
         bytes(subkeys[::-1]).translate(rows[message.value]), base)
 
 
-def _vector_reader(params: Params) -> _VectorReader:
+def _vector_reader(params: Params) -> core.VectorReader:
     """read(subkeys, message), the packed digest vector of `message` under
     `subkeys`: from the game's table, or the shipped digest for games too
     wide to tabulate."""
@@ -555,11 +551,7 @@ def play_round(
     cheating = (world.cheater_subkeys, claim, submitted)
     (keys_a, claim_a, vec_a), (keys_b, claim_b, vec_b) = (
         (honest, cheating) if cheater == "bob" else (cheating, honest))
-    keys = keys_a + keys_b
-    fresh_a, fresh_b = vector(keys, claim_a), vector(keys, claim_b)
-    verdict = core.dr_verdict(
-        params, claim_a, claim_b, *core.dispute_counts(params, fresh_a, fresh_b, vec_a, vec_b)
-    )
+    verdict = core.dr_verdict(params, claim_a, claim_b, vec_a, vec_b, keys_a, keys_b, vector)
     honest_wins = core.Verdict.ALICE_CORRECT if cheater == "bob" else core.Verdict.BOB_CORRECT
     return verdict != honest_wins
 
@@ -622,7 +614,9 @@ def play_game(
     wins = 0
     rng = random.Random()
     for t in range(trials):
-        rng.seed((seed << 48) + t)  # the state random.Random(that seed) starts in
+        # the C seed skips random.Random.seed's type checks; the generator
+        # never draws a gauss, so its state is random.Random(that seed)'s
+        super(random.Random, rng).seed((seed << 48) + t)
         win = play_round(params, draw_world(params, rng), strategy, rng, cheater)
         wins += win
         digest.update(b"\x01" if win else b"\x00")

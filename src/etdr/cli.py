@@ -172,7 +172,6 @@ def cmd_keygen(args) -> int:
 
     params = _params_from_args(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.key" for name in ("ttp", "alice", "bob")}
     if not args.force:
         for path in paths.values():
@@ -180,7 +179,8 @@ def cmd_keygen(args) -> int:
                 raise KeyMaterialError(
                     f"{path} exists; --force to overwrite (keys are single-use)"
                 )
-    secret = generate_keys(params, seed=args.seed)
+    secret = generate_keys(params, seed=args.seed)  # refuses oversized frames first
+    out.mkdir(parents=True, exist_ok=True)
     save_keys(paths["ttp"], secret)
     save_keys(paths["alice"], secret.alice)
     save_keys(paths["bob"], secret.bob)

@@ -12,7 +12,6 @@ from .core import (
     Verdict,
     count_matches,
     decrypt_vector,
-    dispute_counts,
     dr_verdict,
     encrypt_vector,
     et_compare,
@@ -48,7 +47,6 @@ __all__ = [
     "Verdict",
     "count_matches",
     "decrypt_vector",
-    "dispute_counts",
     "dr_verdict",
     "encrypt_vector",
     "et_compare",

@@ -5,24 +5,31 @@ digest j at bits [j*l, (j+1)*l) (bits.pack_lanes), and each check on it
 is integer arithmetic: an XOR with the pad, a mask, a zero-lane count.
 
 Nothing here touches the wire or any state. The referee and the
-adversarial game both rule on a dispute through
-dr_verdict(*dispute_counts(...)), each reading its digest vectors its own
-way, so the two rulings cannot drift apart.
+adversarial game both rule on a dispute through dr_verdict, each passing
+its own reader of digest vectors, so the two rulings cannot drift apart.
+The ruling reads each claim under its own party's subkeys first, and the
+claims' difference under both parties' only when both reproduce their
+submissions: a dispute usually means one party changed its data.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import IntEnum
 from functools import lru_cache
 
 from ..bits import Message
 from ..au2hash import hash_vector
-from ..errors import ParameterError, ProtocolStateError
+from ..errors import ParameterError
 from ..params import Params
 
 # announce codes, 2 semantic bits each
 ET_EQUAL = 0
 ET_DISTINCT = 1
+
+
+# read(subkeys, message): the packed digest vector of message under subkeys
+VectorReader = Callable[[tuple[int, ...], Message], int]
 
 
 class Verdict(IntEnum):
@@ -106,56 +113,54 @@ def match_count(
     return count_matches(params, hash_vector_for(params, subkeys, message), submitted_vec)
 
 
-def dispute_counts(
-    params: Params, fresh_a: int, fresh_b: int, vec_a: int, vec_b: int
-) -> tuple[int, int, int, int]:
-    """(count_aa, count_ab, count_ba, count_bb) for dr_verdict. fresh_x is
-    claim x's digest vector under Alice's subkeys (the low N lanes)
-    followed by Bob's, so each claim is hashed once for both counts."""
-    width = params.digest_vector_bits
-    low = (1 << width) - 1
-    return (
-        count_matches(params, fresh_a & low, vec_a),
-        count_matches(params, fresh_b & low, vec_a),
-        count_matches(params, fresh_a >> width, vec_b),
-        count_matches(params, fresh_b >> width, vec_b),
-    )
-
-
 def dr_verdict(
     params: Params,
     claim_a: Message,
     claim_b: Message,
-    count_aa: int,
-    count_ab: int,
-    count_ba: int,
-    count_bb: int,
+    vec_a: int,
+    vec_b: int,
+    subkeys_a: tuple[int, ...],
+    subkeys_b: tuple[int, ...],
+    read: VectorReader,
 ) -> Verdict:
-    """Rule on a dispute from the four digest match counts.
+    """Rule on a dispute from both claims and both submitted vectors.
 
-    count_xy = how many of party x's submitted digests match party y's
-    revealed data under x's subkeys. A party whose own data reproduces its
-    entire submission (count_xx == N) wins if the other side corroborates
-    its data more than its own (count cross-comparison), or if the other
-    side's own submission does not survive its own revealed data.
+    read(subkeys, message) is the packed digest vector of `message` under
+    `subkeys`. count_xy = how many of party x's submitted digests match
+    party y's claim under x's subkeys. A party whose own claim reproduces
+    its entire submission (count_xx == N) wins if the other's does not, or
+    if both do and the other side corroborates its claim more than the
+    other's own (count cross-comparison).
+
+    The reads follow the rule. Equal claims read nothing; then each claim
+    is read under its own party's N subkeys. Only when both parties
+    reproduce their submissions, so that vec_x is claim x's digest vector,
+    is the claims' XOR difference read, once under both key lists: the
+    digest is GF(2)-linear, so count_xy is the zero lanes of x's half.
     """
     _check_message(params, claim_a)
     _check_message(params, claim_b)
     big_n = params.subkey_count
-    for c in (count_aa, count_ab, count_ba, count_bb):
-        if not 0 <= c <= big_n:
-            raise ParameterError("match count out of range")
+    if len(subkeys_a) != big_n or len(subkeys_b) != big_n:
+        raise ParameterError("wrong number of subkeys")
+    _check_width(params, vec_a | vec_b)
 
     if claim_a.value == claim_b.value:
         return Verdict.BOTH_CONSISTENT
 
-    a_wins = count_aa == big_n and (count_ba > count_ab or count_bb < big_n)
-    b_wins = count_bb == big_n and (count_ab > count_ba or count_aa < big_n)
-    if a_wins and b_wins:
-        # impossible by case analysis; a hit means corrupted state
-        raise ProtocolStateError("dispute rules fired for both parties")
-    if a_wins:
+    a_reproduces = count_matches(params, read(subkeys_a, claim_a), vec_a) == big_n
+    b_reproduces = count_matches(params, read(subkeys_b, claim_b), vec_b) == big_n
+    if a_reproduces != b_reproduces:
+        return Verdict.ALICE_CORRECT if a_reproduces else Verdict.BOB_CORRECT
+    if not a_reproduces:
+        return Verdict.UNDECIDABLE
+    difference = Message(claim_a.value ^ claim_b.value, params.data_bits)
+    cross = read((*subkeys_a, *subkeys_b), difference)
+    width = params.digest_vector_bits
+    count_ab = count_matches(params, cross & (1 << width) - 1, 0)
+    count_ba = count_matches(params, cross >> width, 0)
+    if count_ba > count_ab:
         return Verdict.ALICE_CORRECT
-    if b_wins:
+    if count_ab > count_ba:
         return Verdict.BOB_CORRECT
     return Verdict.UNDECIDABLE

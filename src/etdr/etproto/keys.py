@@ -39,6 +39,7 @@ dealer file's overlap is one struct call each way.
 
 from __future__ import annotations
 
+import os
 import random
 import secrets
 import struct
@@ -308,6 +309,9 @@ def _decode_party_body(
 
 
 def save_keys(path: str | Path, material: PartyKeys | TtpSecret) -> None:
+    """Write the key file readable by its owner alone: it holds one-time
+    pads and MAC keys. An old file is removed, not truncated, so the new
+    one is created with mode 0o600 whatever the old one's mode was."""
     if isinstance(material, PartyKeys):
         role = material.role
         body = _encode_party_body(material)
@@ -327,7 +331,10 @@ def save_keys(path: str | Path, material: PartyKeys | TtpSecret) -> None:
         + _encode_params(params, session_id)
         + body
     )
-    Path(path).write_bytes(blob)
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), "wb") as f:
+        f.write(blob)
 
 
 def load_keys(path: str | Path) -> PartyKeys | TtpSecret:

@@ -365,11 +365,9 @@ class TtpRunner(_Runner):
         if phase is ET:
             return core.et_compare(p, secret.shared_indices, vec_a, vec_b)
         claim_a, claim_b = (Message(value, p.data_bits) for value in self._recorded(DR))
-        keys = [*secret.alice.subkeys, *secret.bob.subkeys]
-        fresh_a, fresh_b = (hash_vector(keys, claim.value, p.data_bits, p.subkey_bits)
-                            for claim in (claim_a, claim_b))
         return core.dr_verdict(
-            p, claim_a, claim_b, *core.dispute_counts(p, fresh_a, fresh_b, vec_a, vec_b)
+            p, claim_a, claim_b, vec_a, vec_b, secret.alice.subkeys, secret.bob.subkeys,
+            lambda keys, claim: hash_vector(keys, claim.value, p.data_bits, p.subkey_bits),
         )
 
     def _recorded(self, phase: Phase) -> list[int]:

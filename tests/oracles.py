@@ -9,6 +9,7 @@ import numpy as np
 
 from etdr.bounds import _check_counts, _check_prob, attack_rows
 from etdr.errors import ParameterError
+from etdr.etproto.core import Verdict
 from etdr.gf2field import reduction_poly
 from etdr.transport.frames import Frame
 from etdr.transport.runners import _sign
@@ -278,6 +279,24 @@ def count_matches_oracle(fresh, submitted):
 def et_compare_oracle(shared_indices, vec_a, vec_b):
     """Whether two digest lists agree on every overlap position."""
     return all(vec_a[j] == vec_b[j] for j in shared_indices)
+
+
+def dr_verdict_oracle(claim_a, claim_b, big_n, count_aa, count_ab, count_ba, count_bb):
+    """The dispute rule on all four match counts, each read in full.
+    count_xy = how many of party x's submitted digests match party y's
+    claim under x's subkeys. A party whose own claim reproduces its whole
+    submission wins if the other side corroborates its claim more than the
+    other's own, or if the other's own submission fails its own claim."""
+    if claim_a == claim_b:
+        return Verdict.BOTH_CONSISTENT
+    a_wins = count_aa == big_n and (count_ba > count_ab or count_bb < big_n)
+    b_wins = count_bb == big_n and (count_ab > count_ba or count_aa < big_n)
+    assert not (a_wins and b_wins)
+    if a_wins:
+        return Verdict.ALICE_CORRECT
+    if b_wins:
+        return Verdict.BOB_CORRECT
+    return Verdict.UNDECIDABLE
 
 
 # --------------------------------------------------- the exact game

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from etdr import adversary as adv
-from etdr.au2hash import collision_bound, poly_hash
+from etdr.au2hash import collision_bound, hash_vector, poly_hash
 from etdr.bits import Message
 from etdr.errors import ParameterError
 from etdr.etproto import Verdict, core, generate_keys
@@ -538,7 +538,10 @@ def test_root_set_claims_play_as_predicted_at_the_corner(epsilon):
             want = (core.Verdict.ALICE_CORRECT if len(t_set) > honest_roots
                     else core.Verdict.BOB_CORRECT if honest_roots > len(t_set)
                     else core.Verdict.UNDECIDABLE)
-            assert core.dr_verdict(params, m_h, claim, *counts) == want
+            verdict = core.dr_verdict(
+                params, m_h, claim, honest_vec, submitted, honest, cheater,
+                lambda keys, m: hash_vector(keys, m.value, params.data_bits, l))
+            assert verdict == want
 
 
 @lru_cache(maxsize=None)
@@ -625,6 +628,22 @@ def test_play_game_plays_trial_t_with_a_fresh_generator(strategy, cheater):
         digest.update(b"\x01" if win else b"\x00")
     g = adv.play_game(params, strategy, trials, seed=seed, cheater=cheater)
     assert (g.trials, g.wins, g.outcome_digest) == (trials, wins, digest.hexdigest())
+
+
+def test_play_game_starts_trial_t_in_its_generators_state(monkeypatch):
+    # play_game reseeds one generator through the C base's seed, which
+    # must leave the whole state, gauss_next included, as
+    # random.Random((seed << 48) + t) starts
+    params, seed, states = experimental_params(6, 3, 2), 7, []
+    draw_world = adv.draw_world
+
+    def spy(params, rng):
+        states.append(rng.getstate())
+        return draw_world(params, rng)
+
+    monkeypatch.setattr(adv, "draw_world", spy)
+    adv.play_game(params, adv.RandomClaim(), 6, seed=seed)
+    assert states == [random.Random((seed << 48) + t).getstate() for t in range(6)]
 
 
 def test_play_game_reproducible():

@@ -7,6 +7,7 @@ import io
 import os
 import re
 import socket
+import stat
 import subprocess
 import sys
 import threading
@@ -167,6 +168,23 @@ def test_keygen_refuses_overwrite(tmp_path, capsys):
     assert run_cli(args + ["--force"], capsys)[0] == 0
 
 
+def test_keygen_writes_files_only_their_owner_reads(tmp_path, capsys):
+    # key files hold one-time pads and MAC keys; a forced overwrite
+    # replaces a world-readable file with an owner-only one, same bytes
+    args = ["keygen", "--data-bits", "256", "--epsilon", "1/16",
+            "--out", str(tmp_path), "--seed", "7"]
+    assert run_cli(args, capsys)[0] == 0
+    paths = sorted(tmp_path.glob("*.key"))
+    assert len(paths) == 3
+    assert [stat.S_IMODE(path.stat().st_mode) for path in paths] == [0o600] * 3
+    written = [path.read_bytes() for path in paths]
+    for path in paths:
+        path.chmod(0o644)
+    assert run_cli(args + ["--force"], capsys)[0] == 0
+    assert [stat.S_IMODE(path.stat().st_mode) for path in paths] == [0o600] * 3
+    assert [path.read_bytes() for path in paths] == written
+
+
 def test_keygen_refuses_a_tag_over_the_wire_limit(tmp_path, capsys):
     # 2^-165 at r = 256 needs 515-bit tags; frames carry at most 64 bytes
     code, _, err = run_cli(
@@ -176,7 +194,7 @@ def test_keygen_refuses_a_tag_over_the_wire_limit(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("error: ") and "tag" in err
-    assert not list(tmp_path.rglob("*.key"))
+    assert not (tmp_path / "k").exists()  # refused before the directory is made
 
 
 # -------------------------------------------- in-process carrier (demo)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,7 @@ from etdr.bits import Message, pack_lanes, unpack_lanes
 from etdr.errors import ParameterError
 from etdr.etproto import Verdict, core
 from etdr.params import derive_params, experimental_params
-from oracles import pack_digests, unpack_digests
+from oracles import count_matches_oracle, dr_verdict_oracle, pack_digests, unpack_digests
 
 PARAMS = derive_params(256, Fraction(1, 16))
 TINY = experimental_params(data_bits=6, shared_count=3, subkey_bits=3)
@@ -188,61 +189,127 @@ def test_match_count_sees_single_flip():
 # ------------------------------------------------------------ verdicts
 
 
+def tiny_read(keys, claim):
+    return hash_vector(keys, claim.value, TINY.data_bits, TINY.subkey_bits)
+
+
+def no_read(keys, claim):
+    raise AssertionError("equal claims read no digest vector")
+
+
+def tiny_dispute(count_aa, count_ab, count_ba, count_bb):
+    """(claim_a, claim_b, vec_a, vec_b, subkeys_a, subkeys_b) at TINY with
+    exactly these match counts; count_xy = how many of party x's
+    submitted digests match party y's claim under x's subkeys.
+
+    Under a root of the claims' difference both claims hash alike, so a
+    lane there counts for both claims; under any other key a lane counts
+    for one claim, the other, or neither. Each party holds
+    max(0, own + cross - N) root subkeys and the rest one non-root."""
+    r, l, big_n = TINY.data_bits, TINY.subkey_bits, TINY.subkey_count
+    claim_a, claim_b = Message(5, r), Message(5 ^ 0b001010, r)
+    difference = claim_a.value ^ claim_b.value
+    root = next(k for k in range(1 << l) if poly_hash(k, difference, r, l) == 0)
+    other = next(k for k in range(1 << l) if poly_hash(k, difference, r, l) != 0)
+
+    def party(own_claim, cross_claim, own, cross):
+        both = max(0, own + cross - big_n)
+        keys = (root,) * both + (other,) * (big_n - both)
+        lanes = []
+        for j, k in enumerate(keys):
+            mine, theirs = (poly_hash(k, c.value, r, l) for c in (own_claim, cross_claim))
+            neither = min(set(range(1 << l)) - {mine, theirs})
+            lanes.append(mine if j < own else theirs if j < own + cross - both else neither)
+        return keys, pack_digests(lanes, l)
+
+    keys_a, vec_a = party(claim_a, claim_b, count_aa, count_ab)
+    keys_b, vec_b = party(claim_b, claim_a, count_bb, count_ba)
+    return claim_a, claim_b, vec_a, vec_b, keys_a, keys_b
+
+
 def test_verdict_equal_claims_win_first():
-    m = Message(5, TINY.data_bits)
-    assert (
-        ep.dr_verdict(TINY, m, m, 0, 0, 0, 0) == Verdict.BOTH_CONSISTENT
-    )
-    # the equal-claims rule fires before any count comparison
-    assert (
-        ep.dr_verdict(TINY, m, m, 6, 6, 6, 6) == Verdict.BOTH_CONSISTENT
-    )
+    big_n = TINY.subkey_count
+    # the equal-claims rule fires before any digest is read
+    for counts in ((0, 0, 0, 0), (big_n,) * 4):
+        claim_a, _, vec_a, vec_b, keys_a, keys_b = tiny_dispute(*counts)
+        assert (
+            ep.dr_verdict(TINY, claim_a, claim_a, vec_a, vec_b, keys_a, keys_b, no_read)
+            == Verdict.BOTH_CONSISTENT
+        )
 
 
 def test_verdict_rule_table():
     big_n = TINY.subkey_count
-    m_a = Message(5, TINY.data_bits)
-    m_b = Message(6, TINY.data_bits)
+
+    def verdict(*counts):
+        return ep.dr_verdict(TINY, *tiny_dispute(*counts), tiny_read)
 
     # self-consistent A, B's own submission fails its revealed data
-    assert (
-        ep.dr_verdict(TINY, m_a, m_b, big_n, 0, 0, big_n - 1)
-        == Verdict.ALICE_CORRECT
-    )
+    assert verdict(big_n, 0, 0, big_n - 1) == Verdict.ALICE_CORRECT
     # both self-consistent, B corroborates A's data strictly more
-    assert (
-        ep.dr_verdict(TINY, m_a, m_b, big_n, 1, 2, big_n) == Verdict.ALICE_CORRECT
-    )
+    assert verdict(big_n, 1, 2, big_n) == Verdict.ALICE_CORRECT
     # mirror cases
-    assert (
-        ep.dr_verdict(TINY, m_a, m_b, big_n - 1, 0, 0, big_n)
-        == Verdict.BOB_CORRECT
-    )
-    assert (
-        ep.dr_verdict(TINY, m_a, m_b, big_n, 2, 1, big_n) == Verdict.BOB_CORRECT
-    )
+    assert verdict(big_n - 1, 0, 0, big_n) == Verdict.BOB_CORRECT
+    assert verdict(big_n, 2, 1, big_n) == Verdict.BOB_CORRECT
     # both self-consistent, cross counts tie: nothing to rule on
-    assert (
-        ep.dr_verdict(TINY, m_a, m_b, big_n, 1, 1, big_n) == Verdict.UNDECIDABLE
-    )
+    assert verdict(big_n, 1, 1, big_n) == Verdict.UNDECIDABLE
     # neither self-consistent
-    assert (
-        ep.dr_verdict(TINY, m_a, m_b, 0, 0, 0, 0) == Verdict.UNDECIDABLE
-    )
+    assert verdict(0, 0, 0, 0) == Verdict.UNDECIDABLE
+
+
+def test_verdict_matches_the_four_count_rule_on_every_count():
+    big_n, r, l = TINY.subkey_count, TINY.data_bits, TINY.subkey_bits
+    for counts in product(range(big_n + 1), repeat=4):
+        claim_a, claim_b, vec_a, vec_b, keys_a, keys_b = tiny_dispute(*counts)
+        built = tuple(
+            count_matches_oracle(
+                [poly_hash(k, claim.value, r, l) for k in keys], unpack_digests(vec, l, big_n)
+            )
+            for keys, vec, claim in (
+                (keys_a, vec_a, claim_a),
+                (keys_a, vec_a, claim_b),
+                (keys_b, vec_b, claim_a),
+                (keys_b, vec_b, claim_b),
+            )
+        )
+        assert built == counts
+        reads = []
+
+        def read(keys, claim):
+            reads.append(len(keys))
+            return tiny_read(keys, claim)
+
+        want = dr_verdict_oracle(claim_a, claim_b, big_n, *counts)
+        got = ep.dr_verdict(TINY, claim_a, claim_b, vec_a, vec_b, keys_a, keys_b, read)
+        assert got == want, counts
+        # the cross counts are read only when both parties reproduce
+        both = counts[0] == counts[3] == big_n
+        assert reads == ([big_n, big_n, 2 * big_n] if both else [big_n, big_n])
+        assert (
+            ep.dr_verdict(TINY, claim_b, claim_b, vec_a, vec_b, keys_a, keys_b, no_read)
+            == dr_verdict_oracle(claim_b, claim_b, big_n, *counts)
+            == Verdict.BOTH_CONSISTENT
+        )
 
 
 def test_verdict_validates_inputs():
-    m_a = Message(5, TINY.data_bits)
-    m_b = Message(6, TINY.data_bits)
-    with pytest.raises(ParameterError):
-        ep.dr_verdict(TINY, m_a, m_b, 7, 0, 0, 0)  # count beyond N
-    with pytest.raises(ParameterError):
-        ep.dr_verdict(TINY, Message(1, 5), m_b, 0, 0, 0, 0)  # short claim
+    big_n = TINY.subkey_count
+    claim_a, claim_b, vec_a, vec_b, keys_a, keys_b = tiny_dispute(big_n, 1, 1, big_n)
+    with pytest.raises(ParameterError):  # a subkey beyond N
+        ep.dr_verdict(TINY, claim_a, claim_b, vec_a, vec_b, (*keys_a, 0), keys_b, tiny_read)
+    with pytest.raises(ParameterError):  # short claim
+        ep.dr_verdict(TINY, Message(1, 5), claim_b, vec_a, vec_b, keys_a, keys_b, tiny_read)
     width = TINY.digest_vector_bits
-    with pytest.raises(ParameterError):
-        ep.dispute_counts(TINY, 0, 0, 0, 1 << width)  # submission too wide
-    with pytest.raises(ParameterError):
-        ep.dispute_counts(TINY, 1 << 2 * width, 0, 0, 0)  # fresh vector past 2N lanes
+    for claim in (claim_a, claim_b):  # submission too wide, equal claims or not
+        with pytest.raises(ParameterError):
+            ep.dr_verdict(TINY, claim_a, claim, vec_a, vec_b | 1 << width, keys_a, keys_b,
+                          tiny_read)
+
+    def past_2n_lanes(keys, claim):
+        return tiny_read(keys, claim) | (len(keys) > big_n) << 2 * width
+
+    with pytest.raises(ParameterError):  # difference vector past 2N lanes
+        ep.dr_verdict(TINY, claim_a, claim_b, vec_a, vec_b, keys_a, keys_b, past_2n_lanes)
 
 
 # -------------------------------------------------- dispute end to end
@@ -250,6 +317,7 @@ def test_verdict_validates_inputs():
 
 def test_dispute_blames_the_liar_both_directions():
     rng = random.Random(9)
+    big_n = PARAMS.subkey_count
     for seed in range(10):
         sec = ep.generate_keys(PARAMS, seed=100 + seed)
         m_true = rand_message(rng, PARAMS)
@@ -257,10 +325,12 @@ def test_dispute_blames_the_liar_both_directions():
 
         va = ep.hash_vector_for(PARAMS, sec.alice.subkeys, m_true)
         vb = ep.hash_vector_for(PARAMS, sec.bob.subkeys, m_true)
-        keys = [*sec.alice.subkeys, *sec.bob.subkeys]
+        keys = (sec.alice.subkeys, sec.bob.subkeys)
+        reads = []
 
-        def fresh(claim):
-            return hash_vector(keys, claim.value, PARAMS.data_bits, PARAMS.subkey_bits)
+        def read(subkeys, claim):
+            reads.append(len(subkeys))
+            return hash_vector(subkeys, claim.value, PARAMS.data_bits, PARAMS.subkey_bits)
 
         # Bob reveals a different message than the one behind his submission
         counts = (
@@ -269,9 +339,10 @@ def test_dispute_blames_the_liar_both_directions():
             ep.match_count(PARAMS, sec.bob.subkeys, m_true, vb),
             ep.match_count(PARAMS, sec.bob.subkeys, m_lie, vb),
         )
-        assert ep.dr_verdict(PARAMS, m_true, m_lie, *counts) == Verdict.ALICE_CORRECT
-        # the referee hashes each claim once under both key lists
-        assert ep.dispute_counts(PARAMS, fresh(m_true), fresh(m_lie), va, vb) == counts
+        assert dr_verdict_oracle(m_true, m_lie, big_n, *counts) == Verdict.ALICE_CORRECT
+        assert ep.dr_verdict(PARAMS, m_true, m_lie, va, vb, *keys, read) == Verdict.ALICE_CORRECT
+        # the referee reads each claim once, under its own party's subkeys
+        assert reads == [big_n, big_n]
 
         # same session, roles swapped
         counts = (
@@ -280,5 +351,7 @@ def test_dispute_blames_the_liar_both_directions():
             ep.match_count(PARAMS, sec.bob.subkeys, m_lie, vb),
             ep.match_count(PARAMS, sec.bob.subkeys, m_true, vb),
         )
-        assert ep.dr_verdict(PARAMS, m_lie, m_true, *counts) == Verdict.BOB_CORRECT
-        assert ep.dispute_counts(PARAMS, fresh(m_lie), fresh(m_true), va, vb) == counts
+        reads.clear()
+        assert dr_verdict_oracle(m_lie, m_true, big_n, *counts) == Verdict.BOB_CORRECT
+        assert ep.dr_verdict(PARAMS, m_lie, m_true, va, vb, *keys, read) == Verdict.BOB_CORRECT
+        assert reads == [big_n, big_n]

@@ -13,7 +13,13 @@ from etdr.au2hash import hash_vector, poly_hash  # noqa: E402
 from etdr.bits import Message  # noqa: E402
 from etdr.etproto import core  # noqa: E402
 from etdr.params import experimental_params  # noqa: E402
-from oracles import count_matches_oracle, et_compare_oracle, pack_digests  # noqa: E402
+from oracles import (  # noqa: E402
+    count_matches_oracle,
+    dr_verdict_oracle,
+    et_compare_oracle,
+    pack_digests,
+    unpack_digests,
+)
 
 
 def lane(width):
@@ -64,15 +70,21 @@ def test_dispute_counts_split_alice_and_bob_lanes(l, data):
     keys = st.lists(st.integers(0, (1 << l) - 1), min_size=big_n, max_size=big_n)
     subkeys_a = tuple(data.draw(keys, label="subkeys_a"))
     subkeys_b = tuple(data.draw(keys, label="subkeys_b"))
-    claims = [Message(data.draw(st.integers(0, (1 << r) - 1)), r) for _ in range(2)]
+    claim = data.draw(st.integers(0, (1 << r) - 1))
+    # distinct claims, so the ruling reads digests
+    claims = [Message(claim, r), Message(claim ^ data.draw(st.integers(1, (1 << r) - 1)), r)]
 
     def digests(subkeys, claim):
         return [poly_hash(k, claim.value, r, l) for k in subkeys]
 
-    # each submission: a claim's digests with some lanes redrawn
-    vec_a = near(data, l, digests(subkeys_a, claims[0]))
-    vec_b = near(data, l, digests(subkeys_b, data.draw(st.sampled_from(claims))))
-    want = tuple(
+    def submission(subkeys, claim):
+        """A claim's digests, whole or with some lanes redrawn."""
+        exact = digests(subkeys, claim)
+        return exact if data.draw(st.booleans()) else near(data, l, exact)
+
+    vec_a = submission(subkeys_a, claims[0])
+    vec_b = submission(subkeys_b, data.draw(st.sampled_from(claims)))
+    counts = tuple(
         count_matches_oracle(digests(subkeys, claim), vec)
         for subkeys, vec, claim in (
             (subkeys_a, vec_a, claims[0]),
@@ -81,7 +93,16 @@ def test_dispute_counts_split_alice_and_bob_lanes(l, data):
             (subkeys_b, vec_b, claims[1]),
         )
     )
-    # each claim hashed once under Alice's subkeys followed by Bob's
-    fresh = [hash_vector([*subkeys_a, *subkeys_b], claim.value, r, l) for claim in claims]
-    got = core.dispute_counts(params, *fresh, pack_digests(vec_a, l), pack_digests(vec_b, l))
-    assert got == want
+
+    def read(subkeys, claim):
+        return hash_vector(subkeys, claim.value, r, l)
+
+    got = core.dr_verdict(params, *claims, pack_digests(vec_a, l), pack_digests(vec_b, l),
+                          subkeys_a, subkeys_b, read)
+    assert got == dr_verdict_oracle(*claims, big_n, *counts)
+    if counts[0] == counts[3] == big_n:
+        # the cross counts are the zero lanes of the claims' difference under
+        # Alice's subkeys followed by Bob's, split at N
+        difference = Message(claims[0].value ^ claims[1].value, r)
+        lanes = unpack_digests(read((*subkeys_a, *subkeys_b), difference), l, 2 * big_n)
+        assert (lanes[:big_n].count(0), lanes[big_n:].count(0)) == counts[1:3]

@@ -19,6 +19,7 @@ from etdr.etproto.keys import ROLE_ALICE, ROLE_BOB, ROLE_TTP, MacMaterial
 from etdr.etproto.session import _FIELDS as SESSION_FIELDS
 from etdr.etproto.session import SessionStore
 from etdr.params import derive_params, experimental_params
+from etdr.transport import runners
 from etdr.transport import (
     FaultPlan,
     Frame,
@@ -83,6 +84,34 @@ def test_matching_claims_close_the_dispute():
     m, other = messages(4)
     res = run_session(sec, m, other, dispute=True, claim_b=m)
     assert res.verdict_a == res.verdict_b == Verdict.BOTH_CONSISTENT
+
+
+def test_referee_reads_cross_counts_only_when_both_reproduce(monkeypatch):
+    # hash_vector calls the referee makes to rule: none on equal claims,
+    # each claim under its own party's N subkeys, and the claims'
+    # difference under all 2N only when both reproduce their submissions
+    calls = []
+    hash_vector = runners.hash_vector
+
+    def counted(keys, *args):
+        calls.append(len(keys))
+        return hash_vector(keys, *args)
+
+    monkeypatch.setattr(runners, "hash_vector", counted)
+    sec = generate_keys(PARAMS, seed=102)
+    m, other = messages(2)
+    lie, big_n = Message(m.value ^ (1 << 200), 256), PARAMS.subkey_count
+    for claims, verdict, reads in (
+        ({"claim_b": m}, Verdict.BOTH_CONSISTENT, []),
+        ({"claim_b": lie}, Verdict.ALICE_CORRECT, [big_n, big_n]),
+        ({"claim_a": lie}, Verdict.BOB_CORRECT, [big_n, big_n]),
+        ({"claim_a": lie, "claim_b": m}, Verdict.UNDECIDABLE, [big_n, big_n]),
+        ({}, Verdict.UNDECIDABLE, [big_n, big_n, 2 * big_n]),
+    ):
+        calls.clear()
+        res = run_session(sec, m, other, dispute=True, **claims)
+        assert res.verdict_a == res.verdict_b == verdict
+        assert calls == reads
 
 
 def test_traffic_measured_totals():
