@@ -8,23 +8,4 @@ The package also ships the exact security-bound calculator for the scheme
 and an adversarial game harness that plays against those bounds.
 """
 
-from .errors import (
-    EtdrError,
-    FrameError,
-    KeyMaterialError,
-    ParameterError,
-    ProtocolStateError,
-    StoreIntegrityError,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "EtdrError",
-    "FrameError",
-    "KeyMaterialError",
-    "ParameterError",
-    "ProtocolStateError",
-    "StoreIntegrityError",
-    "__version__",
-]

@@ -27,7 +27,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bits import Message
-from .bounds import verify_security
 from .errors import (
     EtdrError,
     FrameError,
@@ -168,7 +167,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_keygen(args) -> int:
-    from .etproto.keys import ROLE_NAMES, generate_keys, save_keys
+    from .etproto.keys import generate_keys, save_keys
 
     params = _params_from_args(args)
     out = Path(args.out)
@@ -258,7 +257,7 @@ def cmd_party(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    """All three roles in one process; a claim implies the dispute."""
+    """All three roles in one process."""
     from .etproto.keys import load_ttp_secret
     from .transport.channel import run_session
 
@@ -269,7 +268,7 @@ def cmd_demo(args) -> int:
         secret,
         _parse_message(args.message_a, params),
         _parse_message(args.message_b, params),
-        dispute=args.dispute or claim_a is not None or claim_b is not None,
+        dispute=args.dispute,
         claim_a=claim_a,
         claim_b=claim_b,
     )
@@ -285,6 +284,8 @@ def cmd_demo(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import verify_security
+
     report = verify_security(args.data_bits, parse_epsilon(args.epsilon))
     if args.rows:
         header = ["threshold", "cover", "tail", "product"]
@@ -358,6 +359,7 @@ def cmd_attack(args) -> int:
 
 def cmd_selftest(args) -> int:
     from . import adversary as adv
+    from .bounds import verify_security
     from .etproto.core import Verdict
     from .etproto.keys import generate_keys
     from .transport.channel import FaultPlan, run_session

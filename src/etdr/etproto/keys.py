@@ -183,7 +183,7 @@ def generate_keys(params: Params, seed: int | None = None) -> TtpSecret:
     """Draw a full key set; a fixed seed reproduces the set bit for bit.
     Parameters whose frames would not fit on the wire are refused before
     any key is drawn."""
-    # transport imports this module
+    # frames imports this module
     from ..transport.frames import MAX_PAYLOAD_BYTES, MAX_TAG_BYTES
 
     # the widest payloads: a dispute claim and an encrypted digest vector

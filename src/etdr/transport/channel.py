@@ -101,7 +101,8 @@ def run_session(
     fault_plan: FaultPlan | None = None,
 ) -> SessionResult:
     """One full in-process session: comparison phase, then optionally the
-    dispute. Claims default to each party's true data."""
+    dispute. A claim implies the dispute; claims default to each party's
+    true data."""
     ttp = TtpRunner(secret, store=store)
     alice = PartyRunner(secret.alice, message_a)
     bob = PartyRunner(secret.bob, message_b)
@@ -111,7 +112,7 @@ def run_session(
     net.post(ROLE_BOB, ROLE_TTP, bob.et_submit_frame())
     net.deliver_all()
 
-    if dispute:
+    if dispute or claim_a is not None or claim_b is not None:
         for role, runner, claim in zip(PARTIES, (alice, bob), (claim_a, claim_b)):
             if runner.frozen is None and runner.et_outcome is not None:
                 net.post(role, ROLE_TTP, runner.dr_claim_frame(claim))

@@ -185,8 +185,9 @@ def run_party_session(
     claim: Message | None = None,
     timeout: float = 10.0,
 ) -> tuple[PartyRunner, ChannelLog]:
-    """Drive one party over TCP through the comparison phase and, if asked,
-    the dispute. Returns the finished runner plus the raw channel log."""
+    """Drive one party over TCP through the comparison phase and, if asked
+    or given a claim, the dispute. Returns the finished runner plus the raw
+    channel log."""
     runner = PartyRunner(keys, message)
     log = ChannelLog()
     with socket.create_connection(address, timeout=timeout) as sock:
@@ -212,7 +213,7 @@ def run_party_session(
 
         send(runner.et_submit_frame())
         pump_until(lambda: runner.et_outcome is not None)
-        if dispute and runner.frozen is None:
+        if (dispute or claim is not None) and runner.frozen is None:
             send(runner.dr_claim_frame(claim))
             pump_until(lambda: runner.verdict is not None)
     return runner, log

@@ -16,10 +16,11 @@ from etdr import adversary as adv
 from etdr.au2hash import collision_bound, hash_vector, poly_hash
 from etdr.bits import Message
 from etdr.errors import ParameterError
-from etdr.etproto import Verdict, core, generate_keys
-from etdr.etproto.keys import deal_subkeys
+from etdr.etproto import core
+from etdr.etproto.core import Verdict
+from etdr.etproto.keys import deal_subkeys, generate_keys
 from etdr.params import derive_params, experimental_params
-from etdr.transport import run_session
+from etdr.transport.channel import run_session
 
 from oracles import CHI2_999, WILSON_Z99, _roots, difference_space_optima, difference_value
 from oracles import pack_digests, unpack_digests

@@ -856,3 +856,39 @@ def test_selftest_and_small_games_import_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["False", "True"]
+
+
+def loaded_etdr_modules(module):
+    """The etdr modules a fresh interpreter holds after importing module."""
+    script = (
+        "import importlib, sys\n"
+        f"importlib.import_module({module!r})\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'etdr')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_imports_load_only_the_modules_they_name():
+    # the packages re-export nothing, so a one-shot command pays only for
+    # the modules it runs
+    for package in ("etdr", "etdr.etproto", "etdr.transport"):
+        assert loaded_etdr_modules(package) == {"etdr", package}
+    assert loaded_etdr_modules("etdr.cli") == {
+        "etdr", "etdr.bits", "etdr.cli", "etdr.errors", "etdr.params",
+    }
+    keys = loaded_etdr_modules("etdr.etproto.keys")
+    assert "etdr.etproto.keys" in keys
+    assert not keys & {
+        "etdr.etproto.core", "etdr.etproto.session", "etdr.au2hash", "etdr.gf2field",
+    }
+    frames = loaded_etdr_modules("etdr.transport.frames")
+    assert "etdr.transport.frames" in frames
+    assert not frames & {
+        "etdr.transport.runners", "etdr.transport.channel", "etdr.transport.sockets",
+        "etdr.transport.traffic", "etdr.itsmac", "etdr.au2hash",
+    }

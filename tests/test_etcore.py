@@ -6,11 +6,12 @@ from itertools import product
 
 import pytest
 
-from etdr import etproto as ep
 from etdr.au2hash import hash_vector, poly_hash
 from etdr.bits import Message, pack_lanes, unpack_lanes
 from etdr.errors import ParameterError
-from etdr.etproto import Verdict, core
+from etdr.etproto import core
+from etdr.etproto.core import Verdict
+from etdr.etproto.keys import generate_keys
 from etdr.params import derive_params, experimental_params
 from oracles import count_matches_oracle, dr_verdict_oracle, pack_digests, unpack_digests
 
@@ -60,43 +61,43 @@ def test_vector_width_checks():
     width = TINY.digest_vector_bits
     for bad in (-1, 1 << width):
         with pytest.raises(ParameterError):
-            ep.encrypt_vector(TINY, bad, 0)
+            core.encrypt_vector(TINY, bad, 0)
         with pytest.raises(ParameterError):
-            ep.encrypt_vector(TINY, 0, bad)  # the pad
+            core.encrypt_vector(TINY, 0, bad)  # the pad
         with pytest.raises(ParameterError):
-            ep.decrypt_vector(TINY, bad, 0)
+            core.decrypt_vector(TINY, bad, 0)
         with pytest.raises(ParameterError):
-            ep.et_compare(TINY, (0, 1, 2), 0, bad)
+            core.et_compare(TINY, (0, 1, 2), 0, bad)
         with pytest.raises(ParameterError):
-            ep.count_matches(TINY, bad, 0)
+            core.count_matches(TINY, bad, 0)
         with pytest.raises(ParameterError):
             unpack_lanes(bad, TINY.subkey_bits, TINY.subkey_count)
 
 
 def test_encrypt_decrypt_round_trip():
     rng = random.Random(1)
-    sec = ep.generate_keys(PARAMS, seed=11)
+    sec = generate_keys(PARAMS, seed=11)
     for _ in range(20):
         m = rand_message(rng, PARAMS)
-        vec = ep.hash_vector_for(PARAMS, sec.alice.subkeys, m)
-        blob = ep.encrypt_vector(PARAMS, vec, sec.alice.otp_bits)
+        vec = core.hash_vector_for(PARAMS, sec.alice.subkeys, m)
+        blob = core.encrypt_vector(PARAMS, vec, sec.alice.otp_bits)
         assert blob == vec ^ sec.alice.otp_bits
-        assert ep.decrypt_vector(PARAMS, blob, sec.alice.otp_bits) == vec
+        assert core.decrypt_vector(PARAMS, blob, sec.alice.otp_bits) == vec
 
 
 def test_hash_vector_matches_scalar_hash():
     rng = random.Random(2)
-    sec = ep.generate_keys(TINY, seed=3)
+    sec = generate_keys(TINY, seed=3)
     m = rand_message(rng, TINY)
-    vec = ep.hash_vector_for(TINY, sec.bob.subkeys, m)
+    vec = core.hash_vector_for(TINY, sec.bob.subkeys, m)
     want = [poly_hash(k, m.value, TINY.data_bits, TINY.subkey_bits) for k in sec.bob.subkeys]
     assert vec == pack_digests(want, TINY.subkey_bits)
 
 
 def test_hash_vector_rejects_wrong_length_message():
-    sec = ep.generate_keys(PARAMS, seed=11)
+    sec = generate_keys(PARAMS, seed=11)
     with pytest.raises(ParameterError):
-        ep.hash_vector_for(PARAMS, sec.alice.subkeys, Message(1, 255))
+        core.hash_vector_for(PARAMS, sec.alice.subkeys, Message(1, 255))
 
 
 # ---------------------------------------------------------- comparison
@@ -105,38 +106,38 @@ def test_hash_vector_rejects_wrong_length_message():
 def test_equal_data_always_compares_equal():
     rng = random.Random(3)
     for seed in range(10):
-        sec = ep.generate_keys(PARAMS, seed=seed)
+        sec = generate_keys(PARAMS, seed=seed)
         m = rand_message(rng, PARAMS)
-        va = ep.hash_vector_for(PARAMS, sec.alice.subkeys, m)
-        vb = ep.hash_vector_for(PARAMS, sec.bob.subkeys, m)
-        assert ep.et_compare(PARAMS, sec.shared_indices, va, vb) == ep.ET_EQUAL
+        va = core.hash_vector_for(PARAMS, sec.alice.subkeys, m)
+        vb = core.hash_vector_for(PARAMS, sec.bob.subkeys, m)
+        assert core.et_compare(PARAMS, sec.shared_indices, va, vb) == core.ET_EQUAL
 
 
 def test_distinct_data_compares_distinct():
     # chance of a false EQUAL here is below (31/256)^24; treat as zero
     rng = random.Random(4)
     for seed in range(20):
-        sec = ep.generate_keys(PARAMS, seed=seed)
+        sec = generate_keys(PARAMS, seed=seed)
         m_a = rand_message(rng, PARAMS)
         m_b = Message(m_a.value ^ (1 << rng.randrange(256)), 256)
-        va = ep.hash_vector_for(PARAMS, sec.alice.subkeys, m_a)
-        vb = ep.hash_vector_for(PARAMS, sec.bob.subkeys, m_b)
-        assert ep.et_compare(PARAMS, sec.shared_indices, va, vb) == ep.ET_DISTINCT
+        va = core.hash_vector_for(PARAMS, sec.alice.subkeys, m_a)
+        vb = core.hash_vector_for(PARAMS, sec.bob.subkeys, m_b)
+        assert core.et_compare(PARAMS, sec.shared_indices, va, vb) == core.ET_DISTINCT
 
 
 def test_compare_ignores_positions_outside_overlap():
-    sec = ep.generate_keys(PARAMS, seed=6)
+    sec = generate_keys(PARAMS, seed=6)
     m = Message(123456789, 256)
     l = PARAMS.subkey_bits
-    va = ep.hash_vector_for(PARAMS, sec.alice.subkeys, m)
-    vb = ep.hash_vector_for(PARAMS, sec.bob.subkeys, m)
+    va = core.hash_vector_for(PARAMS, sec.alice.subkeys, m)
+    vb = core.hash_vector_for(PARAMS, sec.bob.subkeys, m)
     outside = [j for j in range(PARAMS.subkey_count) if j not in sec.shared_indices]
     for j in outside:
         vb ^= 0xFF << j * l
-    assert ep.et_compare(PARAMS, sec.shared_indices, va, vb) == ep.ET_EQUAL
+    assert core.et_compare(PARAMS, sec.shared_indices, va, vb) == core.ET_EQUAL
     inside = sec.shared_indices[0]
     vb ^= 1 << inside * l
-    assert ep.et_compare(PARAMS, sec.shared_indices, va, vb) == ep.ET_DISTINCT
+    assert core.et_compare(PARAMS, sec.shared_indices, va, vb) == core.ET_DISTINCT
 
 
 def overlap_mask_loop(l, shared):
@@ -160,10 +161,10 @@ def test_compare_masks_the_overlap_as_the_lane_loop_does(l):
             vec = rng.getrandbits(big_n * l)
             for j in (rng.choice(shared), rng.randrange(big_n)):
                 flipped = vec ^ 1 << j * l + rng.randrange(l)
-                want = ep.ET_DISTINCT if overlap_mask_loop(l, shared) >> j * l & 1 else ep.ET_EQUAL
-                assert ep.et_compare(params, shared, vec, flipped) == want
-                assert ep.et_compare(params, list(shared), flipped, vec) == want
-            assert ep.et_compare(params, shared, vec, vec) == ep.ET_EQUAL
+                want = core.ET_DISTINCT if overlap_mask_loop(l, shared) >> j * l & 1 else core.ET_EQUAL
+                assert core.et_compare(params, shared, vec, flipped) == want
+                assert core.et_compare(params, list(shared), flipped, vec) == want
+            assert core.et_compare(params, shared, vec, vec) == core.ET_EQUAL
 
 
 # ------------------------------------------------------- match counts
@@ -171,19 +172,19 @@ def test_compare_masks_the_overlap_as_the_lane_loop_does(l):
 
 def test_match_count_honest_is_full():
     rng = random.Random(7)
-    sec = ep.generate_keys(PARAMS, seed=7)
+    sec = generate_keys(PARAMS, seed=7)
     m = rand_message(rng, PARAMS)
-    vec = ep.hash_vector_for(PARAMS, sec.alice.subkeys, m)
-    assert ep.match_count(PARAMS, sec.alice.subkeys, m, vec) == PARAMS.subkey_count
+    vec = core.hash_vector_for(PARAMS, sec.alice.subkeys, m)
+    assert core.match_count(PARAMS, sec.alice.subkeys, m, vec) == PARAMS.subkey_count
 
 
 def test_match_count_sees_single_flip():
     rng = random.Random(8)
-    sec = ep.generate_keys(PARAMS, seed=8)
+    sec = generate_keys(PARAMS, seed=8)
     m = rand_message(rng, PARAMS)
-    vec = ep.hash_vector_for(PARAMS, sec.alice.subkeys, m)
+    vec = core.hash_vector_for(PARAMS, sec.alice.subkeys, m)
     vec ^= 1 << 17 * PARAMS.subkey_bits
-    assert ep.match_count(PARAMS, sec.alice.subkeys, m, vec) == PARAMS.subkey_count - 1
+    assert core.match_count(PARAMS, sec.alice.subkeys, m, vec) == PARAMS.subkey_count - 1
 
 
 # ------------------------------------------------------------ verdicts
@@ -233,7 +234,7 @@ def test_verdict_equal_claims_win_first():
     for counts in ((0, 0, 0, 0), (big_n,) * 4):
         claim_a, _, vec_a, vec_b, keys_a, keys_b = tiny_dispute(*counts)
         assert (
-            ep.dr_verdict(TINY, claim_a, claim_a, vec_a, vec_b, keys_a, keys_b, no_read)
+            core.dr_verdict(TINY, claim_a, claim_a, vec_a, vec_b, keys_a, keys_b, no_read)
             == Verdict.BOTH_CONSISTENT
         )
 
@@ -242,7 +243,7 @@ def test_verdict_rule_table():
     big_n = TINY.subkey_count
 
     def verdict(*counts):
-        return ep.dr_verdict(TINY, *tiny_dispute(*counts), tiny_read)
+        return core.dr_verdict(TINY, *tiny_dispute(*counts), tiny_read)
 
     # self-consistent A, B's own submission fails its revealed data
     assert verdict(big_n, 0, 0, big_n - 1) == Verdict.ALICE_CORRECT
@@ -280,13 +281,13 @@ def test_verdict_matches_the_four_count_rule_on_every_count():
             return tiny_read(keys, claim)
 
         want = dr_verdict_oracle(claim_a, claim_b, big_n, *counts)
-        got = ep.dr_verdict(TINY, claim_a, claim_b, vec_a, vec_b, keys_a, keys_b, read)
+        got = core.dr_verdict(TINY, claim_a, claim_b, vec_a, vec_b, keys_a, keys_b, read)
         assert got == want, counts
         # the cross counts are read only when both parties reproduce
         both = counts[0] == counts[3] == big_n
         assert reads == ([big_n, big_n, 2 * big_n] if both else [big_n, big_n])
         assert (
-            ep.dr_verdict(TINY, claim_b, claim_b, vec_a, vec_b, keys_a, keys_b, no_read)
+            core.dr_verdict(TINY, claim_b, claim_b, vec_a, vec_b, keys_a, keys_b, no_read)
             == dr_verdict_oracle(claim_b, claim_b, big_n, *counts)
             == Verdict.BOTH_CONSISTENT
         )
@@ -296,20 +297,20 @@ def test_verdict_validates_inputs():
     big_n = TINY.subkey_count
     claim_a, claim_b, vec_a, vec_b, keys_a, keys_b = tiny_dispute(big_n, 1, 1, big_n)
     with pytest.raises(ParameterError):  # a subkey beyond N
-        ep.dr_verdict(TINY, claim_a, claim_b, vec_a, vec_b, (*keys_a, 0), keys_b, tiny_read)
+        core.dr_verdict(TINY, claim_a, claim_b, vec_a, vec_b, (*keys_a, 0), keys_b, tiny_read)
     with pytest.raises(ParameterError):  # short claim
-        ep.dr_verdict(TINY, Message(1, 5), claim_b, vec_a, vec_b, keys_a, keys_b, tiny_read)
+        core.dr_verdict(TINY, Message(1, 5), claim_b, vec_a, vec_b, keys_a, keys_b, tiny_read)
     width = TINY.digest_vector_bits
     for claim in (claim_a, claim_b):  # submission too wide, equal claims or not
         with pytest.raises(ParameterError):
-            ep.dr_verdict(TINY, claim_a, claim, vec_a, vec_b | 1 << width, keys_a, keys_b,
+            core.dr_verdict(TINY, claim_a, claim, vec_a, vec_b | 1 << width, keys_a, keys_b,
                           tiny_read)
 
     def past_2n_lanes(keys, claim):
         return tiny_read(keys, claim) | (len(keys) > big_n) << 2 * width
 
     with pytest.raises(ParameterError):  # difference vector past 2N lanes
-        ep.dr_verdict(TINY, claim_a, claim_b, vec_a, vec_b, keys_a, keys_b, past_2n_lanes)
+        core.dr_verdict(TINY, claim_a, claim_b, vec_a, vec_b, keys_a, keys_b, past_2n_lanes)
 
 
 # -------------------------------------------------- dispute end to end
@@ -319,12 +320,12 @@ def test_dispute_blames_the_liar_both_directions():
     rng = random.Random(9)
     big_n = PARAMS.subkey_count
     for seed in range(10):
-        sec = ep.generate_keys(PARAMS, seed=100 + seed)
+        sec = generate_keys(PARAMS, seed=100 + seed)
         m_true = rand_message(rng, PARAMS)
         m_lie = Message(m_true.value ^ (1 << rng.randrange(256)), 256)
 
-        va = ep.hash_vector_for(PARAMS, sec.alice.subkeys, m_true)
-        vb = ep.hash_vector_for(PARAMS, sec.bob.subkeys, m_true)
+        va = core.hash_vector_for(PARAMS, sec.alice.subkeys, m_true)
+        vb = core.hash_vector_for(PARAMS, sec.bob.subkeys, m_true)
         keys = (sec.alice.subkeys, sec.bob.subkeys)
         reads = []
 
@@ -334,24 +335,24 @@ def test_dispute_blames_the_liar_both_directions():
 
         # Bob reveals a different message than the one behind his submission
         counts = (
-            ep.match_count(PARAMS, sec.alice.subkeys, m_true, va),
-            ep.match_count(PARAMS, sec.alice.subkeys, m_lie, va),
-            ep.match_count(PARAMS, sec.bob.subkeys, m_true, vb),
-            ep.match_count(PARAMS, sec.bob.subkeys, m_lie, vb),
+            core.match_count(PARAMS, sec.alice.subkeys, m_true, va),
+            core.match_count(PARAMS, sec.alice.subkeys, m_lie, va),
+            core.match_count(PARAMS, sec.bob.subkeys, m_true, vb),
+            core.match_count(PARAMS, sec.bob.subkeys, m_lie, vb),
         )
         assert dr_verdict_oracle(m_true, m_lie, big_n, *counts) == Verdict.ALICE_CORRECT
-        assert ep.dr_verdict(PARAMS, m_true, m_lie, va, vb, *keys, read) == Verdict.ALICE_CORRECT
+        assert core.dr_verdict(PARAMS, m_true, m_lie, va, vb, *keys, read) == Verdict.ALICE_CORRECT
         # the referee reads each claim once, under its own party's subkeys
         assert reads == [big_n, big_n]
 
         # same session, roles swapped
         counts = (
-            ep.match_count(PARAMS, sec.alice.subkeys, m_lie, va),
-            ep.match_count(PARAMS, sec.alice.subkeys, m_true, va),
-            ep.match_count(PARAMS, sec.bob.subkeys, m_lie, vb),
-            ep.match_count(PARAMS, sec.bob.subkeys, m_true, vb),
+            core.match_count(PARAMS, sec.alice.subkeys, m_lie, va),
+            core.match_count(PARAMS, sec.alice.subkeys, m_true, va),
+            core.match_count(PARAMS, sec.bob.subkeys, m_lie, vb),
+            core.match_count(PARAMS, sec.bob.subkeys, m_true, vb),
         )
         reads.clear()
         assert dr_verdict_oracle(m_lie, m_true, big_n, *counts) == Verdict.BOB_CORRECT
-        assert ep.dr_verdict(PARAMS, m_lie, m_true, va, vb, *keys, read) == Verdict.BOB_CORRECT
+        assert core.dr_verdict(PARAMS, m_lie, m_true, va, vb, *keys, read) == Verdict.BOB_CORRECT
         assert reads == [big_n, big_n]

@@ -13,7 +13,7 @@ from etdr.bits import Message
 from etdr.errors import KeyMaterialError, ParameterError
 from etdr.etproto import keys as K
 from etdr.params import derive_params, experimental_params
-from etdr.transport import run_session
+from etdr.transport.channel import run_session
 
 from oracles import CHI2_999, deal_subkeys_oracle
 

@@ -23,11 +23,11 @@ from hypothesis.stateful import (  # noqa: E402
 
 from etdr.bits import Message  # noqa: E402
 from etdr.errors import ProtocolStateError  # noqa: E402
-from etdr.etproto import generate_keys  # noqa: E402
-from etdr.etproto.keys import ROLE_ALICE, ROLE_TTP  # noqa: E402
+from etdr.etproto.keys import ROLE_ALICE, ROLE_TTP, generate_keys  # noqa: E402
 from etdr.params import experimental_params  # noqa: E402
-from etdr.transport import MsgType, PartyRunner, run_session  # noqa: E402
-from etdr.transport.frames import HEADER_BYTES, encode_frame  # noqa: E402
+from etdr.transport.channel import run_session  # noqa: E402
+from etdr.transport.frames import HEADER_BYTES, MsgType, encode_frame  # noqa: E402
+from etdr.transport.runners import PartyRunner  # noqa: E402
 from oracles import signing_pad  # noqa: E402
 
 # 18-bit tags, so no frame here verifies under a second pad by chance

@@ -3,7 +3,7 @@
 import pytest
 
 from etdr.errors import ProtocolStateError, StoreIntegrityError
-from etdr.etproto import SessionRecord, SessionStore
+from etdr.etproto.session import SessionRecord, SessionStore
 
 SID = bytes(range(16))
 

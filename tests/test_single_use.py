@@ -13,13 +13,13 @@ from fractions import Fraction
 import pytest
 
 from etdr.bits import Message, bytes_to_bits
-from etdr.etproto import generate_keys
-from etdr.etproto.keys import ROLE_ALICE, ROLE_BOB, ROLE_TTP
+from etdr.etproto.keys import ROLE_ALICE, ROLE_BOB, ROLE_TTP, generate_keys
 from etdr.etproto.session import SessionStore
 from etdr.itsmac import MacKey, mac_verify
 from etdr.params import derive_params
-from etdr.transport import FaultPlan, MemoryNetwork, MsgType, PartyRunner, TtpRunner, run_session
-from etdr.transport.frames import PHASE_OF, PHASES, encode_frame
+from etdr.transport.channel import FaultPlan, MemoryNetwork, run_session
+from etdr.transport.frames import PHASE_OF, PHASES, MsgType, encode_frame
+from etdr.transport.runners import PartyRunner, TtpRunner
 
 PARAMS = derive_params(256, Fraction(1, 16))
 

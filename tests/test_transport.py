@@ -14,23 +14,15 @@ import pytest
 
 from etdr.bits import Message, bits_to_bytes
 from etdr.errors import FrameError, ProtocolStateError
-from etdr.etproto import ET_DISTINCT, ET_EQUAL, Verdict, generate_keys
-from etdr.etproto.keys import ROLE_ALICE, ROLE_BOB, ROLE_TTP, MacMaterial
+from etdr.etproto.core import ET_DISTINCT, ET_EQUAL, Verdict
+from etdr.etproto.keys import ROLE_ALICE, ROLE_BOB, ROLE_TTP, MacMaterial, generate_keys
 from etdr.etproto.session import _FIELDS as SESSION_FIELDS
 from etdr.etproto.session import SessionStore
 from etdr.params import derive_params, experimental_params
 from etdr.transport import runners
-from etdr.transport import (
-    FaultPlan,
-    Frame,
-    MemoryNetwork,
-    MsgType,
-    PartyRunner,
-    TtpRunner,
-    run_session,
-)
-from etdr.transport.frames import PHASES, FrameReader, encode_frame
-from etdr.transport.runners import ERR_FRAME, ERR_MAC, ERR_STATE, _sign
+from etdr.transport.channel import FaultPlan, MemoryNetwork, run_session
+from etdr.transport.frames import PHASES, Frame, FrameReader, MsgType, encode_frame
+from etdr.transport.runners import ERR_FRAME, ERR_MAC, ERR_STATE, PartyRunner, TtpRunner, _sign
 from etdr.transport.sockets import SocketTtpServer, run_party_session
 from oracles import signing_pad
 
@@ -77,6 +69,32 @@ def test_dispute_blames_lying_claimant():
     assert res.verdict_a == res.verdict_b == Verdict.ALICE_CORRECT
     res = run_session(sec, m, other, dispute=True, claim_a=lie)
     assert res.verdict_a == res.verdict_b == Verdict.BOB_CORRECT
+
+
+def test_a_claim_implies_the_dispute():
+    sec = generate_keys(PARAMS, seed=103)
+    m, other = messages(3)
+    lie = Message(m.value ^ (1 << 200), 256)
+    asked = run_session(sec, m, other, dispute=True, claim_b=lie)
+    implied = run_session(sec, m, other, claim_b=lie)
+    assert implied.verdict_a == implied.verdict_b == Verdict.ALICE_CORRECT
+    assert (implied.verdict_a, implied.verdict_b) == (asked.verdict_a, asked.verdict_b)
+    assert implied.transcript == asked.transcript
+    # over TCP each party runs its own dispute: a claim alone starts it
+    verdicts = {}
+    with SocketTtpServer(sec) as server:
+        def drive(name, keys, msg, claim):
+            runner, _ = run_party_session(keys, msg, server.address, claim=claim, timeout=5.0)
+            verdicts[name] = runner.verdict
+        threads = [
+            threading.Thread(target=drive, args=("alice", sec.alice, m, m)),
+            threading.Thread(target=drive, args=("bob", sec.bob, other, lie)),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    assert verdicts == {"alice": Verdict.ALICE_CORRECT, "bob": Verdict.ALICE_CORRECT}
 
 
 def test_matching_claims_close_the_dispute():
